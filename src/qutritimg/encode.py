@@ -166,18 +166,18 @@ def encode_qrciq(img: RgbImage) -> EncodeResult:
     if not isinstance(img, RgbImage):
         raise TypeError("encode_qrciq takes an RGB image")
     n = img.n
+    shifts = (None, GateSpec("P1"), GateSpec("P2"))
+    pixels = [
+        (_location_controls(i, n, 5), [ternary_digits_u8(int(v)) for v in rgb])
+        for i, rgb in enumerate(img.pixels.reshape(-1, 3))
+    ]
     ops = _hadamards(range(3, 2 * n + 5))
     for b in range(6):
         plane = (ControlSpec(3, b // 3), ControlSpec(4, b % 3))
-        for i in range(9**n):
-            y, x = divmod(i, 3**n)
-            location = _location_controls(i, n, 5)
-            for channel in range(3):
-                digit = ternary_digits_u8(int(img.pixels[y, x, channel]))[b]
-                if digit == 0:
-                    continue
-                gate = GateSpec("P1" if digit == 1 else "P2")
-                ops.append(CircuitOp(gate, channel, plane + location))
+        for location, digits in pixels:
+            for channel, d in enumerate(digits):
+                if d[b]:
+                    ops.append(CircuitOp(shifts[d[b]], channel, plane + location))
     layout = ("r_digit", "g_digit", "b_digit", "plane0", "plane1") + tuple(
         f"loc{t}" for t in range(2 * n)
     )

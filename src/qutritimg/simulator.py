@@ -3,6 +3,8 @@
 Controlled gates are applied by amplitude-index filtering: the 3x3 block
 acts only on the slice of the state tensor where every control qutrit
 equals its required value.  The full 3^q x 3^q operator is never built.
+`run` allocates one buffer and writes each op's slice into it in place;
+`apply_op` applies one op to a copy and leaves its input unchanged.
 """
 
 from __future__ import annotations
@@ -100,30 +102,33 @@ def _check_op_bounds(op: CircuitOp, num_qutrits: int):
             )
 
 
-def apply_op(state: Statevector, op: CircuitOp) -> Statevector:
-    """Apply one (possibly controlled) gate, returning a new statevector."""
-    q = state.num_qutrits
-    _check_op_bounds(op, q)
-    gate = op.gate.matrix()
-    tensor = state.amplitudes.reshape((3,) * q)
-    out = tensor.copy()
-    index = [slice(None)] * q
+def _apply_in_place(tensor: np.ndarray, op: CircuitOp):
+    """Apply `op` to a (3,)*q amplitude tensor, writing only the controlled slice."""
+    index = [slice(None)] * tensor.ndim
     for c in op.controls:
         index[c.qutrit] = c.value
     # After fixing the control axes, the target axis shifts left by the
     # number of controls that precede it.
     axis = op.target - sum(1 for c in op.controls if c.qutrit < op.target)
     block = np.moveaxis(tensor[tuple(index)], axis, 0)
-    rotated = np.tensordot(gate, block, axes=(1, 0))
-    out[tuple(index)] = np.moveaxis(rotated, 0, axis)
-    return Statevector(q, out.reshape(-1))
+    block[...] = np.dot(op.gate.matrix(), block.reshape(3, -1)).reshape(block.shape)
+
+
+def apply_op(state: Statevector, op: CircuitOp) -> Statevector:
+    """Apply one (possibly controlled) gate, returning a new statevector."""
+    q = state.num_qutrits
+    _check_op_bounds(op, q)
+    out = state.amplitudes.copy()
+    _apply_in_place(out.reshape((3,) * q), op)
+    return Statevector(q, out)
 
 
 def run(circuit: Circuit) -> Statevector:
-    """Execute all ops on the all-|0> state."""
+    """Execute all ops on the all-|0> state, in place in one buffer."""
     state = statevector_zero(circuit.num_qutrits)
+    tensor = state.amplitudes.reshape((3,) * circuit.num_qutrits)
     for op in circuit.ops:
-        state = apply_op(state, op)
+        _apply_in_place(tensor, op)
     return state
 
 
@@ -242,12 +247,21 @@ def probabilities_from_csv(text: str) -> tuple[int, np.ndarray]:
             f"probability table must list all 3^{length} states, got {len(rows)} rows"
         )
     probs = np.zeros(3**length)
+    seen = set()
     for ln in rows:
         try:
             state, raw = ln.split(",")
-            probs[index_from_trits(state)] = float(raw)
+            index, p = index_from_trits(state), float(raw)
         except ValueError as exc:
             raise ParseError(f"bad probability row {ln!r}") from exc
+        if len(state) != length:
+            raise ParseError(f"state {state!r} is not {length} trits long")
+        if index in seen:
+            raise ParseError(f"duplicate state {state!r}")
+        if not 0.0 <= p <= 1.0:  # also false for NaN
+            raise ParseError(f"probability {raw.strip()!r} is not a number in [0, 1]")
+        seen.add(index)
+        probs[index] = p
     return length, probs
 
 

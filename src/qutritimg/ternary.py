@@ -14,7 +14,7 @@ import numpy as np
 from .errors import CapacityError
 
 # 3**12 complex128 amplitudes is ~8.5 MB; the largest register any codec
-# here needs is 2n+5 = 9 qutrits (3x3 and 9x9 images).
+# here needs is qrciq's 2n+5 = 11 qutrits (27x27 images).
 MAX_QUTRITS = 12
 
 _TRIT_CHARS = "012"

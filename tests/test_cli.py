@@ -120,6 +120,35 @@ def test_decode_from_exact_probabilities(tmp_path, gray_path):
     assert read_pgm(out.read_bytes()) == read_pgm(gray_path.read_bytes())
 
 
+def _set_row(k, row):
+    return lambda rows: rows[:k] + [row(rows[k])] + rows[k + 1:]
+
+
+@pytest.mark.parametrize("mutate,message", [
+    pytest.param(_set_row(1, lambda r: "000" + r[3:]), "duplicate", id="duplicate"),
+    pytest.param(_set_row(1, lambda r: "0" + r), "not 3 trits", id="long-state"),
+    pytest.param(_set_row(0, lambda r: "000,-0.1"), "'-0.1' is not", id="negative"),
+    pytest.param(_set_row(0, lambda r: "000,nan"), "'nan' is not", id="nan"),
+    pytest.param(_set_row(0, lambda r: "000,inf"), "'inf' is not", id="inf"),
+    pytest.param(_set_row(0, lambda r: "000,1.5"), "'1.5' is not", id="above-one"),
+])
+def test_decode_rejects_bad_probability_table(tmp_path, gray_path, capsys, mutate,
+                                              message):
+    circ = tmp_path / "circ.json"
+    _run("encode", "--method", "fqri", "--input", gray_path, "--out", circ)
+    probs = tmp_path / "probs.csv"
+    _run("simulate", "--circuit", circ, "--exact", "--out", probs)
+    header, *rows = probs.read_text().splitlines()
+    probs.write_text("\n".join([header] + mutate(rows)) + "\n")
+    out = tmp_path / "decoded.pgm"
+    assert _run("decode", "--method", "fqri", "--hist", probs, "--n", 1,
+                "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
 def test_decode_fqrqci_requires_three_histograms(tmp_path, rgb_path, capsys):
     circ = tmp_path / "circ.json"
     _run("encode", "--method", "fqrqci", "--input", rgb_path, "--out", circ)

@@ -27,6 +27,7 @@ from qutritimg import (
     probabilities,
     run,
     ternary_digits_u8,
+    trits_from_index,
 )
 
 HALF_PI = math.pi / 2
@@ -214,6 +215,36 @@ def test_qrciq_structure(sample_rgb):
 
 def test_qrciq_state_matches_formula(sample_rgb):
     _assert_matches_oracle(encode_qrciq(sample_rgb), qrciq_state(sample_rgb))
+
+
+def test_qrciq_state_matches_formula_at_27x27():
+    img = random_rgb(np.random.default_rng(27), n=3)
+    enc = encode_qrciq(img)
+    assert enc.circuit.num_qutrits == 11
+    _assert_matches_oracle(enc, qrciq_state(img), atol=1e-12)
+
+
+def test_qrciq_emission_order_is_plane_pixel_channel():
+    img = random_rgb(np.random.default_rng(9), n=2)
+    expect = []
+    for b in range(6):
+        for i in range(81):
+            y, x = divmod(i, 9)
+            location = [(5 + t, int(d)) for t, d in enumerate(trits_from_index(i, 4))]
+            for channel in range(3):
+                digit = int(img.pixels[y, x, channel]) // 3**b % 3
+                if digit:
+                    expect.append(
+                        (f"P{digit}", channel, [(3, b // 3), (4, b % 3)] + location)
+                    )
+    ops = encode_qrciq(img).circuit.ops
+    hadamards = [(op.gate.kind, op.target) for op in ops[:6]]
+    assert hadamards == [("H", target) for target in range(3, 9)]
+    got = [
+        (op.gate.kind, op.target, [(c.qutrit, c.value) for c in op.controls])
+        for op in ops[6:]
+    ]
+    assert got == expect
 
 
 def test_qrciq_zero_image_is_hadamards_only():

@@ -81,7 +81,9 @@ def test_apply_op_matches_dense_oracle():
         q = int(rng.integers(1, 4))
         state = _random_state(rng, q)
         op = _random_op(rng, q)
+        before = state.amplitudes.copy()
         fast = apply_op(state, op).amplitudes
+        np.testing.assert_array_equal(state.amplitudes, before)  # input untouched
         slow = dense_op_matrix(op, q) @ state.amplitudes
         np.testing.assert_allclose(fast, slow, atol=1e-12)
         assert abs(np.linalg.norm(fast) - 1) < 1e-12
@@ -122,7 +124,12 @@ def test_run_preserves_norm_on_random_circuits():
     for _ in range(20):
         q = int(rng.integers(1, 5))
         ops = tuple(_random_op(rng, q) for _ in range(int(rng.integers(1, 12))))
-        assert abs(run(Circuit(q, ops)).norm() - 1) < 1e-10
+        state = run(Circuit(q, ops))
+        assert abs(state.norm() - 1) < 1e-10
+        folded = statevector_zero(q)
+        for op in ops:
+            folded = apply_op(folded, op)
+        np.testing.assert_array_equal(state.amplitudes, folded.amplitudes)
 
 
 def test_ops_with_different_control_values_commute():
