@@ -20,17 +20,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from qutritimg import (  # noqa: E402
-    decode_fqri,
-    decode_fqrqci,
-    decode_fqrri,
-    decode_mcqri,
-    decode_qrciq,
-    encode_fqri,
-    encode_fqrqci,
-    encode_fqrri,
-    encode_mcqri,
-    encode_qrciq,
-    fqrqci_measurement_circuits,
+    CODECS,
     mae,
     psnr,
     read_pgm,
@@ -45,22 +35,13 @@ DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 def build_pipelines(gray, rgb):
-    """method -> (reference image, prepared states, decode fn)."""
-    fqrqci_states = [
-        run(c) for c in fqrqci_measurement_circuits(encode_fqrqci(rgb))
-    ]
-    return {
-        "fqri": (gray, [run(encode_fqri(gray).circuit)],
-                 lambda h: decode_fqri(h[0], gray.n)),
-        "fqrri": (rgb, [run(encode_fqrri(rgb).circuit)],
-                  lambda h: decode_fqrri(h[0], rgb.n)),
-        "fqrqci": (rgb, fqrqci_states,
-                   lambda h: decode_fqrqci(h[0], h[1], h[2], rgb.n)),
-        "mcqri": (rgb, [run(encode_mcqri(rgb).circuit)],
-                  lambda h: decode_mcqri(h[0], rgb.n)),
-        "qrciq": (rgb, [run(encode_qrciq(rgb).circuit)],
-                  lambda h: decode_qrciq(h[0], rgb.n)),
-    }
+    """method -> (codec, reference image, prepared states)."""
+    pipelines = {}
+    for method, codec in CODECS.items():
+        image = gray if codec.gray else rgb
+        states = [run(c) for c in codec.measure(codec.encode(image))]
+        pipelines[method] = (codec, image, states)
+    return pipelines
 
 
 def main(argv=None) -> int:
@@ -86,7 +67,7 @@ def main(argv=None) -> int:
     header = f"{'method':8s}" + "".join(f"{s:>14d}" for s in args.shots)
     print(header)
     print("-" * len(header))
-    for method, (reference, states, decode) in pipelines.items():
+    for method, (codec, reference, states) in pipelines.items():
         cells = []
         for shots in args.shots:
             errors = []
@@ -95,16 +76,11 @@ def main(argv=None) -> int:
                     sample(state, shots, seed + 1000 * k)
                     for k, state in enumerate(states)
                 ]
-                report = decode(hists)
+                report = codec.decode(*hists, reference.n)
                 errors.append(mae(reference, report.image))
                 if out_dir and seed == 0:
-                    path = out_dir / f"{method}_{shots}.{'pgm' if method == 'fqri' else 'ppm'}"
-                    data = (
-                        write_pgm(report.image)
-                        if method == "fqri"
-                        else write_ppm(report.image)
-                    )
-                    path.write_bytes(data)
+                    ext, write = ("pgm", write_pgm) if codec.gray else ("ppm", write_ppm)
+                    (out_dir / f"{method}_{shots}.{ext}").write_bytes(write(report.image))
             cells.append(float(np.mean(errors)))
         print(f"{method:8s}" + "".join(f"{c:14.3f}" for c in cells))
     print(f"\nmean MAE over {args.seeds} seeds; psnr of a perfect qrciq decode:",

@@ -1,6 +1,8 @@
 """Qutrit statevector simulation and ternary quantum-image codecs."""
 
 from .decode import (
+    CODECS,
+    Codec,
     DecodeReport,
     clip,
     decode_fqri,
@@ -12,8 +14,6 @@ from .decode import (
     fqrri_values_from_angles,
 )
 from .encode import (
-    ENCODERS,
-    METHODS,
     EncodeResult,
     encode_fqri,
     encode_fqrqci,

@@ -8,16 +8,8 @@ import math
 import sys
 from pathlib import Path
 
-from .decode import (
-    decode_fqri,
-    decode_fqrqci,
-    decode_fqrri,
-    decode_mcqri,
-    decode_qrciq,
-    fqrqci_measurement_circuits,
-)
-from .encode import encode_fqri, encode_fqrqci, encode_fqrri, encode_mcqri, encode_qrciq
-from .images import GrayImage, read_pgm, read_ppm, write_pgm, write_ppm
+from .decode import CODECS
+from .images import read_pgm, read_ppm, write_pgm, write_ppm
 from .metrics import mae, psnr
 from .simulator import (
     circuit_from_json,
@@ -32,53 +24,33 @@ from .simulator import (
     sample,
 )
 
-_METHODS = {
-    "fqri": {"encode": encode_fqri, "gray": True, "qutrits": lambda n: 2 * n + 1},
-    "fqrri": {"encode": encode_fqrri, "gray": False, "qutrits": lambda n: 2 * n + 1},
-    "fqrqci": {"encode": encode_fqrqci, "gray": False, "qutrits": lambda n: 2 * n + 1},
-    "mcqri": {"encode": encode_mcqri, "gray": False, "qutrits": lambda n: 2 * n + 2},
-    "qrciq": {"encode": encode_qrciq, "gray": False, "qutrits": lambda n: 2 * n + 5},
-}
 
-
-def _read_image(method: str, path: Path):
+def _read_image(codec, path: Path):
     data = path.read_bytes()
-    if _METHODS[method]["gray"]:
-        return read_pgm(data)
-    return read_ppm(data)
+    return read_pgm(data) if codec.gray else read_ppm(data)
 
 
-def _write_image(image, path: Path):
-    if isinstance(image, GrayImage):
-        path.write_bytes(write_pgm(image))
-    else:
-        path.write_bytes(write_ppm(image))
-
-
-def _variant_paths(out: Path) -> tuple[Path, Path]:
-    return out.with_suffix(".m2.json"), out.with_suffix(".m3.json")
+def _write_image(codec, image, path: Path):
+    path.write_bytes(write_pgm(image) if codec.gray else write_ppm(image))
 
 
 def _load_counts(path: Path):
-    """Histogram or exact-probability CSV, distinguished by header."""
+    """(qutrits, counts) of a histogram or exact-probability CSV, by header."""
     text = path.read_text()
     header = text.splitlines()[0].strip() if text.strip() else ""
     if header == "state,probability":
-        _, probs = probabilities_from_csv(text)
-        return probs
-    return histogram_from_csv(text)
+        return probabilities_from_csv(text)
+    hist = histogram_from_csv(text)
+    return hist.num_qutrits, hist
 
 
 def cmd_encode(args) -> int:
-    image = _read_image(args.method, Path(args.input))
-    enc = _METHODS[args.method]["encode"](image)
+    codec = CODECS[args.method]
+    enc = codec.encode(_read_image(codec, Path(args.input)))
     out = Path(args.out)
-    out.write_text(circuit_to_json(enc.circuit))
-    if args.method == "fqrqci":
-        _, c2, c3 = fqrqci_measurement_circuits(enc)
-        p2, p3 = _variant_paths(out)
-        p2.write_text(circuit_to_json(c2))
-        p3.write_text(circuit_to_json(c3))
+    for k, circuit in enumerate(codec.measure(enc)):
+        path = out.with_suffix(f".m{k + 1}.json") if k else out
+        path.write_text(circuit_to_json(circuit))
     return 0
 
 
@@ -96,20 +68,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _decode(method: str, n: int, hist, hist2=None, hist3=None):
-    if method == "fqri":
-        return decode_fqri(hist, n)
-    if method == "fqrri":
-        return decode_fqrri(hist, n)
-    if method == "fqrqci":
-        if hist2 is None or hist3 is None:
-            raise ValueError("fqrqci decoding needs --hist2 and --hist3")
-        return decode_fqrqci(hist, hist2, hist3, n)
-    if method == "mcqri":
-        return decode_mcqri(hist, n)
-    return decode_qrciq(hist, n)
-
-
 def _report_dict(method: str, n: int, report) -> dict:
     return {
         "method": method,
@@ -121,32 +79,37 @@ def _report_dict(method: str, n: int, report) -> dict:
 
 
 def cmd_decode(args) -> int:
-    hist = _load_counts(Path(args.hist))
-    hist2 = _load_counts(Path(args.hist2)) if args.hist2 else None
-    hist3 = _load_counts(Path(args.hist3)) if args.hist3 else None
-    report = _decode(args.method, args.n, hist, hist2, hist3)
-    _write_image(report.image, Path(args.out))
+    codec = CODECS[args.method]
+    paths = [args.hist, args.hist2, args.hist3][: codec.histograms]
+    if None in paths:
+        raise ValueError(f"{codec.name} decoding needs --hist2 and --hist3")
+    widths, hists = zip(*(_load_counts(Path(p)) for p in paths))
+    n = codec.n_from_qutrits(widths[0])
+    if args.n is not None and args.n != n:
+        raise ValueError(
+            f"--n {args.n} does not match n = {n} of the {widths[0]}-qutrit histogram"
+        )
+    report = codec.decode(*hists, n)
+    _write_image(codec, report.image, Path(args.out))
     if args.report:
         Path(args.report).write_text(
-            json.dumps(_report_dict(args.method, args.n, report), indent=2)
+            json.dumps(_report_dict(args.method, n, report), indent=2)
         )
     return 0
 
 
 def cmd_roundtrip(args) -> int:
-    image = _read_image(args.method, Path(args.input))
-    enc = _METHODS[args.method]["encode"](image)
-    if args.method == "fqrqci":
-        circuits = fqrqci_measurement_circuits(enc)
-        hists = [
-            sample(run(c), args.shots, args.seed + k) for k, c in enumerate(circuits)
-        ]
-        report = decode_fqrqci(hists[0], hists[1], hists[2], enc.n)
-    else:
-        hist = sample(run(enc.circuit), args.shots, args.seed)
-        report = _decode(args.method, enc.n, hist)
-    out = Path(args.out) if args.out else _default_image_path(args)
-    _write_image(report.image, out)
+    codec = CODECS[args.method]
+    image = _read_image(codec, Path(args.input))
+    enc = codec.encode(image)
+    hists = [
+        sample(run(c), args.shots, args.seed + k)
+        for k, c in enumerate(codec.measure(enc))
+    ]
+    report = codec.decode(*hists, enc.n)
+    ext = ".pgm" if codec.gray else ".ppm"
+    out = Path(args.out) if args.out else Path(args.report).with_suffix(ext)
+    _write_image(codec, report.image, out)
     error = mae(image, report.image)
     ratio = psnr(image, report.image)
     doc = _report_dict(args.method, enc.n, report)
@@ -162,11 +125,6 @@ def cmd_roundtrip(args) -> int:
     return 0
 
 
-def _default_image_path(args) -> Path:
-    ext = ".pgm" if _METHODS[args.method]["gray"] else ".ppm"
-    return Path(args.report).with_suffix(ext)
-
-
 def cmd_diagram(args) -> int:
     circuit = circuit_from_json(Path(args.circuit).read_text())
     sys.stdout.write(diagram(circuit))
@@ -179,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Encode images into qutrit circuits, simulate, and decode.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    method_kwargs = {"choices": sorted(_METHODS), "required": True}
+    method_kwargs = {"choices": sorted(CODECS), "required": True}
 
     enc = sub.add_parser("encode", help="image file to circuit JSON")
     enc.add_argument("--method", **method_kwargs)
@@ -200,7 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--hist", required=True)
     dec.add_argument("--hist2", help="second measurement histogram (fqrqci)")
     dec.add_argument("--hist3", help="third measurement histogram (fqrqci)")
-    dec.add_argument("--n", type=int, required=True, help="image exponent (side = 3^n)")
+    dec.add_argument("--n", type=int, help="image exponent (side = 3^n); inferred "
+                     "from the histogram width, checked against it if given")
     dec.add_argument("--out", required=True, help="decoded image path")
     dec.add_argument("--report", help="decode report JSON path")
     dec.set_defaults(func=cmd_decode)

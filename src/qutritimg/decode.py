@@ -16,11 +16,13 @@ frequency is applied.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encode import EncodeResult
+from .encode import encode_fqri, encode_fqrqci, encode_fqrri, encode_mcqri, encode_qrciq
 from .errors import HistogramInconsistencyError, ShapeError
 from .gates import GateSpec
 from .images import GrayImage, RgbImage
@@ -275,3 +277,44 @@ def decode_qrciq(hist, n: int) -> DecodeReport:
         )
     pixels = values.reshape(side, side, 3).astype(np.uint8)
     return DecodeReport(RgbImage(pixels), 0, tuple(missing), shots)
+
+
+@dataclass(frozen=True)
+class Codec:
+    """One image representation: preparation, measurements and inversion.
+
+    `encode(image)` prepares a 2n + extra_qutrits register, `measure(enc)`
+    lists the circuits to sample and `decode(*hists, n)` inverts one
+    histogram per circuit.  The functions are plain instance attributes,
+    so a tracer can rebind them per instance.
+    """
+
+    name: str
+    gray: bool
+    extra_qutrits: int
+    encode: Callable[..., EncodeResult]
+    decode: Callable[..., DecodeReport]
+    histograms: int = 1
+    measure: Callable[[EncodeResult], tuple[Circuit, ...]] = lambda enc: (enc.circuit,)
+
+    def n_from_qutrits(self, q: int) -> int:
+        """The image exponent n of a 2n + extra_qutrits register."""
+        n, odd = divmod(q - self.extra_qutrits, 2)
+        if odd or n < 1:
+            raise ShapeError(f"a {q}-qutrit register fits no {self.name} image "
+                             f"(2n+{self.extra_qutrits} qutrits, n >= 1)")
+        return n
+
+
+# Keyed by CLI name; tables that list every codec follow this order.
+CODECS = {
+    codec.name: codec
+    for codec in (
+        Codec("fqri", True, 1, encode_fqri, decode_fqri),
+        Codec("fqrri", False, 1, encode_fqrri, decode_fqrri),
+        Codec("fqrqci", False, 1, encode_fqrqci, decode_fqrqci,
+              histograms=3, measure=fqrqci_measurement_circuits),
+        Codec("mcqri", False, 2, encode_mcqri, decode_mcqri),
+        Codec("qrciq", False, 5, encode_qrciq, decode_qrciq),
+    )
+}

@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import CapacityError
 from .gates import GateSpec
 from .images import GrayImage, RgbImage
 from .simulator import Circuit, CircuitOp, ControlSpec
-from .ternary import ternary_digits_u8, trits_from_index
-
-METHODS = ("FQRI", "FQRRI", "FQRQCI", "MCQRI", "QRCIQ")
+from .ternary import MAX_QUTRITS, ternary_digits_u8, trits_from_index
 
 HALF_PI = math.pi / 2
 
@@ -72,6 +71,16 @@ def _location_controls(i: int, n: int, first: int) -> tuple[ControlSpec, ...]:
     return tuple(ControlSpec(first + t, int(d)) for t, d in enumerate(trits))
 
 
+def _register(n: int, extra: int) -> int:
+    """Register width 2n + extra, checked against the cap before any op is built."""
+    q = 2 * n + extra
+    if q > MAX_QUTRITS:
+        raise CapacityError(
+            f"{3**n}x{3**n} images need {q} qutrits, over the cap of {MAX_QUTRITS}"
+        )
+    return q
+
+
 def _hadamards(positions) -> list[CircuitOp]:
     return [CircuitOp(GateSpec("H"), target=p) for p in positions]
 
@@ -81,7 +90,8 @@ def encode_fqri(img: GrayImage) -> EncodeResult:
     if not isinstance(img, GrayImage):
         raise TypeError("encode_fqri takes a grayscale image")
     n = img.n
-    ops = _hadamards(range(1, 2 * n + 1))
+    q = _register(n, 1)
+    ops = _hadamards(range(1, q))
     for i in range(9**n):
         y, x = divmod(i, 3**n)
         theta = pixel_angle(int(img.pixels[y, x]))
@@ -93,7 +103,7 @@ def encode_fqri(img: GrayImage) -> EncodeResult:
             )
         )
     layout = ("value",) + tuple(f"loc{t}" for t in range(2 * n))
-    return EncodeResult(Circuit(2 * n + 1, tuple(ops)), n, "FQRI", layout)
+    return EncodeResult(Circuit(q, tuple(ops)), n, "FQRI", layout)
 
 
 def encode_fqrri(img: RgbImage) -> EncodeResult:
@@ -101,7 +111,8 @@ def encode_fqrri(img: RgbImage) -> EncodeResult:
     if not isinstance(img, RgbImage):
         raise TypeError("encode_fqrri takes an RGB image")
     n = img.n
-    ops = _hadamards(range(1, 2 * n + 1))
+    q = _register(n, 1)
+    ops = _hadamards(range(1, q))
     for i in range(9**n):
         y, x = divmod(i, 3**n)
         r, g, b = (int(v) for v in img.pixels[y, x])
@@ -110,7 +121,7 @@ def encode_fqrri(img: RgbImage) -> EncodeResult:
         ops.append(CircuitOp(GateSpec("RY", (0, 1), (2 * theta_gb,)), 0, controls))
         ops.append(CircuitOp(GateSpec("RY", (0, 2), (2 * theta_gr,)), 0, controls))
     layout = ("value",) + tuple(f"loc{t}" for t in range(2 * n))
-    return EncodeResult(Circuit(2 * n + 1, tuple(ops)), n, "FQRRI", layout)
+    return EncodeResult(Circuit(q, tuple(ops)), n, "FQRRI", layout)
 
 
 def encode_fqrqci(img: RgbImage) -> EncodeResult:
@@ -122,7 +133,8 @@ def encode_fqrqci(img: RgbImage) -> EncodeResult:
     if not isinstance(img, RgbImage):
         raise TypeError("encode_fqrqci takes an RGB image")
     n = img.n
-    ops = _hadamards(range(1, 2 * n + 1))
+    q = _register(n, 1)
+    ops = _hadamards(range(1, q))
     for i in range(9**n):
         y, x = divmod(i, 3**n)
         r, g, b = (int(v) for v in img.pixels[y, x])
@@ -131,7 +143,7 @@ def encode_fqrqci(img: RgbImage) -> EncodeResult:
         ops.append(CircuitOp(GateSpec("RY", (0, 1), (2 * tr,)), 0, controls))
         ops.append(CircuitOp(GateSpec("U", (1, 2), (2 * tg, tb, 0.0)), 0, controls))
     layout = ("value",) + tuple(f"loc{t}" for t in range(2 * n))
-    return EncodeResult(Circuit(2 * n + 1, tuple(ops)), n, "FQRQCI", layout)
+    return EncodeResult(Circuit(q, tuple(ops)), n, "FQRQCI", layout)
 
 
 def encode_mcqri(img: RgbImage) -> EncodeResult:
@@ -143,7 +155,8 @@ def encode_mcqri(img: RgbImage) -> EncodeResult:
     if not isinstance(img, RgbImage):
         raise TypeError("encode_mcqri takes an RGB image")
     n = img.n
-    ops = _hadamards(range(1, 2 * n + 2))
+    q = _register(n, 2)
+    ops = _hadamards(range(1, q))
     for i in range(9**n):
         y, x = divmod(i, 3**n)
         location = _location_controls(i, n, 2)
@@ -152,7 +165,7 @@ def encode_mcqri(img: RgbImage) -> EncodeResult:
             controls = (ControlSpec(1, channel),) + location
             ops.append(CircuitOp(GateSpec("RY", (0, 1), (2 * theta,)), 0, controls))
     layout = ("value", "channel") + tuple(f"loc{t}" for t in range(2 * n))
-    return EncodeResult(Circuit(2 * n + 2, tuple(ops)), n, "MCQRI", layout)
+    return EncodeResult(Circuit(q, tuple(ops)), n, "MCQRI", layout)
 
 
 def encode_qrciq(img: RgbImage) -> EncodeResult:
@@ -166,12 +179,13 @@ def encode_qrciq(img: RgbImage) -> EncodeResult:
     if not isinstance(img, RgbImage):
         raise TypeError("encode_qrciq takes an RGB image")
     n = img.n
+    q = _register(n, 5)
     shifts = (None, GateSpec("P1"), GateSpec("P2"))
     pixels = [
         (_location_controls(i, n, 5), [ternary_digits_u8(int(v)) for v in rgb])
         for i, rgb in enumerate(img.pixels.reshape(-1, 3))
     ]
-    ops = _hadamards(range(3, 2 * n + 5))
+    ops = _hadamards(range(3, q))
     for b in range(6):
         plane = (ControlSpec(3, b // 3), ControlSpec(4, b % 3))
         for location, digits in pixels:
@@ -181,13 +195,4 @@ def encode_qrciq(img: RgbImage) -> EncodeResult:
     layout = ("r_digit", "g_digit", "b_digit", "plane0", "plane1") + tuple(
         f"loc{t}" for t in range(2 * n)
     )
-    return EncodeResult(Circuit(2 * n + 5, tuple(ops)), n, "QRCIQ", layout)
-
-
-ENCODERS = {
-    "FQRI": encode_fqri,
-    "FQRRI": encode_fqrri,
-    "FQRQCI": encode_fqrqci,
-    "MCQRI": encode_mcqri,
-    "QRCIQ": encode_qrciq,
-}
+    return EncodeResult(Circuit(q, tuple(ops)), n, "QRCIQ", layout)

@@ -10,6 +10,7 @@ equals its required value.  The full 3^q x 3^q operator is never built.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,8 +143,8 @@ def sample(state: Statevector, shots: int, seed: int) -> ShotHistogram:
 
     Identical (state, shots, seed) triples give identical histograms.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= np.iinfo(np.int64).max:
+        raise ValueError(f"shots must be in [1, 2^63 - 1], got {shots}")
     probs = probabilities(state)
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
@@ -174,6 +175,13 @@ def circuit_to_json(circuit: Circuit) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _json(value, kind: type, field: str):
+    """`value` if its JSON type is exactly `kind`: true is not an int, 1.0 is not."""
+    if type(value) is not kind:
+        raise ParseError(f"circuit JSON {field!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def circuit_from_json(text: str) -> Circuit:
     try:
         doc = json.loads(text)
@@ -181,18 +189,22 @@ def circuit_from_json(text: str) -> Circuit:
         raise ParseError(f"invalid circuit JSON: {exc}") from exc
     try:
         ops = []
-        for entry in doc["ops"]:
-            gate = GateSpec(
-                entry["gate"],
-                tuple(entry["subspace"]) if entry["subspace"] is not None else None,
-                tuple(entry["params"]),
-            )
+        for entry in _json(doc["ops"], list, "ops"):
+            pair = entry["subspace"]
+            if pair is not None:
+                pair = [_json(j, int, "subspace") for j in _json(pair, list, "subspace")]
+            params = _json(entry["params"], list, "params")
+            if not all(type(p) in (int, float) and math.isfinite(p) for p in params):
+                raise ParseError(f"circuit JSON params must be finite numbers: {params}")
+            gate = GateSpec(entry["gate"], pair, params)
             controls = tuple(
-                ControlSpec(c["q"], c["v"]) for c in entry["controls"]
+                ControlSpec(c["q"], c["v"]) for c in _json(entry["controls"], list, "controls")
             )
-            ops.append(CircuitOp(gate, entry["target"], controls))
-        return Circuit(doc["num_qutrits"], tuple(ops))
-    except (KeyError, TypeError) as exc:
+            if any(type(c.qutrit) is not int or type(c.value) is not int for c in controls):
+                raise ParseError(f"circuit JSON controls need int q and v: {entry['controls']}")
+            ops.append(CircuitOp(gate, _json(entry["target"], int, "target"), controls))
+        return Circuit(_json(doc["num_qutrits"], int, "num_qutrits"), tuple(ops))
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ParseError(f"invalid circuit JSON structure: {exc}") from exc
 
 
@@ -262,6 +274,9 @@ def probabilities_from_csv(text: str) -> tuple[int, np.ndarray]:
             raise ParseError(f"probability {raw.strip()!r} is not a number in [0, 1]")
         seen.add(index)
         probs[index] = p
+    total = float(probs.sum())
+    if abs(total - 1.0) > 1e-9:  # an exact table is off by roundoff only
+        raise ParseError(f"probabilities sum to {total!r}, not 1")
     return length, probs
 
 

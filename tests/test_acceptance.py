@@ -20,7 +20,7 @@ from oracles import (
     random_rgb,
 )
 from qutritimg import (
-    ENCODERS,
+    CODECS,
     GateSpec,
     decode_fqri,
     decode_fqrqci,
@@ -104,7 +104,8 @@ def test_c1_gate_algebra():
 
 def test_c2_encoder_formula_equivalence(sample_gray, sample_rgb):
     start = time.monotonic()
-    for method, encoder in ENCODERS.items():
+    for name, codec in CODECS.items():
+        method, encoder = name.upper(), codec.encode
         image = sample_gray if method == "FQRI" else sample_rgb
         cases = [image]
         rng = np.random.default_rng(sum(map(ord, method)))
@@ -348,8 +349,8 @@ def test_c8_cli_end_to_end(tmp_path, data_dir):
 
     from qutritimg.cli import main
 
-    for method in ("fqri", "fqrri", "fqrqci", "mcqri", "qrciq"):
-        source = "gray_3x3.pgm" if method == "fqri" else "rgb_3x3.ppm"
+    for method, codec in CODECS.items():
+        source = "gray_3x3.pgm" if codec.gray else "rgb_3x3.ppm"
         report_path = tmp_path / f"{method}.json"
         code = main([
             "roundtrip", "--method", method,

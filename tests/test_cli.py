@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qutritimg import read_ppm
+from qutritimg import CODECS, RgbImage, read_ppm, write_ppm
 from qutritimg.cli import main
 
 
@@ -53,6 +53,17 @@ def test_encode_bad_shape_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_encode_over_capacity_fails_without_output(tmp_path, capsys):
+    big = tmp_path / "big.ppm"
+    big.write_bytes(write_ppm(RgbImage(np.zeros((81, 81, 3), dtype=np.uint8))))
+    out = tmp_path / "circ.json"
+    assert _run("encode", "--method", "qrciq", "--input", big, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "13 qutrits" in err
+    assert not out.exists()
+
+
 def test_simulate_exact_probability_table(tmp_path, gray_path):
     circ = tmp_path / "circ.json"
     _run("encode", "--method", "fqri", "--input", gray_path, "--out", circ)
@@ -89,6 +100,39 @@ def test_simulate_malformed_circuit(tmp_path, capsys):
     assert _run("simulate", "--circuit", circ, "--shots", 10,
                 "--out", tmp_path / "h.csv") == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _op(**changes):
+    op = {"gate": "RY", "subspace": [0, 1], "params": [1.0], "target": 0,
+          "controls": [{"q": 1, "v": 1}]}
+    return op | changes
+
+
+def _bad_circuit(name, num_qutrits=2, ops=None):
+    doc = {"num_qutrits": num_qutrits, "ops": [_op()] if ops is None else ops}
+    return pytest.param(doc, 10, "circuit JSON", id=name)
+
+
+@pytest.mark.parametrize("doc,shots,message", [
+    _bad_circuit("float-v", ops=[_op(controls=[{"q": 1, "v": 1.0}])]),
+    _bad_circuit("float-q", ops=[_op(controls=[{"q": 1.5, "v": 1}])]),
+    _bad_circuit("float-target", ops=[_op(target=0.0)]),
+    _bad_circuit("float-num-qutrits", num_qutrits=2.0, ops=[]),
+    _bad_circuit("bool-num-qutrits", num_qutrits=True, ops=[]),
+    _bad_circuit("ops-object", ops={}),
+    _bad_circuit("controls-object", ops=[_op(controls={})]),
+    _bad_circuit("nan-param", ops=[_op(params=[float("nan")])]),
+    pytest.param({"num_qutrits": 2, "ops": [_op()]}, 10**22, "shots", id="shots-overflow"),
+])
+def test_simulate_rejects_malformed_input(tmp_path, capsys, doc, shots, message):
+    circ = tmp_path / "circ.json"
+    circ.write_text(json.dumps(doc))
+    out = tmp_path / "h.csv"
+    assert _run("simulate", "--circuit", circ, "--shots", shots, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
 
 
 def test_decode_qrciq_complete_histogram(tmp_path, rgb_path):
@@ -131,6 +175,8 @@ def _set_row(k, row):
     pytest.param(_set_row(0, lambda r: "000,nan"), "'nan' is not", id="nan"),
     pytest.param(_set_row(0, lambda r: "000,inf"), "'inf' is not", id="inf"),
     pytest.param(_set_row(0, lambda r: "000,1.5"), "'1.5' is not", id="above-one"),
+    pytest.param(lambda rows: [f"{r.split(',')[0]},{float(r.split(',')[1]) / 2!r}"
+                               for r in rows], "sum to 0.5", id="sum-half"),
 ])
 def test_decode_rejects_bad_probability_table(tmp_path, gray_path, capsys, mutate,
                                               message):
@@ -159,6 +205,41 @@ def test_decode_fqrqci_requires_three_histograms(tmp_path, rgb_path, capsys):
     assert "hist2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sim", [["--exact"], ["--shots", 2000, "--seed", 6]],
+                         ids=["exact", "shots"])
+@pytest.mark.parametrize("method", sorted(CODECS))
+def test_decode_infers_n(tmp_path, gray_path, rgb_path, method, sim):
+    codec = CODECS[method]
+    circ = tmp_path / "circ.json"
+    _run("encode", "--method", method, "--input", gray_path if codec.gray else rgb_path,
+         "--out", circ)
+    hists = []
+    for k in range(codec.histograms):
+        hists += [f"--hist{k + 1 if k else ''}", tmp_path / f"h{k}.csv"]
+        circuit = circ.with_suffix(f".m{k + 1}.json") if k else circ
+        assert _run("simulate", "--circuit", circuit, *sim, "--out", hists[-1]) == 0
+    outputs = []
+    for given in ([], ["--n", 1]):
+        img, report = tmp_path / f"img{len(given)}", tmp_path / f"rep{len(given)}.json"
+        assert _run("decode", "--method", method, *hists, *given,
+                    "--out", img, "--report", report) == 0
+        outputs.append((img.read_bytes(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("n", [2, -1])
+def test_decode_wrong_n_names_both_values(tmp_path, gray_path, capsys, n):
+    circ, hist = tmp_path / "circ.json", tmp_path / "hist.csv"
+    _run("encode", "--method", "fqri", "--input", gray_path, "--out", circ)
+    _run("simulate", "--circuit", circ, "--shots", 100, "--out", hist)
+    out = tmp_path / "img.pgm"
+    assert _run("decode", "--method", "fqri", "--hist", hist, "--n", n, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"--n {n}" in err and "n = 1" in err
+    assert not out.exists()
+
+
 def test_decode_wrong_register_size(tmp_path, capsys):
     hist = tmp_path / "hist.csv"
     hist.write_text("state,count\n0000,5\n")
@@ -168,8 +249,7 @@ def test_decode_wrong_register_size(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method,source", [
-    ("fqri", "gray"), ("fqrri", "rgb"), ("fqrqci", "rgb"),
-    ("mcqri", "rgb"), ("qrciq", "rgb"),
+    (name, "gray" if codec.gray else "rgb") for name, codec in CODECS.items()
 ])
 def test_roundtrip_all_methods(tmp_path, gray_path, rgb_path, method, source):
     report_path = tmp_path / f"{method}.json"
@@ -182,7 +262,7 @@ def test_roundtrip_all_methods(tmp_path, gray_path, rgb_path, method, source):
         assert key in report
     assert report["method"] == method
     assert report["n"] == 1
-    ext = ".pgm" if method == "fqri" else ".ppm"
+    ext = ".pgm" if source == "gray" else ".ppm"
     assert report_path.with_suffix(ext).exists()
 
 
@@ -218,14 +298,19 @@ def test_diagram_wire_counts(tmp_path, gray_path, rgb_path, capsys):
 
 
 def test_module_entry_point(tmp_path, gray_path):
+    import pathlib
     import subprocess
     import sys
+
+    import qutritimg
 
     out = tmp_path / "circ.json"
     result = subprocess.run(
         [sys.executable, "-m", "qutritimg", "encode", "--method", "fqri",
          "--input", str(gray_path), "--out", str(out)],
         capture_output=True,
+        # run from the directory holding the imported package, installed or not
+        cwd=pathlib.Path(qutritimg.__file__).parents[1],
     )
     assert result.returncode == 0
     assert out.exists()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import fqrqci_recoverable, random_gray, random_rgb
 from qutritimg import (
+    CODECS,
     GrayImage,
     HistogramInconsistencyError,
     RgbImage,
@@ -302,3 +303,27 @@ def test_sampled_decode_reports_shots(sample_gray):
     report = decode_fqri(hist, 1)
     assert report.shots_used == 2000
     assert isinstance(report.image, GrayImage)
+
+
+# --- codec registry -----------------------------------------------------------
+
+def test_codec_registry_names():
+    assert sorted(CODECS) == ["fqri", "fqrqci", "fqrri", "mcqri", "qrciq"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_codec_register_width_and_measurements(name, n):
+    codec = CODECS[name]
+    rng = np.random.default_rng(n)
+    enc = codec.encode(random_gray(rng, n) if codec.gray else random_rgb(rng, n))
+    q = enc.circuit.num_qutrits
+    assert q == 2 * n + codec.extra_qutrits
+    assert codec.n_from_qutrits(q) == n
+    for width in (q - 1, q + 1, codec.extra_qutrits):
+        with pytest.raises(ShapeError):
+            codec.n_from_qutrits(width)
+    circuits = codec.measure(enc)
+    assert len(circuits) == codec.histograms
+    assert circuits[0] == enc.circuit
+    assert all(c.num_qutrits == q for c in circuits)

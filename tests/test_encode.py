@@ -13,6 +13,9 @@ from oracles import (
     random_rgb,
 )
 from qutritimg import (
+    CODECS,
+    MAX_QUTRITS,
+    CapacityError,
     Circuit,
     GrayImage,
     RgbImage,
@@ -254,14 +257,12 @@ def test_qrciq_zero_image_is_hadamards_only():
     assert all(op.gate.kind == "H" for op in enc.circuit.ops)
 
 
-@pytest.mark.parametrize("method", ["FQRI", "FQRRI", "FQRQCI", "MCQRI", "QRCIQ"])
+@pytest.mark.parametrize("method", [name.upper() for name in CODECS])
 def test_random_images_match_formula(method):
     rng = np.random.default_rng(hash(method) % 2**32)
-    from qutritimg import ENCODERS
-
     for _ in range(6):
         img = random_gray(rng) if method == "FQRI" else random_rgb(rng)
-        enc = ENCODERS[method](img)
+        enc = CODECS[method.lower()].encode(img)
         _assert_matches_oracle(enc, CLOSED_FORM_STATES[method](img))
 
 
@@ -291,8 +292,19 @@ def test_reordering_pixel_blocks_keeps_state(sample_rgb):
 
 
 def test_encoders_reject_wrong_image_kind(sample_gray, sample_rgb):
-    with pytest.raises(TypeError):
-        encode_fqri(sample_rgb)
-    for encoder in (encode_fqrri, encode_fqrqci, encode_mcqri, encode_qrciq):
+    for codec in CODECS.values():
         with pytest.raises(TypeError):
-            encoder(sample_gray)
+            codec.encode(sample_rgb if codec.gray else sample_gray)
+
+
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_encoders_check_capacity_before_building_ops(name):
+    codec = CODECS[name]
+    n = (MAX_QUTRITS - codec.extra_qutrits) // 2 + 1  # smallest n over the cap
+    side = 3**n
+    if codec.gray:
+        image = GrayImage(np.zeros((side, side), dtype=np.uint8))
+    else:
+        image = RgbImage(np.full((side, side, 3), 255, dtype=np.uint8))
+    with pytest.raises(CapacityError, match=f"{2 * n + codec.extra_qutrits} qutrits"):
+        codec.encode(image)
