@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""SHA-256 of every CLI output made from seeded inputs, one line per artifact.
+
+For every codec at 3x3 and 9x9 it runs `encode` (with the fqrqci .m2/.m3
+circuits), `simulate` with shots and with --exact, `decode` of both
+tables (image and report) and `roundtrip` (image and report); for qrciq
+it also runs `roundtrip` at 27x27.  Inputs are random images from a fixed
+seed and everything is written to a temporary directory.  Two commits
+give the same outputs when their manifests are identical:
+
+    python scripts/output_manifest.py > manifest.txt
+"""
+
+import hashlib
+import pathlib
+import sys
+import tempfile
+
+import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from qutritimg import CODECS, GrayImage, RgbImage, write_pgm, write_ppm  # noqa: E402
+from qutritimg.cli import main as cli  # noqa: E402
+
+RUNS = [(name, side) for name in CODECS for side in (3, 9)] + [("qrciq", 27)]
+
+
+def _cli(*argv):
+    args = [str(a) for a in argv]
+    if cli(args) != 0:
+        raise RuntimeError(f"qutritimg {' '.join(args)} failed")
+
+
+def write_artifacts(inputs: pathlib.Path, outputs: pathlib.Path):
+    rng = np.random.default_rng(2024)
+    for name, side in RUNS:
+        codec = CODECS[name]
+        ext = "pgm" if codec.gray else "ppm"
+        image = inputs / f"{name}-{side}.{ext}"
+        if codec.gray:
+            image.write_bytes(write_pgm(GrayImage(rng.integers(0, 256, (side, side)))))
+        else:
+            image.write_bytes(write_ppm(RgbImage(rng.integers(0, 256, (side, side, 3)))))
+        out = outputs / f"{name}-{side}x{side}"
+        out.mkdir()
+        _cli("roundtrip", "--method", name, "--input", image, "--shots", 20000,
+             "--seed", 3, "--report", out / "roundtrip.json", "--out", out / f"roundtrip.{ext}")
+        if side == 27:
+            continue
+        _cli("encode", "--method", name, "--input", image, "--out", out / "circuit.json")
+        for table, options in (("shots", ["--shots", 5000, "--seed", 7]), ("exact", ["--exact"])):
+            hists = []
+            for k in range(codec.histograms):
+                circuit = out / (f"circuit.m{k + 1}.json" if k else "circuit.json")
+                hists += [f"--hist{k + 1}" if k else "--hist", out / f"{table}{k + 1}.csv"]
+                _cli("simulate", "--circuit", circuit, *options, "--out", hists[-1])
+            _cli("decode", "--method", name, *hists, "--out", out / f"decode-{table}.{ext}",
+                 "--report", out / f"decode-{table}.json")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs, outputs = pathlib.Path(tmp, "inputs"), pathlib.Path(tmp, "outputs")
+        inputs.mkdir()
+        outputs.mkdir()
+        write_artifacts(inputs, outputs)
+        for path in sorted(outputs.rglob("*.*")):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(outputs)}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

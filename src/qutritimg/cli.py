@@ -80,10 +80,13 @@ def _report_dict(method: str, n: int, report) -> dict:
 
 def cmd_decode(args) -> int:
     codec = CODECS[args.method]
-    paths = [args.hist, args.hist2, args.hist3][: codec.histograms]
-    if None in paths:
+    paths = [args.hist, args.hist2, args.hist3]
+    if None in paths[: codec.histograms]:
         raise ValueError(f"{codec.name} decoding needs --hist2 and --hist3")
-    widths, hists = zip(*(_load_counts(Path(p)) for p in paths))
+    for k in range(codec.histograms, 3):
+        if paths[k] is not None:
+            raise ValueError(f"--hist{k + 1} given, but {codec.name} decodes one histogram")
+    widths, hists = zip(*(_load_counts(Path(p)) for p in paths[: codec.histograms]))
     n = codec.n_from_qutrits(widths[0])
     if args.n is not None and args.n != n:
         raise ValueError(

@@ -27,7 +27,6 @@ from .errors import HistogramInconsistencyError, ShapeError
 from .gates import GateSpec
 from .images import GrayImage, RgbImage
 from .simulator import Circuit, CircuitOp, ShotHistogram
-from .ternary import trits_from_index
 
 # Below this, sin/cos prefactors are treated as zero: the encoded state
 # carries no usable information about the dependent channel.
@@ -98,15 +97,12 @@ def decode_fqri(hist, n: int) -> DecodeReport:
     the pixel was sampled does not bias the value.
     """
     probs, shots = _as_probabilities(hist, 2 * n + 1)
-    side = 3**n
-    area = side * side
-    pixels = np.zeros((side, side), dtype=np.uint8)
-    for i in range(area):
-        p0 = probs[i]
-        p1 = probs[area + i]
-        theta = math.atan2(math.sqrt(p1), math.sqrt(p0))
-        y, x = divmod(i, side)
-        pixels[y, x] = _value_u8(theta)
+    zeros, ones, _ = probs.reshape(3, -1).tolist()
+    values = [
+        _value_u8(math.atan2(math.sqrt(p1), math.sqrt(p0)))
+        for p0, p1 in zip(zeros, ones)
+    ]
+    pixels = np.array(values, dtype=np.uint8).reshape(3**n, 3**n)
     return DecodeReport(GrayImage(pixels), 0, (), shots)
 
 
@@ -127,14 +123,9 @@ def fqrri_values_from_angles(theta_gb: float, theta_gr: float) -> tuple[int, int
 def decode_fqrri(hist, n: int) -> DecodeReport:
     """Two-angle RGB: theta_gb from asin, theta_gr from a probability ratio."""
     probs, shots = _as_probabilities(hist, 2 * n + 1)
-    side = 3**n
-    area = side * side
     counter = _ClipCounter()
-    pixels = np.zeros((side, side, 3), dtype=np.uint8)
-    for i in range(area):
-        p0 = probs[i]
-        p1 = probs[area + i]
-        p2 = probs[2 * area + i]
+    values = []
+    for p0, p1, p2 in zip(*probs.reshape(3, -1).tolist()):
         theta_gb = math.asin(counter(3**n * math.sqrt(p1), 0.0, 1.0))
         if p0 > 0:
             theta_gr = math.atan(math.sqrt(p2 / p0))
@@ -142,8 +133,8 @@ def decode_fqrri(hist, n: int) -> DecodeReport:
             theta_gr = HALF_PI
         else:
             theta_gr = 0.0
-        y, x = divmod(i, side)
-        pixels[y, x] = fqrri_values_from_angles(theta_gb, theta_gr)
+        values.append(fqrri_values_from_angles(theta_gb, theta_gr))
+    pixels = np.array(values, dtype=np.uint8).reshape(3**n, 3**n, 3)
     return DecodeReport(RgbImage(pixels), counter.events, (), shots)
 
 
@@ -179,26 +170,23 @@ def decode_fqrqci(hist1, hist2, hist3, n: int) -> DecodeReport:
     probs1, shots1 = _as_probabilities(hist1, 2 * n + 1)
     probs2, shots2 = _as_probabilities(hist2, 2 * n + 1)
     probs3, shots3 = _as_probabilities(hist3, 2 * n + 1)
-    side = 3**n
-    area = side * side
+    zeros, ones, _ = probs1.reshape(3, -1).tolist()
+    cos0, _, cos2 = probs2.reshape(3, -1).tolist()
+    sin0, _, sin2 = probs3.reshape(3, -1).tolist()
     counter = _ClipCounter()
-    pixels = np.zeros((side, side, 3), dtype=np.uint8)
-    for i in range(area):
-        theta_r = math.acos(counter(3**n * math.sqrt(probs1[i]), 0.0, 1.0))
+    values = []
+    for p0, p1, c0, c2, s0, s2 in zip(zeros, ones, cos0, cos2, sin0, sin2):
+        theta_r = math.acos(counter(3**n * math.sqrt(p0), 0.0, 1.0))
         sin_r = math.sin(theta_r)
         theta_g = 0.0
         theta_b = 0.0
         if sin_r >= DEGENERACY_EPSILON:
-            theta_g = math.acos(
-                counter(3**n * math.sqrt(probs1[area + i]) / sin_r, 0.0, 1.0)
-            )
+            theta_g = math.acos(counter(3**n * math.sqrt(p1) / sin_r, 0.0, 1.0))
             amp2 = sin_r * math.sin(theta_g)
             if amp2 >= DEGENERACY_EPSILON and math.cos(theta_r) >= DEGENERACY_EPSILON:
-                d_cos = probs2[i] - probs2[2 * area + i]
-                d_sin = probs3[i] - probs3[2 * area + i]
-                theta_b = counter(math.atan2(d_sin, d_cos), 0.0, HALF_PI)
-        y, x = divmod(i, side)
-        pixels[y, x] = (_value_u8(theta_r), _value_u8(theta_g), _value_u8(theta_b))
+                theta_b = counter(math.atan2(s0 - s2, c0 - c2), 0.0, HALF_PI)
+        values.append((_value_u8(theta_r), _value_u8(theta_g), _value_u8(theta_b)))
+    pixels = np.array(values, dtype=np.uint8).reshape(3**n, 3**n, 3)
     return DecodeReport(RgbImage(pixels), counter.events, (), shots1 + shots2 + shots3)
 
 
@@ -211,25 +199,15 @@ def decode_mcqri(hist, n: int) -> DecodeReport:
     digit, then the pixel index.
     """
     probs, shots = _as_probabilities(hist, 2 * n + 2)
-    area = 9**n
-    block = 3 * area
+    cos_block, sin_block, _ = probs.reshape(3, -1).tolist()
     counter = _ClipCounter()
-    side = 3**n
-    pixels = np.zeros((side, side, 3), dtype=np.uint8)
-    for channel in range(3):
-        for i in range(area):
-            p_cos = probs[channel * area + i]
-            p_sin = probs[block + channel * area + i]
-            arg = counter(3 ** (2 * n + 1) * (p_cos - p_sin), -1.0, 1.0)
-            theta = math.acos(arg) / 2
-            y, x = divmod(i, side)
-            pixels[y, x, channel] = _value_u8(theta)
+    scale = 3 ** (2 * n + 1)
+    values = [
+        _value_u8(math.acos(counter(scale * (p_cos - p_sin), -1.0, 1.0)) / 2)
+        for p_cos, p_sin in zip(cos_block, sin_block)
+    ]
+    pixels = np.array(values, dtype=np.uint8).reshape(3, -1).T.reshape(3**n, 3**n, 3)
     return DecodeReport(RgbImage(pixels), counter.events, (), shots)
-
-
-def _support_indices(hist, num_qutrits: int) -> tuple[set[int], int]:
-    probs, shots = _as_probabilities(hist, num_qutrits)
-    return {int(i) for i in np.nonzero(probs > 1e-15)[0]}, shots
 
 
 def decode_qrciq(hist, n: int) -> DecodeReport:
@@ -242,40 +220,33 @@ def decode_qrciq(hist, n: int) -> DecodeReport:
     (plane, pixel, channel) triples.  Counts beyond presence are ignored,
     so the result depends only on the histogram support.
     """
-    q = 2 * n + 5
-    support, shots = _support_indices(hist, q)
-    side = 3**n
-    area = side * side
-    seen: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for index in sorted(support):
-        trits = trits_from_index(index, q)
-        digits = (int(trits[0]), int(trits[1]), int(trits[2]))
-        plane = int(trits[3]) * 3 + int(trits[4])
-        pixel = int(trits[5:], 3)
-        if plane >= 6:
-            continue
-        key = (plane, pixel)
-        if key in seen and seen[key] != digits:
-            raise HistogramInconsistencyError(
-                f"plane {plane}, pixel {pixel} observed with digits "
-                f"{seen[key]} and {digits}"
-            )
-        seen[key] = digits
-    missing = []
-    values = np.zeros((area, 3), dtype=np.int64)
-    for plane in range(6):
-        for pixel in range(area):
-            digits = seen.get((plane, pixel))
-            if digits is None:
-                missing += [(plane, pixel, ch) for ch in ("R", "G", "B")]
-                continue
-            for channel in range(3):
-                values[pixel, channel] += digits[channel] * 3**plane
+    probs, shots = _as_probabilities(hist, 2 * n + 5)
+    area = 9**n
+    # basis index = (R*9 + G*3 + B) * 9^(n+1) + slot, slot = plane * area + pixel
+    packed, slot = np.divmod(np.flatnonzero(probs > 1e-15), 9 * area)
+    kept = slot < 6 * area
+    digits, slot = packed[kept, None] // (9, 3, 1) % 3, slot[kept]
+    # indices ascend, so a slot's first occurrence carries its smallest digits
+    slots, first = np.unique(slot, return_index=True)
+    table = np.full((6 * area, 3), -1)
+    table[slots] = digits[first]
+    clash = np.flatnonzero((table[slot] != digits).any(axis=1))
+    if clash.size:
+        k = clash[0]
+        plane, pixel = divmod(int(slot[k]), area)
+        raise HistogramInconsistencyError(
+            f"plane {plane}, pixel {pixel} observed with digits "
+            f"{tuple(table[slot[k]].tolist())} and {tuple(digits[k].tolist())}"
+        )
+    absent = np.flatnonzero(table[:, 0] < 0).tolist()
+    missing = [(*divmod(s, area), ch) for s in absent for ch in "RGB"]
+    planes = np.maximum(table, 0).reshape(6, area, 3)
+    values = np.tensordot(3 ** np.arange(6), planes, axes=1)
     if values.max() > 255:
         raise HistogramInconsistencyError(
             "decoded channel value exceeds 255; histogram is not a valid encoding"
         )
-    pixels = values.reshape(side, side, 3).astype(np.uint8)
+    pixels = values.reshape(3**n, 3**n, 3).astype(np.uint8)
     return DecodeReport(RgbImage(pixels), 0, tuple(missing), shots)
 
 

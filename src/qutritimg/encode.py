@@ -92,9 +92,8 @@ def encode_fqri(img: GrayImage) -> EncodeResult:
     n = img.n
     q = _register(n, 1)
     ops = _hadamards(range(1, q))
-    for i in range(9**n):
-        y, x = divmod(i, 3**n)
-        theta = pixel_angle(int(img.pixels[y, x]))
+    for i, v in enumerate(img.pixels.reshape(-1).tolist()):
+        theta = pixel_angle(v)
         ops.append(
             CircuitOp(
                 GateSpec("RY", (0, 1), (2 * theta,)),
@@ -113,9 +112,7 @@ def encode_fqrri(img: RgbImage) -> EncodeResult:
     n = img.n
     q = _register(n, 1)
     ops = _hadamards(range(1, q))
-    for i in range(9**n):
-        y, x = divmod(i, 3**n)
-        r, g, b = (int(v) for v in img.pixels[y, x])
+    for i, (r, g, b) in enumerate(img.pixels.reshape(-1, 3).tolist()):
         theta_gb, theta_gr = fqrri_angles(r, g, b)
         controls = _location_controls(i, n, 1)
         ops.append(CircuitOp(GateSpec("RY", (0, 1), (2 * theta_gb,)), 0, controls))
@@ -135,9 +132,7 @@ def encode_fqrqci(img: RgbImage) -> EncodeResult:
     n = img.n
     q = _register(n, 1)
     ops = _hadamards(range(1, q))
-    for i in range(9**n):
-        y, x = divmod(i, 3**n)
-        r, g, b = (int(v) for v in img.pixels[y, x])
+    for i, (r, g, b) in enumerate(img.pixels.reshape(-1, 3).tolist()):
         tr, tg, tb = pixel_angle(r), pixel_angle(g), pixel_angle(b)
         controls = _location_controls(i, n, 1)
         ops.append(CircuitOp(GateSpec("RY", (0, 1), (2 * tr,)), 0, controls))
@@ -157,11 +152,10 @@ def encode_mcqri(img: RgbImage) -> EncodeResult:
     n = img.n
     q = _register(n, 2)
     ops = _hadamards(range(1, q))
-    for i in range(9**n):
-        y, x = divmod(i, 3**n)
+    for i, rgb in enumerate(img.pixels.reshape(-1, 3).tolist()):
         location = _location_controls(i, n, 2)
-        for channel in range(3):
-            theta = pixel_angle(int(img.pixels[y, x, channel]))
+        for channel, v in enumerate(rgb):
+            theta = pixel_angle(v)
             controls = (ControlSpec(1, channel),) + location
             ops.append(CircuitOp(GateSpec("RY", (0, 1), (2 * theta,)), 0, controls))
     layout = ("value", "channel") + tuple(f"loc{t}" for t in range(2 * n))

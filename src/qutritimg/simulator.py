@@ -73,6 +73,8 @@ class ShotHistogram:
     shots: int
 
     def __post_init__(self):
+        if self.shots < 1:
+            raise ValueError(f"a histogram needs at least 1 shot, got {self.shots}")
         for state, count in self.counts.items():
             if len(state) != self.num_qutrits:
                 raise ShapeError(
@@ -221,19 +223,18 @@ def histogram_from_csv(text: str) -> ShotHistogram:
     if not lines or lines[0].strip() != "state,count":
         raise ParseError("expected 'state,count' header")
     counts: dict[str, int] = {}
-    length = None
     for ln in lines[1:]:
         try:
             state, raw = ln.split(",")
             count = int(raw)
         except ValueError as exc:
             raise ParseError(f"bad histogram row {ln!r}") from exc
-        if length is None:
-            length = len(state)
-        counts[state] = counts.get(state, 0) + count
-    if length is None:
+        if state in counts:
+            raise ParseError(f"duplicate state {state!r}")
+        counts[state] = count
+    if not counts:
         raise ParseError("histogram has no rows")
-    return ShotHistogram(length, counts, sum(counts.values()))
+    return ShotHistogram(len(next(iter(counts))), counts, sum(counts.values()))
 
 
 def probabilities_to_csv(num_qutrits: int, probs: np.ndarray) -> str:

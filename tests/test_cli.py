@@ -205,6 +205,34 @@ def test_decode_fqrqci_requires_three_histograms(tmp_path, rgb_path, capsys):
     assert "hist2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows,message", [
+    (["0000000,0"], "at least 1 shot"),
+    (["0000000,3", "0000000,4"], "duplicate state"),
+], ids=["zero-shots", "repeated-state"])
+def test_decode_rejects_bad_count_table(tmp_path, capsys, rows, message):
+    hist = tmp_path / "hist.csv"
+    hist.write_text("\n".join(["state,count"] + rows) + "\n")
+    out = tmp_path / "img.ppm"
+    assert _run("decode", "--method", "qrciq", "--hist", hist, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_decode_rejects_extra_histograms(tmp_path, rgb_path, capsys):
+    circ, hist = tmp_path / "circ.json", tmp_path / "hist.csv"
+    _run("encode", "--method", "fqrri", "--input", rgb_path, "--out", circ)
+    _run("simulate", "--circuit", circ, "--shots", 100, "--out", hist)
+    out = tmp_path / "img.ppm"
+    assert _run("decode", "--method", "fqrri", "--hist", hist, "--hist2", hist,
+                "--hist3", hist, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--hist2" in err and "fqrri" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sim", [["--exact"], ["--shots", 2000, "--seed", 6]],
                          ids=["exact", "shots"])
 @pytest.mark.parametrize("method", sorted(CODECS))

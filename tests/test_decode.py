@@ -1,8 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fqrqci_recoverable, random_gray, random_rgb
@@ -28,6 +29,7 @@ from qutritimg import (
     probabilities,
     run,
     sample,
+    trits_from_index,
     u_subspace,
 )
 
@@ -282,6 +284,85 @@ def test_qrciq_overflow_raises():
         decode_qrciq(hist, 1)
 
 
+def _qrciq_reference(probs, n):
+    """Slot by slot: parse each observed state's trits, then walk every slot."""
+    q = 2 * n + 5
+    area = 9**n
+    seen = {}
+    for index in np.flatnonzero(probs > 1e-15).tolist():
+        trits = trits_from_index(index, q)
+        digits = (int(trits[0]), int(trits[1]), int(trits[2]))
+        plane = int(trits[3]) * 3 + int(trits[4])
+        pixel = int(trits[5:], 3)
+        if plane >= 6:
+            continue
+        key = (plane, pixel)
+        if key in seen and seen[key] != digits:
+            raise HistogramInconsistencyError(
+                f"plane {plane}, pixel {pixel} observed with digits "
+                f"{seen[key]} and {digits}"
+            )
+        seen[key] = digits
+    missing = []
+    values = np.zeros((area, 3), dtype=np.int64)
+    for plane in range(6):
+        for pixel in range(area):
+            digits = seen.get((plane, pixel))
+            if digits is None:
+                missing += [(plane, pixel, ch) for ch in ("R", "G", "B")]
+                continue
+            for channel in range(3):
+                values[pixel, channel] += digits[channel] * 3**plane
+    if values.max() > 255:
+        raise HistogramInconsistencyError(
+            "decoded channel value exceeds 255; histogram is not a valid encoding"
+        )
+    return values.astype(np.uint8).tobytes(), tuple(missing)
+
+
+@st.composite
+def qrciq_supports(draw):
+    """(n, probabilities) whose support is a qrciq encoding of a random image,
+    with plane-6..8 padding, dropped slots, clashing digits and overwritten
+    digits that can push a value past 255."""
+    n = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    area = 9**n
+    values = rng.integers(0, 256, (area, 3))
+    planes = values[None, :, :] // 3 ** np.arange(6)[:, None, None] % 3
+    table = (planes @ [9, 3, 1]).reshape(-1)
+    slots = np.arange(6 * area)
+    overwrite = rng.choice(slots, draw(st.integers(0, 3)), replace=False)
+    table[overwrite] = rng.integers(0, 27, overwrite.size)
+    kept = slots[rng.random(slots.size) >= draw(st.sampled_from([0.0, 0.05, 0.5]))]
+    index = table[kept] * 9 * area + kept
+    padding = draw(st.integers(0, 20))
+    index = np.concatenate([
+        index,
+        rng.integers(0, 27, padding) * 9 * area + rng.integers(6 * area, 9 * area, padding),
+        rng.integers(0, 27 * 9 * area, draw(st.integers(0, 2))),
+    ])
+    probs = np.zeros(3 ** (2 * n + 5))
+    probs[index] = 1.0 / index.size
+    return n, probs
+
+
+@settings(deadline=None)
+@given(qrciq_supports())
+def test_qrciq_matches_per_slot_reference(case):
+    n, probs = case
+    try:
+        expected = _qrciq_reference(probs, n)
+    except HistogramInconsistencyError as exc:
+        with pytest.raises(HistogramInconsistencyError) as caught:
+            decode_qrciq(probs, n)
+        assert str(caught.value) == str(exc)
+        return
+    report = decode_qrciq(probs, n)
+    assert (report.image.pixels.tobytes(), report.missing_states) == expected
+    json.dumps(report.missing_states)  # plain ints, as the CLI report needs
+
+
 # --- exact round trips over random images ------------------------------------
 
 def test_random_exact_round_trips():
@@ -295,6 +376,16 @@ def test_random_exact_round_trips():
         assert decode_qrciq(_probs(encode_qrciq(rgb).circuit), 1).image == rgb
         report = decode_fqrqci(*_fqrqci_probs(rgb), 1)
         assert report.image == fqrqci_recoverable(rgb)
+
+
+@pytest.mark.parametrize("method,events", [("fqrri", 3), ("fqrqci", 21), ("mcqri", 29)])
+def test_perturbed_exact_tables_pin_clip_events(method, events):
+    codec = CODECS[method]
+    rng = np.random.default_rng(2024)
+    img = random_rgb(rng, n=2)
+    tables = [_probs(c) for c in codec.measure(codec.encode(img))]
+    noisy = [p * rng.uniform(0.9, 1.1, p.shape) for p in tables]
+    assert codec.decode(*noisy, 2).clip_events == events
 
 
 def test_sampled_decode_reports_shots(sample_gray):

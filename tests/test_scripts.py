@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+import re
 
 from qutritimg import CODECS
 
@@ -16,3 +17,23 @@ def test_shot_convergence_prints_one_row_per_codec(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:7]]
     assert [row[0] for row in rows] == list(CODECS)
     assert all(len(row) == 2 and float(row[1]) >= 0 for row in rows)
+
+
+def test_output_manifest_prints_one_line_per_artifact(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "output_manifest", SCRIPTS / "output_manifest.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
+    # per codec and size: circuits, shots and exact tables, two decodes and a
+    # roundtrip (image and report each); qrciq adds a 27x27 roundtrip
+    per_size = {name: 3 * codec.histograms + 6 for name, codec in CODECS.items()}
+    names = {line.split()[1] for line in lines}
+    assert len(lines) == len(names) == 2 * sum(per_size.values()) + 2
+    for name, count in per_size.items():
+        assert sum(n.startswith(f"{name}-9x9/") for n in names) == count
+    assert sorted(n for n in names if n.startswith("qrciq-27x27/")) == [
+        "qrciq-27x27/roundtrip.json", "qrciq-27x27/roundtrip.ppm"]
