@@ -28,6 +28,7 @@ from .errors import (
     CapacityError,
     HistogramInconsistencyError,
     ParseError,
+    ProbabilityError,
     ShapeError,
     UnsupportedDepthError,
 )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .encode import EncodeResult
 from .encode import encode_fqri, encode_fqrqci, encode_fqrri, encode_mcqri, encode_qrciq
-from .errors import HistogramInconsistencyError, ShapeError
+from .errors import HistogramInconsistencyError, ProbabilityError, ShapeError
 from .gates import GateSpec
 from .images import GrayImage, RgbImage
 from .simulator import Circuit, CircuitOp, ShotHistogram
@@ -75,7 +75,10 @@ def _value_u8(theta: float) -> int:
 
 
 def _as_probabilities(hist, num_qutrits: int) -> tuple[np.ndarray, int]:
-    """Accept a ShotHistogram or a raw probability vector."""
+    """Accept a ShotHistogram or a raw probability vector of finite entries >= 0.
+
+    A raw vector need not sum to 1.
+    """
     if isinstance(hist, ShotHistogram):
         if hist.num_qutrits != num_qutrits:
             raise ShapeError(
@@ -86,6 +89,12 @@ def _as_probabilities(hist, num_qutrits: int) -> tuple[np.ndarray, int]:
     if probs.shape != (3**num_qutrits,):
         raise ShapeError(
             f"expected {3**num_qutrits} probabilities, got shape {probs.shape}"
+        )
+    bad = np.flatnonzero(~(probs >= 0) | np.isinf(probs))  # NaN fails >= 0
+    if bad.size:
+        i = int(bad[0])
+        raise ProbabilityError(
+            f"probability {i} is {float(probs[i])!r}; entries must be finite and >= 0"
         )
     return probs, 0
 

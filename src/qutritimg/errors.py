@@ -9,6 +9,10 @@ class ParseError(ValueError):
     """Malformed file content."""
 
 
+class ProbabilityError(ValueError):
+    """A probability vector has a negative, NaN or infinite entry."""
+
+
 class UnsupportedDepthError(ParseError):
     """Image file uses a sample depth other than 8 bits."""
 

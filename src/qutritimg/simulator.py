@@ -160,21 +160,53 @@ def sample(state: Statevector, shots: int, seed: int) -> ShotHistogram:
 
 # --- circuit JSON ---------------------------------------------------------
 
+def _json_float(x: float) -> str:
+    """`x` as json.dumps spells it: repr, or NaN / Infinity / -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of rendered `items`, closing at `indent`, as indent=1 lays it out."""
+    if not items:
+        return "[]"
+    inner = indent + " "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
 def circuit_to_json(circuit: Circuit) -> str:
-    doc = {
-        "num_qutrits": circuit.num_qutrits,
-        "ops": [
-            {
-                "gate": op.gate.kind,
-                "subspace": list(op.gate.subspace) if op.gate.subspace else None,
-                "params": list(op.gate.params),
-                "target": op.target,
-                "controls": [{"q": c.qutrit, "v": c.value} for c in op.controls],
-            }
-            for op in circuit.ops
-        ],
-    }
-    return json.dumps(doc, indent=1)
+    """The text of json.dumps(doc, indent=1), written from one template per op.
+
+    json.dumps with an indent runs the pure-Python encoder, so the fixed
+    layout is rendered here.  Gate heads and control entries are rendered
+    once per distinct (kind, subspace) and (q, v).
+    """
+    heads: dict = {}
+    entries: dict = {}
+    ops = []
+    for op in circuit.ops:
+        gate = op.gate
+        head = heads.get((gate.kind, gate.subspace))
+        if head is None:
+            pair = gate.subspace
+            subspace = _json_array([str(j) for j in pair], "   ") if pair else "null"
+            head = heads[gate.kind, pair] = (
+                f'{{\n   "gate": {json.dumps(gate.kind)},\n   "subspace": {subspace},\n'
+            )
+        controls = []
+        for c in op.controls:
+            entry = entries.get((c.qutrit, c.value))
+            if entry is None:
+                entry = entries[c.qutrit, c.value] = (
+                    f'{{\n     "q": {c.qutrit},\n     "v": {c.value}\n    }}'
+                )
+            controls.append(entry)
+        ops.append(
+            f'{head}   "params": {_json_array([_json_float(p) for p in gate.params], "   ")},\n'
+            f'   "target": {op.target},\n   "controls": {_json_array(controls, "   ")}\n  }}'
+        )
+    return f'{{\n "num_qutrits": {circuit.num_qutrits},\n "ops": {_json_array(ops, " ")}\n}}'
 
 
 def _json(value, kind: type, field: str):
@@ -185,24 +217,44 @@ def _json(value, kind: type, field: str):
 
 
 def circuit_from_json(text: str) -> Circuit:
+    """Parse circuit JSON, checking the type of every field of every op.
+
+    Each distinct well-typed (q, v) control and each distinct gate without
+    params is built once and shared by the ops that repeat it.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid circuit JSON: {exc}") from exc
+    gates: dict = {}
+    specs: dict = {}
     try:
         ops = []
         for entry in _json(doc["ops"], list, "ops"):
             pair = entry["subspace"]
             if pair is not None:
-                pair = [_json(j, int, "subspace") for j in _json(pair, list, "subspace")]
+                pair = tuple(_json(j, int, "subspace") for j in _json(pair, list, "subspace"))
             params = _json(entry["params"], list, "params")
             if not all(type(p) in (int, float) and math.isfinite(p) for p in params):
                 raise ParseError(f"circuit JSON params must be finite numbers: {params}")
-            gate = GateSpec(entry["gate"], pair, params)
-            controls = tuple(
-                ControlSpec(c["q"], c["v"]) for c in _json(entry["controls"], list, "controls")
-            )
-            if any(type(c.qutrit) is not int or type(c.value) is not int for c in controls):
+            if params:  # -0.0 == 0.0, so gates with params are not shared
+                gate = GateSpec(entry["gate"], pair, params)
+            else:
+                gate = gates.get((entry["gate"], pair))
+                if gate is None:
+                    gate = gates[entry["gate"], pair] = GateSpec(entry["gate"], pair)
+            controls = []
+            typed = True
+            for c in _json(entry["controls"], list, "controls"):
+                q, v = c["q"], c["v"]
+                if type(q) is int and type(v) is int:  # true is not 1 here
+                    spec = specs.get((q, v))
+                    if spec is None:
+                        spec = specs[q, v] = ControlSpec(q, v)
+                else:
+                    spec, typed = ControlSpec(q, v), False
+                controls.append(spec)
+            if not typed:
                 raise ParseError(f"circuit JSON controls need int q and v: {entry['controls']}")
             ops.append(CircuitOp(gate, _json(entry["target"], int, "target"), controls))
         return Circuit(_json(doc["num_qutrits"], int, "num_qutrits"), tuple(ops))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -37,6 +38,30 @@ def test_encode_fqrqci_writes_measurement_variants(tmp_path, rgb_path):
     m3 = json.loads((tmp_path / "circ.m3.json").read_text())
     assert len(m2["ops"]) == len(base["ops"]) + 1
     assert len(m3["ops"]) == len(base["ops"]) + 1
+
+
+# sha256 of the circuit JSON that `encode` writes for the sample images.  The
+# layout is fixed: json.dumps(doc, indent=1), ops as gate, subspace, params,
+# target, controls.
+GOLDEN_CIRCUIT_SHA256 = {
+    "fqri": ["643497867851245d358fff06af4f89312989f5dd5296ad5246db5a90cd1a8861"],
+    "fqrri": ["2f4473a2870d59a0be9f02b39b763819f1061e722a5d7c3a594400bc64ccc8e0"],
+    "fqrqci": ["ffb4526125cfc6ca8d2b8fdb8b7598e1ca7bc9a8e41d74f2391acd1afe6c881d",
+               "30145f39fb9c6f3d6db57974a49992405469189d88755e58738f04c4547d7122",
+               "9080ce13678d30808ec0d58b43ec0d230bc50ed3e16d7486455671c15390a901"],
+    "mcqri": ["a7a2f8e304cada9efdd5384355d648b1b9a438b40efd43b58f747620485a7ccb"],
+    "qrciq": ["09e7d305fd24fb2018d4505ab4dda74467c8565363d8226b3a70f5afabaa41a4"],
+}
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_CIRCUIT_SHA256))
+def test_encode_circuit_json_golden_bytes(tmp_path, gray_path, rgb_path, method):
+    image = gray_path if CODECS[method].gray else rgb_path
+    out = tmp_path / "circ.json"
+    assert _run("encode", "--method", method, "--input", image, "--out", out) == 0
+    paths = [out, tmp_path / "circ.m2.json", tmp_path / "circ.m3.json"]
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths if p.exists()]
+    assert digests == GOLDEN_CIRCUIT_SHA256[method]
 
 
 def test_encode_kind_mismatch_fails(tmp_path, gray_path, capsys):
@@ -123,10 +148,12 @@ def _bad_circuit(name, num_qutrits=2, ops=None):
     _bad_circuit("controls-object", ops=[_op(controls={})]),
     _bad_circuit("nan-param", ops=[_op(params=[float("nan")])]),
     pytest.param({"num_qutrits": 2, "ops": [_op()]}, 10**22, "shots", id="shots-overflow"),
+    pytest.param('{"num_qutrits": 2, "ops": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                 10, "circuit JSON", id="deeply-nested"),
 ])
 def test_simulate_rejects_malformed_input(tmp_path, capsys, doc, shots, message):
     circ = tmp_path / "circ.json"
-    circ.write_text(json.dumps(doc))
+    circ.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     out = tmp_path / "h.csv"
     assert _run("simulate", "--circuit", circ, "--shots", shots, "--out", out) == 1
     err = capsys.readouterr().err

@@ -11,6 +11,7 @@ from qutritimg import (
     CODECS,
     GrayImage,
     HistogramInconsistencyError,
+    ProbabilityError,
     RgbImage,
     ShapeError,
     ShotHistogram,
@@ -386,6 +387,18 @@ def test_perturbed_exact_tables_pin_clip_events(method, events):
     tables = [_probs(c) for c in codec.measure(codec.encode(img))]
     noisy = [p * rng.uniform(0.9, 1.1, p.shape) for p in tables]
     assert codec.decode(*noisy, 2).clip_events == events
+
+
+@pytest.mark.parametrize("bad", [-0.25, math.nan, math.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_raw_vector_with_bad_entry_names_it(name, bad):
+    codec = CODECS[name]
+    rng = np.random.default_rng(3)
+    enc = codec.encode(random_gray(rng, 1) if codec.gray else random_rgb(rng, 1))
+    tables = [_probs(c) for c in codec.measure(enc)]
+    tables[-1][4] = bad  # the last table, so fqrqci checks all three
+    with pytest.raises(ProbabilityError, match=f"^probability 4 is {bad!r};"):
+        codec.decode(*tables, 1)
 
 
 def test_sampled_decode_reports_shots(sample_gray):

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import dense_op_matrix
@@ -29,6 +32,7 @@ from qutritimg import (
     sample,
     statevector_zero,
 )
+from qutritimg.gates import PARAM_COUNTS, SUBSPACE_KINDS
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -236,6 +240,144 @@ def test_circuit_json_errors():
         circuit_from_json("not json")
     with pytest.raises(ParseError):
         circuit_from_json('{"num_qutrits": 2}')
+
+
+# --- circuit JSON against the json.dumps writer and the per-op reader --------
+
+def _reference_to_json(circuit):
+    """The writer the template writer replaced: json.dumps(doc, indent=1)."""
+    doc = {
+        "num_qutrits": circuit.num_qutrits,
+        "ops": [
+            {
+                "gate": op.gate.kind,
+                "subspace": list(op.gate.subspace) if op.gate.subspace else None,
+                "params": list(op.gate.params),
+                "target": op.target,
+                "controls": [{"q": c.qutrit, "v": c.value} for c in op.controls],
+            }
+            for op in circuit.ops
+        ],
+    }
+    return json.dumps(doc, indent=1)
+
+
+def _exact(value, kind, field):
+    if type(value) is not kind:
+        raise ParseError(f"circuit JSON {field!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _reference_from_json(text):
+    """The reader the interning reader replaced: every object built per op."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid circuit JSON: {exc}") from exc
+    try:
+        ops = []
+        for entry in _exact(doc["ops"], list, "ops"):
+            pair = entry["subspace"]
+            if pair is not None:
+                pair = [_exact(j, int, "subspace") for j in _exact(pair, list, "subspace")]
+            params = _exact(entry["params"], list, "params")
+            if not all(type(p) in (int, float) and math.isfinite(p) for p in params):
+                raise ParseError(f"circuit JSON params must be finite numbers: {params}")
+            gate = GateSpec(entry["gate"], pair, params)
+            controls = tuple(
+                ControlSpec(c["q"], c["v"]) for c in _exact(entry["controls"], list, "controls")
+            )
+            if any(type(c.qutrit) is not int or type(c.value) is not int for c in controls):
+                raise ParseError(f"circuit JSON controls need int q and v: {entry['controls']}")
+            ops.append(CircuitOp(gate, _exact(entry["target"], int, "target"), controls))
+        return Circuit(_exact(doc["num_qutrits"], int, "num_qutrits"), tuple(ops))
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ParseError(f"invalid circuit JSON structure: {exc}") from exc
+
+
+SPECIAL_PARAMS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, math.pi)
+NONFINITE_PARAMS = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def circuits(draw, finite=True):
+    """Random circuits over every gate kind, up to 12 qutrits."""
+    q = draw(st.integers(1, 12))
+    params = st.one_of(
+        st.sampled_from(SPECIAL_PARAMS + (() if finite else NONFINITE_PARAMS)),
+        st.floats(allow_nan=not finite, allow_infinity=not finite),
+    )
+    ops = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(sorted(PARAM_COUNTS)))
+        pair = draw(st.sampled_from(PAIRS)) if kind in SUBSPACE_KINDS else None
+        values = [draw(params) for _ in range(PARAM_COUNTS[kind])]
+        target = draw(st.integers(0, q - 1))
+        others = draw(st.permutations([p for p in range(q) if p != target]))
+        others = others[: draw(st.integers(0, len(others)))]
+        controls = tuple(ControlSpec(p, draw(st.integers(0, 2))) for p in others)
+        ops.append(CircuitOp(GateSpec(kind, pair, values), target, controls))
+    return Circuit(q, tuple(ops))
+
+
+def _outcome(read, text):
+    """What a reader makes of `text`: the circuit, or the exception type and message."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(circuits(finite=False))
+@example(Circuit(1))
+@example(Circuit(3, (CircuitOp(GateSpec("H"), 1), CircuitOp(GateSpec("P2"), 0))))
+@example(Circuit(2, (CircuitOp(GateSpec("RZ", (0, 2), (-0.0,)), 0),)))
+@example(Circuit(1, (CircuitOp(GateSpec("U", (1, 2), (math.nan, math.inf, -math.inf)), 0),)))
+def test_circuit_json_matches_reference(circuit):
+    text = circuit_to_json(circuit)
+    assert text == _reference_to_json(circuit)
+    if all(math.isfinite(p) for op in circuit.ops for p in op.gate.params):
+        again = circuit_from_json(text)
+        assert again == circuit
+        assert circuit_to_json(again) == text  # keeps the sign of -0.0
+        assert _reference_from_json(text) == again
+    else:
+        with pytest.raises(ParseError) as exc:
+            circuit_from_json(text)
+        assert _outcome(_reference_from_json, text) == (ParseError, str(exc.value))
+
+
+BAD_VALUES = (True, False, None, 1.0, 2.5, -1, 3, 12, 10**30, "H", "x", [], [0, 1], [[0]],
+              {}, {"q": 1, "v": 1})
+
+
+@st.composite
+def mutated_docs(draw):
+    """Circuit JSON with one field replaced, removed or made a wrong type."""
+    doc = json.loads(circuit_to_json(draw(circuits())))
+    places = [doc]
+    places += doc["ops"]
+    places += [c for op in doc["ops"] for c in op["controls"]]
+    place = draw(st.sampled_from(places))
+    key = draw(st.sampled_from(sorted(place)))
+    if draw(st.booleans()):
+        del place[key]
+    elif key in ("subspace", "params", "controls") and place[key] and draw(st.booleans()):
+        place[key][draw(st.integers(0, len(place[key]) - 1))] = draw(st.sampled_from(BAD_VALUES))
+    else:
+        place[key] = draw(st.sampled_from(BAD_VALUES))
+    return json.dumps(doc)
+
+
+@settings(deadline=None)
+@given(mutated_docs())
+@example('{"num_qutrits": 2, "ops": [{"gate": "H", "subspace": null, "params": [],'
+         ' "target": 0, "controls": [{"q": 1.0, "v": 1}, {"q": 1, "v": 5}]}]}')
+@example('{"num_qutrits": 2, "ops": [{"gate": "H", "subspace": null, "params": [],'
+         ' "target": 0, "controls": [{"q": 1, "v": 1}, {"q": true, "v": 1}]}]}')
+def test_circuit_json_reader_fails_where_reference_fails(text):
+    assert _outcome(circuit_from_json, text) == _outcome(_reference_from_json, text)
 
 
 def test_histogram_csv_round_trip():
