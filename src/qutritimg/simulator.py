@@ -247,7 +247,7 @@ def circuit_from_json(text: str) -> Circuit:
             typed = True
             for c in _json(entry["controls"], list, "controls"):
                 q, v = c["q"], c["v"]
-                if type(q) is int and type(v) is int:  # true is not 1 here
+                if type(q) is int and type(v) is int:  # (True, 1) == (1, 1) as a key
                     spec = specs.get((q, v))
                     if spec is None:
                         spec = specs[q, v] = ControlSpec(q, v)

@@ -396,7 +396,7 @@ def test_raw_vector_with_bad_entry_names_it(name, bad):
     rng = np.random.default_rng(3)
     enc = codec.encode(random_gray(rng, 1) if codec.gray else random_rgb(rng, 1))
     tables = [_probs(c) for c in codec.measure(enc)]
-    tables[-1][4] = bad  # the last table, so fqrqci checks all three
+    tables[-1][4] = bad  # in the last table: fqrqci must check its third input too
     with pytest.raises(ProbabilityError, match=f"^probability 4 is {bad!r};"):
         codec.decode(*tables, 1)
 
