@@ -4,9 +4,12 @@
 For every codec at 3x3 and 9x9 it runs `encode` (with the fqrqci .m2/.m3
 circuits), `simulate` with shots and with --exact, `decode` of both
 tables (image and report) and `roundtrip` (image and report); for qrciq
-it also runs `roundtrip` at 27x27.  Inputs are random images from a fixed
-seed and everything is written to a temporary directory.  Two commits
-give the same outputs when their manifests are identical:
+it also runs `roundtrip` at 27x27.  It then hashes the raw amplitude
+bytes of `run` on every measured circuit of every codec at 3x3, 9x9 and
+27x27, so the statevectors must be bit-identical too.  Inputs are random
+images from fixed seeds and everything is written to a temporary
+directory.  Two commits give the same outputs when their manifests are
+identical:
 
     python scripts/output_manifest.py > manifest.txt
 """
@@ -20,7 +23,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from qutritimg import CODECS, GrayImage, RgbImage, write_pgm, write_ppm  # noqa: E402
+from qutritimg import CODECS, GrayImage, RgbImage, run, write_pgm, write_ppm  # noqa: E402
 from qutritimg.cli import main as cli  # noqa: E402
 
 RUNS = [(name, side) for name in CODECS for side in (3, 9)] + [("qrciq", 27)]
@@ -59,6 +62,19 @@ def write_artifacts(inputs: pathlib.Path, outputs: pathlib.Path):
                  "--report", out / f"decode-{table}.json")
 
 
+def statevector_lines():
+    """`sha256  statevector/<codec>-<side>x<side>.m<k>` per measured circuit."""
+    rng = np.random.default_rng(2025)
+    for name, codec in CODECS.items():
+        for side in (3, 9, 27):
+            shape = (side, side) if codec.gray else (side, side, 3)
+            pixels = rng.integers(0, 256, shape)
+            image = GrayImage(pixels) if codec.gray else RgbImage(pixels)
+            for k, circuit in enumerate(codec.measure(codec.encode(image))):
+                digest = hashlib.sha256(run(circuit).amplitudes.tobytes()).hexdigest()
+                yield f"{digest}  statevector/{name}-{side}x{side}.m{k + 1}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         inputs, outputs = pathlib.Path(tmp, "inputs"), pathlib.Path(tmp, "outputs")
@@ -68,6 +84,8 @@ def main() -> int:
         for path in sorted(outputs.rglob("*.*")):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(outputs)}")
+    for line in statevector_lines():
+        print(line)
     return 0
 
 

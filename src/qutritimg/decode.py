@@ -160,8 +160,9 @@ def fqrqci_measurement_circuits(enc: EncodeResult) -> tuple[Circuit, Circuit, Ci
     base = enc.circuit
     gate2 = CircuitOp(GateSpec("U", (0, 2), (HALF_PI, -math.pi, -math.pi)), 0)
     gate3 = CircuitOp(GateSpec("U", (0, 2), (HALF_PI, -HALF_PI, HALF_PI)), 0)
-    c2 = Circuit(base.num_qutrits, base.ops + (gate2,))
-    c3 = Circuit(base.num_qutrits, base.ops + (gate3,))
+    q = base.num_qutrits
+    c2 = Circuit.from_blocks(q, base.blocks + Circuit(q, (gate2,)).blocks)
+    c3 = Circuit.from_blocks(q, base.blocks + Circuit(q, (gate3,)).blocks)
     return base, c2, c3
 
 

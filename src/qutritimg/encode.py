@@ -3,12 +3,15 @@
 All encoders share the same skeleton: Hadamards put the location (and any
 selector) qutrits into uniform superposition, then one fully
 location-controlled rotation or shift per pixel writes the pixel data.
-Conventions fixed here:
+Each encoder emits these as two blocks (see `simulator.Block`), built with
+numpy: the Hadamards, then one uniformly controlled gate whose entries are
+the pixels (or pixel channels, or planes), with one gate object per
+distinct angle.  Conventions fixed here:
 
 * pixel index i = y * 3^n + x (row-major), location trits MSB first;
 * angle scaling theta = v / 255 * pi/2, so v = 255 reaches pi/2 exactly;
 * canonical emission order is ascending pixel index, with the per-pixel
-  gates in a fixed order.  All per-pixel blocks commute, so this is a
+  gates in a fixed order.  Gates on different pixels commute, so this is a
   presentation choice with no effect on the prepared state.
 """
 
@@ -17,11 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapacityError
 from .gates import GateSpec
 from .images import GrayImage, RgbImage
-from .simulator import Circuit, CircuitOp, ControlSpec
-from .ternary import MAX_QUTRITS, ternary_digits_u8, trits_from_index
+from .simulator import Block, Circuit, Step
+from .ternary import MAX_QUTRITS, trits_from_index
 
 HALF_PI = math.pi / 2
 
@@ -52,6 +57,11 @@ def pixel_index(x: int, y: int, n: int) -> tuple[int, str]:
     return i, trits_from_index(i, 2 * n)
 
 
+def _packed_angle(k: int) -> float:
+    """Angle of a 12-bit packed value of the two-rotation codec."""
+    return k / 4095 * HALF_PI
+
+
 def fqrri_angles(r: int, g: int, b: int) -> tuple[float, float]:
     """Pack (G,B) and (G,R) into the two angles of the two-rotation codec.
 
@@ -61,14 +71,7 @@ def fqrri_angles(r: int, g: int, b: int) -> tuple[float, float]:
     for v in (r, g, b):
         if not 0 <= v <= 255:
             raise ValueError(f"8-bit value out of range: {v}")
-    theta_gb = ((g % 16) * 256 + b) / 4095 * HALF_PI
-    theta_gr = ((g // 16) * 256 + r) / 4095 * HALF_PI
-    return theta_gb, theta_gr
-
-
-def _location_controls(i: int, n: int, first: int) -> tuple[ControlSpec, ...]:
-    trits = trits_from_index(i, 2 * n)
-    return tuple(ControlSpec(first + t, int(d)) for t, d in enumerate(trits))
+    return _packed_angle((g % 16) * 256 + b), _packed_angle((g // 16) * 256 + r)
 
 
 def _register(n: int, extra: int) -> int:
@@ -81,8 +84,45 @@ def _register(n: int, extra: int) -> int:
     return q
 
 
-def _hadamards(positions) -> list[CircuitOp]:
-    return [CircuitOp(GateSpec("H"), target=p) for p in positions]
+def _locations(n: int) -> np.ndarray:
+    """(9^n, 2n) location trits of every pixel index, most significant first."""
+    powers = 3 ** np.arange(2 * n - 1, -1, -1)
+    return np.arange(9**n)[:, None] // powers % 3
+
+
+def _hadamards(positions) -> Block:
+    """One uncontrolled H on each position, in order."""
+    one = np.zeros(1, dtype=np.int64)
+    steps = tuple(Step(p, one, one) for p in positions)
+    return Block((), np.zeros((1, 0), dtype=np.int64), (GateSpec("H"),), steps)
+
+
+def _prepared(q: int, values: np.ndarray, gates, steps) -> Circuit:
+    """Hadamards on the last c qutrits, then one block controlled by them
+    with rows `values` (m, c); an empty `steps` leaves the block out."""
+    controls = tuple(range(q - values.shape[1], q))
+    blocks = [_hadamards(controls)]
+    if steps:
+        blocks.append(Block(controls, values, tuple(gates), tuple(steps)))
+    return Circuit.from_blocks(q, blocks)
+
+
+def _every_entry(m: int, steps) -> tuple[list[GateSpec], list[Step]]:
+    """Gates and steps that give each of m entries one gate per
+    (target, make, keys) step: `keys` holds one int per entry, and
+    `make(key)` builds the gate once per distinct key."""
+    gates: list[GateSpec] = []
+    plan = []
+    for target, make, keys in steps:
+        distinct, ids = np.unique(keys, return_inverse=True)
+        plan.append(Step(target, np.arange(m), ids + len(gates)))
+        gates += [make(k) for k in distinct.tolist()]
+    return gates, plan
+
+
+def _ry(pair: tuple[int, int], angle):
+    """Gate maker: RY on `pair` by twice `angle(key)`."""
+    return lambda key: GateSpec("RY", pair, (2 * angle(key),))
 
 
 def encode_fqri(img: GrayImage) -> EncodeResult:
@@ -91,18 +131,10 @@ def encode_fqri(img: GrayImage) -> EncodeResult:
         raise TypeError("encode_fqri takes a grayscale image")
     n = img.n
     q = _register(n, 1)
-    ops = _hadamards(range(1, q))
-    for i, v in enumerate(img.pixels.reshape(-1).tolist()):
-        theta = pixel_angle(v)
-        ops.append(
-            CircuitOp(
-                GateSpec("RY", (0, 1), (2 * theta,)),
-                target=0,
-                controls=_location_controls(i, n, 1),
-            )
-        )
+    steps = [(0, _ry((0, 1), pixel_angle), img.pixels.reshape(-1))]
+    circuit = _prepared(q, _locations(n), *_every_entry(9**n, steps))
     layout = ("value",) + tuple(f"loc{t}" for t in range(2 * n))
-    return EncodeResult(Circuit(q, tuple(ops)), n, "FQRI", layout)
+    return EncodeResult(circuit, n, "FQRI", layout)
 
 
 def encode_fqrri(img: RgbImage) -> EncodeResult:
@@ -111,14 +143,19 @@ def encode_fqrri(img: RgbImage) -> EncodeResult:
         raise TypeError("encode_fqrri takes an RGB image")
     n = img.n
     q = _register(n, 1)
-    ops = _hadamards(range(1, q))
-    for i, (r, g, b) in enumerate(img.pixels.reshape(-1, 3).tolist()):
-        theta_gb, theta_gr = fqrri_angles(r, g, b)
-        controls = _location_controls(i, n, 1)
-        ops.append(CircuitOp(GateSpec("RY", (0, 1), (2 * theta_gb,)), 0, controls))
-        ops.append(CircuitOp(GateSpec("RY", (0, 2), (2 * theta_gr,)), 0, controls))
+    r, g, b = img.pixels.reshape(-1, 3).astype(np.int64).T
+    steps = [
+        (0, _ry((0, 1), _packed_angle), g % 16 * 256 + b),
+        (0, _ry((0, 2), _packed_angle), g // 16 * 256 + r),
+    ]
+    circuit = _prepared(q, _locations(n), *_every_entry(9**n, steps))
     layout = ("value",) + tuple(f"loc{t}" for t in range(2 * n))
-    return EncodeResult(Circuit(q, tuple(ops)), n, "FQRRI", layout)
+    return EncodeResult(circuit, n, "FQRRI", layout)
+
+
+def _u12(key: int) -> GateSpec:
+    """U(1,2) of the three-angle codec for key = G * 256 + B."""
+    return GateSpec("U", (1, 2), (2 * pixel_angle(key // 256), pixel_angle(key % 256), 0.0))
 
 
 def encode_fqrqci(img: RgbImage) -> EncodeResult:
@@ -131,14 +168,11 @@ def encode_fqrqci(img: RgbImage) -> EncodeResult:
         raise TypeError("encode_fqrqci takes an RGB image")
     n = img.n
     q = _register(n, 1)
-    ops = _hadamards(range(1, q))
-    for i, (r, g, b) in enumerate(img.pixels.reshape(-1, 3).tolist()):
-        tr, tg, tb = pixel_angle(r), pixel_angle(g), pixel_angle(b)
-        controls = _location_controls(i, n, 1)
-        ops.append(CircuitOp(GateSpec("RY", (0, 1), (2 * tr,)), 0, controls))
-        ops.append(CircuitOp(GateSpec("U", (1, 2), (2 * tg, tb, 0.0)), 0, controls))
+    r, g, b = img.pixels.reshape(-1, 3).astype(np.int64).T
+    steps = [(0, _ry((0, 1), pixel_angle), r), (0, _u12, g * 256 + b)]
+    circuit = _prepared(q, _locations(n), *_every_entry(9**n, steps))
     layout = ("value",) + tuple(f"loc{t}" for t in range(2 * n))
-    return EncodeResult(Circuit(q, tuple(ops)), n, "FQRQCI", layout)
+    return EncodeResult(circuit, n, "FQRQCI", layout)
 
 
 def encode_mcqri(img: RgbImage) -> EncodeResult:
@@ -151,15 +185,13 @@ def encode_mcqri(img: RgbImage) -> EncodeResult:
         raise TypeError("encode_mcqri takes an RGB image")
     n = img.n
     q = _register(n, 2)
-    ops = _hadamards(range(1, q))
-    for i, rgb in enumerate(img.pixels.reshape(-1, 3).tolist()):
-        location = _location_controls(i, n, 2)
-        for channel, v in enumerate(rgb):
-            theta = pixel_angle(v)
-            controls = (ControlSpec(1, channel),) + location
-            ops.append(CircuitOp(GateSpec("RY", (0, 1), (2 * theta,)), 0, controls))
+    # Entries run pixel-major, channel-minor: (channel, location trits).
+    channels = np.tile(np.arange(3), 9**n)[:, None]
+    values = np.hstack((channels, np.repeat(_locations(n), 3, axis=0)))
+    steps = [(0, _ry((0, 1), pixel_angle), img.pixels.reshape(-1))]
+    circuit = _prepared(q, values, *_every_entry(3 * 9**n, steps))
     layout = ("value", "channel") + tuple(f"loc{t}" for t in range(2 * n))
-    return EncodeResult(Circuit(q, tuple(ops)), n, "MCQRI", layout)
+    return EncodeResult(circuit, n, "MCQRI", layout)
 
 
 def encode_qrciq(img: RgbImage) -> EncodeResult:
@@ -174,19 +206,23 @@ def encode_qrciq(img: RgbImage) -> EncodeResult:
         raise TypeError("encode_qrciq takes an RGB image")
     n = img.n
     q = _register(n, 5)
-    shifts = (None, GateSpec("P1"), GateSpec("P2"))
-    pixels = [
-        (_location_controls(i, n, 5), [ternary_digits_u8(int(v)) for v in rgb])
-        for i, rgb in enumerate(img.pixels.reshape(-1, 3))
-    ]
-    ops = _hadamards(range(3, q))
-    for b in range(6):
-        plane = (ControlSpec(3, b // 3), ControlSpec(4, b % 3))
-        for location, digits in pixels:
-            for channel, d in enumerate(digits):
-                if d[b]:
-                    ops.append(CircuitOp(shifts[d[b]], channel, plane + location))
+    area = 9**n
+    # digits[b * area + i, channel]: digit b of pixel i's channel value.
+    powers = 3 ** np.arange(6)[:, None, None]
+    digits = (img.pixels.reshape(1, area, 3).astype(np.int64) // powers % 3).reshape(-1, 3)
+    planes = np.repeat(np.arange(6), area)
+    values = np.column_stack((planes // 3, planes % 3, np.tile(_locations(n), (6, 1))))
+    # One entry per (plane, pixel) with a non-zero digit, plane-major; its
+    # shifts run R, G, B, one step per channel.
+    keep = digits.any(axis=1)
+    digits, values = digits[keep], values[keep]
+    steps = []
+    for channel in range(3):
+        entries = np.flatnonzero(digits[:, channel])
+        if len(entries):
+            steps.append(Step(channel, entries, digits[entries, channel] - 1))
+    circuit = _prepared(q, values, (GateSpec("P1"), GateSpec("P2")), steps)
     layout = ("r_digit", "g_digit", "b_digit", "plane0", "plane1") + tuple(
         f"loc{t}" for t in range(2 * n)
     )
-    return EncodeResult(Circuit(q, tuple(ops)), n, "QRCIQ", layout)
+    return EncodeResult(circuit, n, "QRCIQ", layout)

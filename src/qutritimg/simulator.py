@@ -1,10 +1,23 @@
 """Circuits of value-controlled single-qutrit gates on a statevector.
 
-Controlled gates are applied by amplitude-index filtering: the 3x3 block
-acts only on the slice of the state tensor where every control qutrit
-equals its required value.  The full 3^q x 3^q operator is never built.
-`run` allocates one buffer and writes each op's slice into it in place;
-`apply_op` applies one op to a copy and leaves its input unchanged.
+A circuit is a sequence of blocks.  A block is a uniformly controlled gate
+(a multiplexor): one tuple of control qutrits, an (m, c) int array of
+distinct control values, and for each of the m entries its list of
+(target, gate) ops in emission order, stored as steps of one gate per
+listed entry on one target.  Ops on different control values act on
+disjoint slices of the state and commute, so `run` applies a whole block
+in one numpy pass: it moves the control axes to the front, gathers the m
+selected rows with one fancy index, applies each step as one batched
+`mats @ rows` and scatters the rows back.  Each entry keeps its own op
+order and the (3, 3) @ (3, 3^(q-c-1)) BLAS product of a single controlled
+op, so statevectors are bit-identical to applying the ops one at a time.
+The full 3^q x 3^q operator is never built.
+
+`Circuit(q, ops)` and `circuit_from_json` group a flat op list into blocks
+in one pass; the encoders build theirs with numpy.  `Circuit.ops` is the
+flat op view in emission order, derived from the blocks when first read;
+circuit equality and the circuit JSON writer follow it.  `apply_op`
+applies one op to a copy and leaves its input unchanged.
 """
 
 from __future__ import annotations
@@ -12,12 +25,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParseError, ShapeError
 from .gates import GateSpec
 from .ternary import Statevector, index_from_trits, statevector_zero, trits_from_index
+
+
+def _check_int(value, field: str):
+    """Reject non-int fields: `True` is an int to Python but not to circuit JSON."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -28,6 +50,8 @@ class ControlSpec:
     value: int
 
     def __post_init__(self):
+        _check_int(self.qutrit, "control qutrit")
+        _check_int(self.value, "control value")
         if self.qutrit < 0:
             raise ValueError(f"control qutrit must be >= 0, got {self.qutrit}")
         if self.value not in (0, 1, 2):
@@ -42,26 +66,199 @@ class CircuitOp:
 
     def __post_init__(self):
         object.__setattr__(self, "controls", tuple(self.controls))
-        if self.target < 0:
-            raise ValueError(f"target must be >= 0, got {self.target}")
-        positions = [c.qutrit for c in self.controls]
-        if self.target in positions:
-            raise ValueError(f"target {self.target} also appears as a control")
-        if len(set(positions)) != len(positions):
-            raise ValueError(f"duplicate control qutrits in {positions}")
+        _check_int(self.target, "target")
+        _check_op(self.target, [c.qutrit for c in self.controls])
+
+    @classmethod
+    def _of_block(cls, gate: GateSpec, target: int, controls: tuple) -> CircuitOp:
+        """An op of a Block, which has checked its fields: built without
+        re-checking them, at a fifth of the cost."""
+        op = cls.__new__(cls)
+        op.__dict__.update(gate=gate, target=target, controls=controls)
+        return op
 
 
-@dataclass(frozen=True)
-class Circuit:
-    num_qutrits: int
-    ops: tuple[CircuitOp, ...] = ()
+def _check_op(target: int, positions: list[int]):
+    """The checks of one op that need no register width."""
+    if target < 0:
+        raise ValueError(f"target must be >= 0, got {target}")
+    if target in positions:
+        raise ValueError(f"target {target} also appears as a control")
+    if len(set(positions)) != len(positions):
+        raise ValueError(f"duplicate control qutrits in {positions}")
+
+
+def _check_range(target: int, positions, num_qutrits: int):
+    """Reject an op that does not fit a register of `num_qutrits` qutrits."""
+    if target >= num_qutrits:
+        raise ValueError(f"target {target} out of range for {num_qutrits} qutrits")
+    for q in positions:
+        if q >= num_qutrits:
+            raise ValueError(f"control qutrit {q} out of range for {num_qutrits} qutrits")
+
+
+class Step(NamedTuple):
+    """One gate on `target` for each listed entry of a block."""
+
+    target: int
+    entries: np.ndarray  # ascending indices into the block's entries
+    gate_ids: np.ndarray  # per listed entry, an index into the block's gates
+
+
+@dataclass(frozen=True, eq=False)
+class Block:
+    """A uniformly controlled gate: entry e's ops act where the `controls`
+    qutrits hold `values[e]`, and they are its gates in the steps that list it.
+
+    `values` is an (m, c) array of distinct rows of 0, 1 and 2, and each
+    step lists its entries in ascending order, once each: a row gathered
+    twice would lose one of its updates.
+    """
+
+    controls: tuple[int, ...]
+    values: np.ndarray
+    gates: tuple[GateSpec, ...]
+    steps: tuple[Step, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        if self.num_qutrits < 1:
-            raise ValueError("circuit needs at least one qutrit")
-        for op in self.ops:
-            _check_op_bounds(op, self.num_qutrits)
+        for q in self.controls + tuple(step.target for step in self.steps):
+            if type(q) is not int or q < 0:
+                raise ValueError(f"block qutrits must be ints >= 0, got {q!r}")
+        m, c = self.values.shape
+        if (c != len(set(self.controls)) or len(self.controls) != c or not self.steps
+                or not np.isin(self.values, (0, 1, 2)).all()
+                or len(np.unique(self.values @ 3 ** np.arange(c))) != m):
+            raise ValueError("a block needs distinct control qutrits, distinct rows "
+                             "of control values 0, 1, 2 and at least one step")
+        for step in self.steps:
+            entries, ids = step.entries, step.gate_ids
+            if (step.target in self.controls or not 0 < len(entries) == len(ids)
+                    or not 0 <= entries[0] <= entries[-1] < m or (np.diff(entries) <= 0).any()
+                    or not 0 <= ids.min() <= ids.max() < len(self.gates)):
+                raise ValueError(f"bad block step on target {step.target}")
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """(len(gates), 3, 3) stack of the gate matrices."""
+        return np.array([gate.matrix() for gate in self.gates])
+
+    def entry_ops(self) -> list[list[tuple[int, int]]]:
+        """Each entry's ops as (target, gate index) pairs, in emission order."""
+        ops = [[] for _ in range(len(self.values))]
+        for step in self.steps:
+            for e, g in zip(step.entries.tolist(), step.gate_ids.tolist()):
+                ops[e].append((step.target, g))
+        return ops
+
+
+def _group(num_qutrits: int, qutrits: list, values: list, targets: list, gates: list):
+    """Blocks of a flat op list, given column-wise, checking each op's range.
+
+    Consecutive ops on one control-qutrit tuple share a block; an op whose
+    control values match an earlier entry but not the latest one starts a
+    new block, so each entry's ops stay contiguous and in order.
+    """
+    blocks = []
+    start, seen, entries = 0, set(), []  # entries: per op, its entry in its block
+    for i, (qs, vs, target) in enumerate(zip(qutrits, values, targets)):
+        if i and qs == qutrits[i - 1] and vs == values[i - 1]:
+            _check_range(target, (), num_qutrits)
+        else:
+            _check_range(target, qs, num_qutrits)
+            if i and (qs != qutrits[i - 1] or vs in seen):
+                blocks.append(_block(qutrits, values, targets, gates, entries, start, i))
+                start, seen = i, set()
+            seen.add(vs)
+        entries.append(len(seen) - 1)
+    if targets:
+        blocks.append(_block(qutrits, values, targets, gates, entries, start, len(targets)))
+    return tuple(blocks)
+
+
+def _block(qutrits, values, targets, gates, entries, start: int, stop: int) -> Block:
+    """The block of ops start..stop-1: step (j, t) holds every entry's j-th op
+    when that op is on target t, so each entry's ops run in order."""
+    entry = np.array(entries[start:stop])
+    target = np.array(targets[start:stop])
+    firsts = np.flatnonzero(np.diff(entry, prepend=-1))
+    rank = np.arange(stop - start) - firsts[entry]
+    _, step_of = np.unique(rank * (target.max() + 1) + target, return_inverse=True)
+    by_step = np.argsort(step_of, kind="stable")  # op order within each step
+    ids: dict = {}  # gates are shared by identity
+    gate_ids = np.array([ids.setdefault(id(g), len(ids)) for g in gates[start:stop]])
+    table = {id(g): g for g in gates[start:stop]}
+    steps = tuple(
+        Step(int(target[ops[0]]), entry[ops], gate_ids[ops])
+        for ops in np.split(by_step, np.cumsum(np.bincount(step_of))[:-1])
+    )
+    rows = [values[start + i] for i in firsts.tolist()]
+    controls = qutrits[start]
+    values = np.array(rows, dtype=np.int64).reshape(len(rows), len(controls))
+    return Block(controls, values, tuple(table.values()), steps)
+
+
+_qutrit = attrgetter("qutrit")
+_value = attrgetter("value")
+
+
+def _check_width(num_qutrits):
+    _check_int(num_qutrits, "num_qutrits")
+    if num_qutrits < 1:
+        raise ValueError("circuit needs at least one qutrit")
+
+
+class Circuit:
+    """`num_qutrits` qutrits and the blocks applied to them, in order.
+
+    `ops` is the same circuit as a flat op list in emission order; two
+    circuits are equal when their widths and op lists are.
+    """
+
+    def __init__(self, num_qutrits: int, ops=()):
+        _check_width(num_qutrits)
+        ops = tuple(ops)
+        self.num_qutrits = num_qutrits
+        self.blocks = _group(
+            num_qutrits,
+            [tuple(map(_qutrit, op.controls)) for op in ops],
+            [tuple(map(_value, op.controls)) for op in ops],
+            [op.target for op in ops],
+            [op.gate for op in ops],
+        )
+        self.ops = ops
+
+    @classmethod
+    def from_blocks(cls, num_qutrits: int, blocks) -> Circuit:
+        """A circuit of ready-made blocks; `ops` is derived when first read."""
+        _check_width(num_qutrits)
+        blocks = tuple(blocks)
+        for blk in blocks:
+            for step in blk.steps:
+                _check_range(step.target, blk.controls, num_qutrits)
+        circuit = cls.__new__(cls)
+        circuit.num_qutrits, circuit.blocks = num_qutrits, blocks
+        return circuit
+
+    @cached_property
+    def ops(self) -> tuple[CircuitOp, ...]:
+        ops = []
+        for blk in self.blocks:
+            specs = [[ControlSpec(q, v) for v in range(3)] for q in blk.controls]
+            for row, entry in zip(blk.values.tolist(), blk.entry_ops()):
+                controls = tuple([per_value[v] for per_value, v in zip(specs, row)])
+                ops += [CircuitOp._of_block(blk.gates[g], t, controls) for t, g in entry]
+        return tuple(ops)
+
+    def __eq__(self, other):
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return self.num_qutrits == other.num_qutrits and self.ops == other.ops
+
+    def __hash__(self):
+        return hash((self.num_qutrits, self.ops))
+
+    def __repr__(self):
+        return f"Circuit(num_qutrits={self.num_qutrits!r}, ops={self.ops!r})"
 
 
 @dataclass
@@ -95,43 +292,47 @@ class ShotHistogram:
         return probs
 
 
-def _check_op_bounds(op: CircuitOp, num_qutrits: int):
-    if op.target >= num_qutrits:
-        raise ValueError(f"target {op.target} out of range for {num_qutrits} qutrits")
-    for c in op.controls:
-        if c.qutrit >= num_qutrits:
-            raise ValueError(
-                f"control qutrit {c.qutrit} out of range for {num_qutrits} qutrits"
-            )
+def _apply_block(tensor: np.ndarray, blk: Block):
+    """Apply every op of `blk` to a (3,)*q amplitude tensor, in place.
 
-
-def _apply_in_place(tensor: np.ndarray, op: CircuitOp):
-    """Apply `op` to a (3,)*q amplitude tensor, writing only the controlled slice."""
-    index = [slice(None)] * tensor.ndim
-    for c in op.controls:
-        index[c.qutrit] = c.value
-    # After fixing the control axes, the target axis shifts left by the
-    # number of controls that precede it.
-    axis = op.target - sum(1 for c in op.controls if c.qutrit < op.target)
-    block = np.moveaxis(tensor[tuple(index)], axis, 0)
-    block[...] = np.dot(op.gate.matrix(), block.reshape(3, -1)).reshape(block.shape)
+    One gather of the selected rows, one batched matmul per step, one
+    scatter.  Each entry's 3x3 products have the shape a single controlled
+    op would give np.dot, (3, 3) @ (3, 3^(q-c-1)), so BLAS rounds alike.
+    """
+    c = len(blk.controls)
+    view = np.moveaxis(tensor, blk.controls, range(c))
+    index = tuple(blk.values.T)
+    rows = view[index] if c else view[np.newaxis]
+    for step in blk.steps:
+        # Axis 0 of `rows` is the entry; the target's axis shifts left by
+        # the number of controls that precede it.
+        axis = 1 + step.target - sum(q < step.target for q in blk.controls)
+        full = len(step.entries) == len(rows)
+        part = rows if full else rows[step.entries]
+        moved = np.moveaxis(part, axis, 1)
+        mats = blk.matrices[step.gate_ids]
+        moved[...] = (mats @ moved.reshape(len(part), 3, -1)).reshape(moved.shape)
+        if not full:
+            rows[step.entries] = part
+    if c:
+        view[index] = rows
 
 
 def apply_op(state: Statevector, op: CircuitOp) -> Statevector:
     """Apply one (possibly controlled) gate, returning a new statevector."""
     q = state.num_qutrits
-    _check_op_bounds(op, q)
+    (blk,) = Circuit(q, (op,)).blocks
     out = state.amplitudes.copy()
-    _apply_in_place(out.reshape((3,) * q), op)
+    _apply_block(out.reshape((3,) * q), blk)
     return Statevector(q, out)
 
 
 def run(circuit: Circuit) -> Statevector:
-    """Execute all ops on the all-|0> state, in place in one buffer."""
+    """Execute all blocks on the all-|0> state, in place in one buffer."""
     state = statevector_zero(circuit.num_qutrits)
     tensor = state.amplitudes.reshape((3,) * circuit.num_qutrits)
-    for op in circuit.ops:
-        _apply_in_place(tensor, op)
+    for blk in circuit.blocks:
+        _apply_block(tensor, blk)
     return state
 
 
@@ -152,9 +353,8 @@ def sample(state: Statevector, shots: int, seed: int) -> ShotHistogram:
     rng = np.random.default_rng(seed)
     drawn = rng.multinomial(shots, probs)
     q = state.num_qutrits
-    counts = {
-        trits_from_index(i, q): int(c) for i, c in enumerate(drawn) if c > 0
-    }
+    hit = np.flatnonzero(drawn)
+    counts = {trits_from_index(i, q): c for i, c in zip(hit.tolist(), drawn[hit].tolist())}
     return ShotHistogram(q, counts, shots)
 
 
@@ -179,33 +379,31 @@ def circuit_to_json(circuit: Circuit) -> str:
     """The text of json.dumps(doc, indent=1), written from one template per op.
 
     json.dumps with an indent runs the pure-Python encoder, so the fixed
-    layout is rendered here.  Gate heads and control entries are rendered
-    once per distinct (kind, subspace) and (q, v).
+    layout is rendered here, op by op in emission order.  Each gate's head
+    and params are rendered once per block, control entries once per
+    distinct (q, v) and each entry's control list once.
     """
-    heads: dict = {}
     entries: dict = {}
     ops = []
-    for op in circuit.ops:
-        gate = op.gate
-        head = heads.get((gate.kind, gate.subspace))
-        if head is None:
+    for blk in circuit.blocks:
+        gates = []
+        for gate in blk.gates:
             pair = gate.subspace
             subspace = _json_array([str(j) for j in pair], "   ") if pair else "null"
-            head = heads[gate.kind, pair] = (
+            params = _json_array([_json_float(p) for p in gate.params], "   ")
+            gates.append(
                 f'{{\n   "gate": {json.dumps(gate.kind)},\n   "subspace": {subspace},\n'
+                f'   "params": {params},\n   "target": '
             )
-        controls = []
-        for c in op.controls:
-            entry = entries.get((c.qutrit, c.value))
-            if entry is None:
-                entry = entries[c.qutrit, c.value] = (
-                    f'{{\n     "q": {c.qutrit},\n     "v": {c.value}\n    }}'
-                )
-            controls.append(entry)
-        ops.append(
-            f'{head}   "params": {_json_array([_json_float(p) for p in gate.params], "   ")},\n'
-            f'   "target": {op.target},\n   "controls": {_json_array(controls, "   ")}\n  }}'
-        )
+        for row, entry in zip(blk.values.tolist(), blk.entry_ops()):
+            controls = []
+            for q, v in zip(blk.controls, row):
+                text = entries.get((q, v))
+                if text is None:
+                    text = entries[q, v] = f'{{\n     "q": {q},\n     "v": {v}\n    }}'
+                controls.append(text)
+            tail = f',\n   "controls": {_json_array(controls, "   ")}\n  }}'
+            ops += [f"{gates[g]}{t}{tail}" for t, g in entry]
     return f'{{\n "num_qutrits": {circuit.num_qutrits},\n "ops": {_json_array(ops, " ")}\n}}'
 
 
@@ -219,17 +417,18 @@ def _json(value, kind: type, field: str):
 def circuit_from_json(text: str) -> Circuit:
     """Parse circuit JSON, checking the type of every field of every op.
 
-    Each distinct well-typed (q, v) control and each distinct gate without
-    params is built once and shared by the ops that repeat it.
+    Each distinct gate is built once and shared by the ops that repeat it,
+    and the ops go straight into blocks; `ops` is derived when read.  The
+    checks run in the order of building each CircuitOp and then the
+    Circuit, so the first bad field is the one reported.
     """
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid circuit JSON: {exc}") from exc
     gates: dict = {}
-    specs: dict = {}
+    op_qutrits, op_values, op_targets, op_gates = [], [], [], []
     try:
-        ops = []
         for entry in _json(doc["ops"], list, "ops"):
             pair = entry["subspace"]
             if pair is not None:
@@ -237,29 +436,33 @@ def circuit_from_json(text: str) -> Circuit:
             params = _json(entry["params"], list, "params")
             if not all(type(p) in (int, float) and math.isfinite(p) for p in params):
                 raise ParseError(f"circuit JSON params must be finite numbers: {params}")
-            if params:  # -0.0 == 0.0, so gates with params are not shared
-                gate = GateSpec(entry["gate"], pair, params)
-            else:
-                gate = gates.get((entry["gate"], pair))
-                if gate is None:
-                    gate = gates[entry["gate"], pair] = GateSpec(entry["gate"], pair)
-            controls = []
-            typed = True
+            # -0.0 == 0.0 as a key, so gates with a zero param are not shared.
+            key = (entry["gate"], pair, tuple(params))
+            gate = gates.get(key) if 0.0 not in params else None
+            if gate is None:
+                gate = gates[key] = GateSpec(entry["gate"], pair, params)
+            qutrits, values = [], []
             for c in _json(entry["controls"], list, "controls"):
                 q, v = c["q"], c["v"]
-                if type(q) is int and type(v) is int:  # (True, 1) == (1, 1) as a key
-                    spec = specs.get((q, v))
-                    if spec is None:
-                        spec = specs[q, v] = ControlSpec(q, v)
-                else:
-                    spec, typed = ControlSpec(q, v), False
-                controls.append(spec)
-            if not typed:
+                if type(q) is int and type(v) is int:
+                    if q < 0 or v not in (0, 1, 2):
+                        ControlSpec(q, v)  # raises its range error
+                    qutrits.append(q)
+                    values.append(v)
+            if len(qutrits) != len(entry["controls"]):
                 raise ParseError(f"circuit JSON controls need int q and v: {entry['controls']}")
-            ops.append(CircuitOp(gate, _json(entry["target"], int, "target"), controls))
-        return Circuit(_json(doc["num_qutrits"], int, "num_qutrits"), tuple(ops))
+            target = _json(entry["target"], int, "target")
+            _check_op(target, qutrits)
+            op_qutrits.append(tuple(qutrits))
+            op_values.append(tuple(values))
+            op_targets.append(target)
+            op_gates.append(gate)
+        num_qutrits = _json(doc["num_qutrits"], int, "num_qutrits")
     except (KeyError, TypeError, OverflowError) as exc:
         raise ParseError(f"invalid circuit JSON structure: {exc}") from exc
+    _check_width(num_qutrits)
+    blocks = _group(num_qutrits, op_qutrits, op_values, op_targets, op_gates)
+    return Circuit.from_blocks(num_qutrits, blocks)
 
 
 # --- histogram / probability CSV ------------------------------------------

@@ -1,10 +1,30 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import math
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qutritimg import CODECS, RgbImage, read_ppm, write_ppm
+from qutritimg import (
+    CODECS,
+    RgbImage,
+    circuit_to_json,
+    histogram_to_csv,
+    probabilities,
+    probabilities_to_csv,
+    read_pgm,
+    read_ppm,
+    run,
+    sample,
+    write_ppm,
+)
 from qutritimg.cli import main
 
 
@@ -378,3 +398,115 @@ def test_diagram_empty_circuit(tmp_path, capsys):
     out = capsys.readouterr().out
     assert len(out.strip().splitlines()) == 2
     assert "[" not in out
+
+
+# --- fuzzing: bad input ends in exit 1 and one error line -------------------
+
+def _fails_cleanly(*argv):
+    """Run the CLI; True when it exits 1 with exactly one `error:` line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = _run(*argv)  # any exception but ValueError/OSError escapes here
+    return code == 1 and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _sample_circuit_doc():
+    image = read_ppm((pathlib.Path(__file__).resolve().parent.parent / "data" / "rgb_3x3.ppm")
+                     .read_bytes())
+    _, m2, _ = CODECS["fqrqci"].measure(CODECS["fqrqci"].encode(image))
+    return json.loads(circuit_to_json(m2))  # controlled and uncontrolled ops, params
+
+
+CIRCUIT_DOC = _sample_circuit_doc()
+NOT_INT = (True, False, None, 1.5, "1", [], {})
+BAD_FIELD = {  # values that no op of CIRCUIT_DOC accepts in that field
+    "num_qutrits": NOT_INT + (0, -1, 1),
+    "ops": (None, {}, "x", 1, [1], [[]]),
+    "gate": (None, 1, [], "Q", "h"),
+    "subspace": (True, 7, "x", [0], [1, 0], [0, 0, 1]),
+    "params": (None, "x", {}, [True], [math.nan], [0.5] * 4),
+    "target": NOT_INT + (-1, 99),
+    "controls": (None, {}, "x", [1], [{"q": 1}]),
+    "q": NOT_INT + (-1, 99),
+    "v": NOT_INT + (-1, 3),
+}
+
+
+@st.composite
+def broken_circuit_texts(draw):
+    """Circuit JSON made invalid: truncated, one field removed or made bad, or junk."""
+    text = json.dumps(CIRCUIT_DOC, indent=1)
+    how = draw(st.sampled_from(("truncate", "field", "junk")))
+    if how == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if how == "junk":
+        return draw(st.text())
+    doc = copy.deepcopy(CIRCUIT_DOC)
+    places = [doc] + doc["ops"] + [c for op in doc["ops"] for c in op["controls"]]
+    place = draw(st.sampled_from(places))
+    key = draw(st.sampled_from(sorted(place)))
+    if key == "subspace" and place[key] is None:
+        place[key] = [0, 1]  # on a gate that takes no subspace
+    elif draw(st.booleans()):
+        del place[key]
+    else:
+        place[key] = draw(st.sampled_from(BAD_FIELD[key]))
+    return json.dumps(doc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(broken_circuit_texts())
+def test_fuzz_circuit_json_fails_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        circ, out = pathlib.Path(tmp, "circ.json"), pathlib.Path(tmp, "h.csv")
+        circ.write_text(text)
+        assert _fails_cleanly("simulate", "--circuit", circ, "--shots", 10, "--out", out)
+        assert not out.exists()
+        assert _fails_cleanly("diagram", "--circuit", circ)
+
+
+def _tables():
+    """A valid histogram CSV and probability CSV of the 3x3 gray sample."""
+    image = read_pgm((pathlib.Path(__file__).resolve().parent.parent / "data" / "gray_3x3.pgm")
+                     .read_bytes())
+    state = run(CODECS["fqri"].encode(image).circuit)
+    return (histogram_to_csv(sample(state, 500, 1)),
+            probabilities_to_csv(state.num_qutrits, probabilities(state)))
+
+
+HIST_CSV, PROB_CSV = _tables()
+NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd",)))
+
+
+@st.composite
+def broken_tables(draw):
+    """CSV text that neither table reader accepts."""
+    how = draw(st.sampled_from(("junk", "header-junk", "bad-cell", "duplicate", "long-state")))
+    if how == "junk":
+        return draw(st.text())
+    text = draw(st.sampled_from((HIST_CSV, PROB_CSV)))
+    header, *rows = text.splitlines()
+    if how == "header-junk":  # no digit, so no row can parse
+        return header + "\n" + draw(NO_DIGITS)
+    k = draw(st.integers(0, len(rows) - 1))
+    state, value = rows[k].split(",")
+    if how == "duplicate":
+        rows.append(rows[k])
+    elif how == "long-state":
+        rows[k] = f"{state}0,{value}"
+    elif draw(st.booleans()):
+        rows[k] = f"{state[:-1]}{draw(st.sampled_from('3x -'))},{value}"
+    else:  # not a count: 2 and 1e400 are probabilities above one
+        bad = ("-1", "1.5", "x", "", "nan") + (("2", "1e400") if text == PROB_CSV else ())
+        rows[k] = f"{state},{draw(st.sampled_from(bad))}"
+    return "\n".join([header] + rows) + "\n"
+
+
+@settings(deadline=None, max_examples=150)
+@given(broken_tables())
+def test_fuzz_table_csv_fails_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        table, out = pathlib.Path(tmp, "table.csv"), pathlib.Path(tmp, "out.pgm")
+        table.write_text(text)
+        assert _fails_cleanly("decode", "--method", "fqri", "--hist", table, "--out", out)
+        assert not out.exists()

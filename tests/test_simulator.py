@@ -9,12 +9,15 @@ from scipy import stats
 
 from oracles import dense_op_matrix
 from qutritimg import (
+    CODECS,
     Circuit,
     CircuitOp,
     ControlSpec,
     GateSpec,
+    GrayImage,
     ParseError,
     ShapeError,
+    RgbImage,
     ShotHistogram,
     Statevector,
     apply_op,
@@ -31,8 +34,10 @@ from qutritimg import (
     run,
     sample,
     statevector_zero,
+    trits_from_index,
 )
 from qutritimg.gates import PARAM_COUNTS, SUBSPACE_KINDS
+from qutritimg.simulator import Block, Step
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -284,10 +289,14 @@ def _reference_from_json(text):
             if not all(type(p) in (int, float) and math.isfinite(p) for p in params):
                 raise ParseError(f"circuit JSON params must be finite numbers: {params}")
             gate = GateSpec(entry["gate"], pair, params)
+            # ControlSpec rejects a non-int field itself, so such a control is
+            # not built; it is reported after the range checks of the others.
+            raw = _exact(entry["controls"], list, "controls")
             controls = tuple(
-                ControlSpec(c["q"], c["v"]) for c in _exact(entry["controls"], list, "controls")
+                ControlSpec(c["q"], c["v"])
+                for c in raw if type(c["q"]) is int and type(c["v"]) is int
             )
-            if any(type(c.qutrit) is not int or type(c.value) is not int for c in controls):
+            if len(controls) != len(raw):
                 raise ParseError(f"circuit JSON controls need int q and v: {entry['controls']}")
             ops.append(CircuitOp(gate, _exact(entry["target"], int, "target"), controls))
         return Circuit(_exact(doc["num_qutrits"], int, "num_qutrits"), tuple(ops))
@@ -376,6 +385,15 @@ def mutated_docs(draw):
          ' "target": 0, "controls": [{"q": 1.0, "v": 1}, {"q": 1, "v": 5}]}]}')
 @example('{"num_qutrits": 2, "ops": [{"gate": "H", "subspace": null, "params": [],'
          ' "target": 0, "controls": [{"q": 1, "v": 1}, {"q": true, "v": 1}]}]}')
+@example('{"num_qutrits": 2, "ops": [{"gate": "H", "subspace": null, "params": [],'
+         ' "target": -1, "controls": []}]}')
+@example('{"num_qutrits": 3, "ops": [{"gate": "H", "subspace": null, "params": [],'
+         ' "target": 1, "controls": [{"q": 1, "v": 0}]}]}')
+@example('{"num_qutrits": 3, "ops": [{"gate": "H", "subspace": null, "params": [],'
+         ' "target": 0, "controls": [{"q": 1, "v": 0}, {"q": 1, "v": 2}]}]}')
+@example('{"num_qutrits": 2, "ops": [{"gate": "P1", "subspace": null, "params": [],'
+         ' "target": 0, "controls": [{"q": 1, "v": 0}]}, {"gate": "P1", "subspace": null,'
+         ' "params": [], "target": 0, "controls": [{"q": 2, "v": 0}]}]}')
 def test_circuit_json_reader_fails_where_reference_fails(text):
     assert _outcome(circuit_from_json, text) == _outcome(_reference_from_json, text)
 
@@ -433,3 +451,169 @@ def test_diagram_empty_circuit():
     lines = text.strip("\n").split("\n")
     assert len(lines) == 2
     assert all("[" not in ln for ln in lines)
+
+
+# --- blocks against the per-op kernel --------------------------------------
+
+def _apply_in_place(tensor, op):
+    """The per-op kernel that block application replaced, kept as the reference."""
+    index = [slice(None)] * tensor.ndim
+    for c in op.controls:
+        index[c.qutrit] = c.value
+    axis = op.target - sum(1 for c in op.controls if c.qutrit < op.target)
+    block = np.moveaxis(tensor[tuple(index)], axis, 0)
+    block[...] = np.dot(op.gate.matrix(), block.reshape(3, -1)).reshape(block.shape)
+
+
+def _per_op_amplitudes(circuit):
+    state = statevector_zero(circuit.num_qutrits)
+    tensor = state.amplitudes.reshape((3,) * circuit.num_qutrits)
+    for op in circuit.ops:
+        _apply_in_place(tensor, op)
+    return state.amplitudes
+
+
+ANGLES = st.one_of(st.sampled_from((0.0, -0.0, math.pi, -math.pi / 2)),
+                   st.floats(-4.0, 4.0))
+
+
+@st.composite
+def multiplexed_circuits(draw):
+    """Runs of ops on shared control-qutrit tuples: every gate kind, control
+    values that come back within a run, several ops on one target."""
+    q = draw(st.integers(2, 7))
+    ops = [CircuitOp(GateSpec("H"), t) for t in range(q) if draw(st.booleans())]
+    for _ in range(draw(st.integers(1, 4))):
+        positions = draw(st.permutations(range(q)))
+        c = draw(st.integers(0, q - 1))
+        qutrits, free = positions[:c], positions[c:]
+        choices = draw(st.lists(st.tuples(*[st.integers(0, 2)] * c), min_size=1, max_size=4))
+        for _ in range(draw(st.integers(1, 10))):
+            values = draw(st.sampled_from(choices))
+            kind = draw(st.sampled_from(sorted(PARAM_COUNTS)))
+            pair = draw(st.sampled_from(PAIRS)) if kind in SUBSPACE_KINDS else None
+            params = [draw(ANGLES) for _ in range(PARAM_COUNTS[kind])]
+            controls = tuple(ControlSpec(p, v) for p, v in zip(qutrits, values))
+            ops.append(CircuitOp(GateSpec(kind, pair, params), draw(st.sampled_from(free)),
+                                 controls))
+    return Circuit(q, tuple(ops))
+
+
+@settings(deadline=None)
+@given(multiplexed_circuits())
+def test_run_is_bit_identical_to_per_op_kernel(circuit):
+    expect = _per_op_amplitudes(circuit).tobytes()
+    assert run(circuit).amplitudes.tobytes() == expect
+    again = circuit_from_json(circuit_to_json(circuit))  # blocks rebuilt by the reader
+    assert again == circuit
+    assert run(again).amplitudes.tobytes() == expect
+    folded = statevector_zero(circuit.num_qutrits)
+    for op in circuit.ops:
+        folded = apply_op(folded, op)
+    assert folded.amplitudes.tobytes() == expect
+
+
+def _random_image(codec, side, seed):
+    rng = np.random.default_rng(seed)
+    if codec.gray:
+        return GrayImage(rng.integers(0, 256, (side, side)))
+    return RgbImage(rng.integers(0, 256, (side, side, 3)))
+
+
+@pytest.mark.parametrize("side", [3, 9, 27])
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_encoder_blocks_match_their_op_view(name, side):
+    codec = CODECS[name]
+    for circuit in codec.measure(codec.encode(_random_image(codec, side, side))):
+        for op in circuit.ops:  # plain ints, so the JSON writer never sees numpy scalars
+            assert type(op.target) is int
+            assert all(type(c.qutrit) is int and type(c.value) is int for c in op.controls)
+        again = circuit_from_json(circuit_to_json(circuit))
+        assert again == circuit
+        assert circuit_to_json(again) == circuit_to_json(circuit)
+        if side < 27:
+            expect = _per_op_amplitudes(circuit).tobytes()
+            assert run(circuit).amplitudes.tobytes() == expect
+            assert run(again).amplitudes.tobytes() == expect
+
+
+def test_grouping_keeps_emission_order():
+    x, y = ControlSpec(1, 0), ControlSpec(1, 2)
+    ops = (
+        CircuitOp(GateSpec("H"), 0, (x,)),
+        CircuitOp(GateSpec("P1"), 2, (x,)),
+        CircuitOp(GateSpec("P2"), 0, (y,)),
+        CircuitOp(GateSpec("X", (0, 2)), 0, (x,)),  # x again after y: a new block
+        CircuitOp(GateSpec("P1"), 0, (ControlSpec(2, 0),)),  # other control qutrit
+    )
+    circuit = Circuit(3, ops)
+    assert [len(b.values) for b in circuit.blocks] == [2, 1, 1]
+    rebuilt = Circuit.from_blocks(3, circuit.blocks)
+    assert rebuilt.ops == ops and rebuilt == circuit
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ControlSpec(True, 1),
+    lambda: ControlSpec(1, True),
+    lambda: ControlSpec(1.0, 1),
+    lambda: ControlSpec(np.int64(1), 1),
+    lambda: CircuitOp(GateSpec("H"), True),
+    lambda: CircuitOp(GateSpec("H"), 0.0),
+    lambda: Circuit(True),
+    lambda: Circuit(np.int64(2)),
+], ids=["bool-qutrit", "bool-value", "float-qutrit", "numpy-qutrit", "bool-target",
+        "float-target", "bool-width", "numpy-width"])
+def test_constructors_reject_non_int_fields(build):
+    with pytest.raises(ValueError, match="must be an int"):
+        build()
+
+
+FIELDS = st.one_of(st.integers(-1, 4), st.booleans(), st.sampled_from((1.0, np.int64(1))))
+
+
+@settings(deadline=None)
+@given(FIELDS, FIELDS, st.lists(st.tuples(FIELDS, FIELDS), max_size=3))
+def test_constructible_circuits_write_json_that_parses(width, target, controls):
+    try:
+        circuit = Circuit(width, (CircuitOp(GateSpec("H"), target,
+                                            tuple(ControlSpec(q, v) for q, v in controls)),))
+    except ValueError:
+        return
+    assert circuit_from_json(circuit_to_json(circuit)) == circuit
+
+
+def test_sample_counts_follow_index_order():
+    circuit = Circuit(3, (CircuitOp(GateSpec("H"), 0), CircuitOp(GateSpec("H"), 2)))
+    state = run(circuit)
+    hist = sample(state, shots=2000, seed=9)
+    probs = probabilities(state)
+    drawn = np.random.default_rng(9).multinomial(2000, probs / probs.sum())
+    expect = {trits_from_index(i, 3): int(c) for i, c in enumerate(drawn) if c > 0}
+    assert list(hist.counts.items()) == list(expect.items())
+
+
+def _step(target, entries, ids):
+    return Step(target, np.array(entries, dtype=np.int64), np.array(ids, dtype=np.int64))
+
+
+@pytest.mark.parametrize("change", [
+    {"values": np.array([[0], [0]])},  # a row gathered twice would lose an update
+    {"values": np.array([[3], [0]])},
+    {"controls": (-1,)},
+    {"controls": (True,)},
+    {"steps": ()},
+    {"steps": (_step(1, [0, 1], [0, 0]),)},  # target is a control
+    {"steps": (_step(0, [1, 0], [0, 0]),)},
+    {"steps": (_step(0, [0, 2], [0, 0]),)},
+    {"steps": (_step(0, [], []),)},
+    {"steps": (_step(0, [0, 1], [0, 1]),)},
+], ids=["repeated-row", "value-3", "negative-control", "bool-control", "no-steps",
+        "target-is-control", "descending", "entry-out-of-range", "empty-step", "gate-id"])
+def test_block_rejects_bad_layout(change):
+    fields = {"controls": (1,), "values": np.array([[0], [1]]), "gates": (GateSpec("H"),),
+              "steps": (_step(0, [0, 1], [0, 0]),)}
+    Block(**fields)
+    with pytest.raises(ValueError):
+        Block(**(fields | change))
+    with pytest.raises(ValueError, match="out of range"):
+        Circuit.from_blocks(1, (Block(**fields),))
