@@ -6,7 +6,9 @@ location-controlled rotation or shift per pixel writes the pixel data.
 Each encoder emits these as two blocks (see `simulator.Block`), built with
 numpy: the Hadamards, then one uniformly controlled gate whose entries are
 the pixels (or pixel channels, or planes), with one gate object per
-distinct angle.  Conventions fixed here:
+distinct angle.  Each block is handed its op columns (per op: entry,
+target, gate id) in emission order; `Block.steps` derives the kernel
+schedule from them.  Conventions fixed here:
 
 * pixel index i = y * 3^n + x (row-major), location trits MSB first;
 * angle scaling theta = v / 255 * pi/2, so v = 255 reaches pi/2 exactly;
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import CapacityError
 from .gates import GateSpec
 from .images import GrayImage, RgbImage
-from .simulator import Block, Circuit, Step
+from .simulator import Block, Circuit
 from .ternary import MAX_QUTRITS, trits_from_index
 
 HALF_PI = math.pi / 2
@@ -90,34 +92,31 @@ def _locations(n: int) -> np.ndarray:
     return np.arange(9**n)[:, None] // powers % 3
 
 
-def _hadamards(positions) -> Block:
-    """One uncontrolled H on each position, in order."""
-    one = np.zeros(1, dtype=np.int64)
-    steps = tuple(Step(p, one, one) for p in positions)
-    return Block((), np.zeros((1, 0), dtype=np.int64), (GateSpec("H"),), steps)
-
-
-def _prepared(q: int, values: np.ndarray, gates, steps) -> Circuit:
+def _prepared(q: int, values: np.ndarray, gates, entries, targets, gate_ids) -> Circuit:
     """Hadamards on the last c qutrits, then one block controlled by them
-    with rows `values` (m, c); an empty `steps` leaves the block out."""
+    with rows `values` (m, c) and the given op columns; no ops leaves the
+    block out."""
     controls = tuple(range(q - values.shape[1], q))
-    blocks = [_hadamards(controls)]
-    if steps:
-        blocks.append(Block(controls, values, tuple(gates), tuple(steps)))
+    zeros = np.zeros(len(controls), dtype=np.int64)
+    blocks = [Block((), np.zeros((1, 0), dtype=np.int64), (GateSpec("H"),),
+                    zeros, np.array(controls), zeros)]
+    if len(entries):
+        blocks.append(Block(controls, values, tuple(gates), entries, targets, gate_ids))
     return Circuit.from_blocks(q, blocks)
 
 
-def _every_entry(m: int, steps) -> tuple[list[GateSpec], list[Step]]:
-    """Gates and steps that give each of m entries one gate per
-    (target, make, keys) step: `keys` holds one int per entry, and
-    `make(key)` builds the gate once per distinct key."""
+def _every_entry(m: int, *ops):
+    """Gates and op columns that give each of m entries, in turn, one gate
+    on the value qutrit per (make, keys) op: `keys` holds one int per
+    entry, and `make(key)` builds the gate once per distinct key."""
     gates: list[GateSpec] = []
-    plan = []
-    for target, make, keys in steps:
-        distinct, ids = np.unique(keys, return_inverse=True)
-        plan.append(Step(target, np.arange(m), ids + len(gates)))
+    ids = []
+    for make, keys in ops:
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        ids.append(inverse + len(gates))
         gates += [make(k) for k in distinct.tolist()]
-    return gates, plan
+    entries = np.repeat(np.arange(m), len(ops))
+    return gates, entries, np.zeros_like(entries), np.column_stack(ids).reshape(-1)
 
 
 def _ry(pair: tuple[int, int], angle):
@@ -131,8 +130,8 @@ def encode_fqri(img: GrayImage) -> EncodeResult:
         raise TypeError("encode_fqri takes a grayscale image")
     n = img.n
     q = _register(n, 1)
-    steps = [(0, _ry((0, 1), pixel_angle), img.pixels.reshape(-1))]
-    circuit = _prepared(q, _locations(n), *_every_entry(9**n, steps))
+    ops = _every_entry(9**n, (_ry((0, 1), pixel_angle), img.pixels.reshape(-1)))
+    circuit = _prepared(q, _locations(n), *ops)
     layout = ("value",) + tuple(f"loc{t}" for t in range(2 * n))
     return EncodeResult(circuit, n, "FQRI", layout)
 
@@ -144,11 +143,9 @@ def encode_fqrri(img: RgbImage) -> EncodeResult:
     n = img.n
     q = _register(n, 1)
     r, g, b = img.pixels.reshape(-1, 3).astype(np.int64).T
-    steps = [
-        (0, _ry((0, 1), _packed_angle), g % 16 * 256 + b),
-        (0, _ry((0, 2), _packed_angle), g // 16 * 256 + r),
-    ]
-    circuit = _prepared(q, _locations(n), *_every_entry(9**n, steps))
+    ops = _every_entry(9**n, (_ry((0, 1), _packed_angle), g % 16 * 256 + b),
+                       (_ry((0, 2), _packed_angle), g // 16 * 256 + r))
+    circuit = _prepared(q, _locations(n), *ops)
     layout = ("value",) + tuple(f"loc{t}" for t in range(2 * n))
     return EncodeResult(circuit, n, "FQRRI", layout)
 
@@ -169,8 +166,8 @@ def encode_fqrqci(img: RgbImage) -> EncodeResult:
     n = img.n
     q = _register(n, 1)
     r, g, b = img.pixels.reshape(-1, 3).astype(np.int64).T
-    steps = [(0, _ry((0, 1), pixel_angle), r), (0, _u12, g * 256 + b)]
-    circuit = _prepared(q, _locations(n), *_every_entry(9**n, steps))
+    ops = _every_entry(9**n, (_ry((0, 1), pixel_angle), r), (_u12, g * 256 + b))
+    circuit = _prepared(q, _locations(n), *ops)
     layout = ("value",) + tuple(f"loc{t}" for t in range(2 * n))
     return EncodeResult(circuit, n, "FQRQCI", layout)
 
@@ -188,8 +185,8 @@ def encode_mcqri(img: RgbImage) -> EncodeResult:
     # Entries run pixel-major, channel-minor: (channel, location trits).
     channels = np.tile(np.arange(3), 9**n)[:, None]
     values = np.hstack((channels, np.repeat(_locations(n), 3, axis=0)))
-    steps = [(0, _ry((0, 1), pixel_angle), img.pixels.reshape(-1))]
-    circuit = _prepared(q, values, *_every_entry(3 * 9**n, steps))
+    ops = _every_entry(3 * 9**n, (_ry((0, 1), pixel_angle), img.pixels.reshape(-1)))
+    circuit = _prepared(q, values, *ops)
     layout = ("value", "channel") + tuple(f"loc{t}" for t in range(2 * n))
     return EncodeResult(circuit, n, "MCQRI", layout)
 
@@ -213,15 +210,12 @@ def encode_qrciq(img: RgbImage) -> EncodeResult:
     planes = np.repeat(np.arange(6), area)
     values = np.column_stack((planes // 3, planes % 3, np.tile(_locations(n), (6, 1))))
     # One entry per (plane, pixel) with a non-zero digit, plane-major; its
-    # shifts run R, G, B, one step per channel.
+    # shifts run R, G, B.
     keep = digits.any(axis=1)
     digits, values = digits[keep], values[keep]
-    steps = []
-    for channel in range(3):
-        entries = np.flatnonzero(digits[:, channel])
-        if len(entries):
-            steps.append(Step(channel, entries, digits[entries, channel] - 1))
-    circuit = _prepared(q, values, (GateSpec("P1"), GateSpec("P2")), steps)
+    entries, channels = np.nonzero(digits)
+    gate_ids = digits[entries, channels] - 1
+    circuit = _prepared(q, values, (GateSpec("P1"), GateSpec("P2")), entries, channels, gate_ids)
     layout = ("r_digit", "g_digit", "b_digit", "plane0", "plane1") + tuple(
         f"loc{t}" for t in range(2 * n)
     )

@@ -110,6 +110,8 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def _parse_netpbm(data: bytes, magics: dict[bytes, bool], what: str):
+    """(side, binary, raster offset) of a header, checked to be square and
+    3^n on a side before any sample is read."""
     if len(data) < 2:
         raise ParseError(f"not a {what} file: too short")
     magic = bytes(data[:2])
@@ -129,10 +131,15 @@ def _parse_netpbm(data: bytes, magics: dict[bytes, bool], what: str):
         raise UnsupportedDepthError(f"only maxval 255 is supported, got {maxval}")
     if width < 1 or height < 1:
         raise ParseError(f"bad dimensions {width}x{height}")
-    return width, height, binary, pos
+    if width != height:
+        raise ShapeError(f"{what} image must be square, got {width}x{height}")
+    validate_side(width)
+    return width, binary, pos
 
 
 def _read_samples(data: bytes, pos: int, count: int, binary: bool) -> np.ndarray:
+    if count > len(data) - pos:  # each sample takes at least one byte
+        raise ParseError(f"raster truncated: {count} samples in {len(data) - pos} bytes")
     if binary:
         # Exactly one whitespace byte separates maxval from the raster.
         if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
@@ -155,19 +162,13 @@ def _read_samples(data: bytes, pos: int, count: int, binary: bool) -> np.ndarray
 
 
 def read_pgm(data: bytes) -> GrayImage:
-    width, height, binary, pos = _parse_netpbm(data, {b"P2": False, b"P5": True}, "PGM")
-    samples = _read_samples(data, pos, width * height, binary)
-    if width != height:
-        raise ShapeError(f"grayscale image must be square, got {width}x{height}")
-    return GrayImage(samples.reshape(height, width))
+    side, binary, pos = _parse_netpbm(data, {b"P2": False, b"P5": True}, "PGM")
+    return GrayImage(_read_samples(data, pos, side * side, binary).reshape(side, side))
 
 
 def read_ppm(data: bytes) -> RgbImage:
-    width, height, binary, pos = _parse_netpbm(data, {b"P3": False, b"P6": True}, "PPM")
-    samples = _read_samples(data, pos, width * height * 3, binary)
-    if width != height:
-        raise ShapeError(f"RGB image must be square, got {width}x{height}")
-    return RgbImage(samples.reshape(height, width, 3))
+    side, binary, pos = _parse_netpbm(data, {b"P3": False, b"P6": True}, "PPM")
+    return RgbImage(_read_samples(data, pos, side * side * 3, binary).reshape(side, side, 3))
 
 
 def write_pgm(img: GrayImage, binary: bool = False) -> bytes:

@@ -2,22 +2,24 @@
 
 A circuit is a sequence of blocks.  A block is a uniformly controlled gate
 (a multiplexor): one tuple of control qutrits, an (m, c) int array of
-distinct control values, and for each of the m entries its list of
-(target, gate) ops in emission order, stored as steps of one gate per
-listed entry on one target.  Ops on different control values act on
-disjoint slices of the state and commute, so `run` applies a whole block
-in one numpy pass: it moves the control axes to the front, gathers the m
-selected rows with one fancy index, applies each step as one batched
-`mats @ rows` and scatters the rows back.  Each entry keeps its own op
-order and the (3, 3) @ (3, 3^(q-c-1)) BLAS product of a single controlled
-op, so statevectors are bit-identical to applying the ops one at a time.
-The full 3^q x 3^q operator is never built.
+distinct control values, and its ops as columns in emission order: per
+op, its entry (a row of the values), its target and its gate.  Ops on
+different control values act on disjoint slices of the state and
+commute, so `run` applies a whole block in one numpy pass: it moves the
+control axes to the front, gathers the m selected rows with one fancy
+index, applies each step of `Block.steps` as one batched `mats @ rows`
+and scatters the rows back.  A step is one gate per listed entry on one
+target; an entry's ops share a level while their targets rise, and a
+step is one (level, target), so each entry keeps its own op order and
+the (3, 3) @ (3, 3^(q-c-1)) BLAS product of a single controlled op, and
+statevectors are bit-identical to applying the ops one at a time.  The
+full 3^q x 3^q operator is never built.
 
 `Circuit(q, ops)` and `circuit_from_json` group a flat op list into blocks
-in one pass; the encoders build theirs with numpy.  `Circuit.ops` is the
-flat op view in emission order, derived from the blocks when first read;
-circuit equality and the circuit JSON writer follow it.  `apply_op`
-applies one op to a copy and leaves its input unchanged.
+in one pass; the encoders build their columns with numpy.  `Circuit.ops`
+is the flat op view in emission order, derived from the columns when
+first read; circuit equality and the circuit JSON writer follow it.
+`apply_op` applies one op to a copy and leaves its input unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -97,104 +98,101 @@ def _check_range(target: int, positions, num_qutrits: int):
             raise ValueError(f"control qutrit {q} out of range for {num_qutrits} qutrits")
 
 
-class Step(NamedTuple):
-    """One gate on `target` for each listed entry of a block."""
-
-    target: int
-    entries: np.ndarray  # ascending indices into the block's entries
-    gate_ids: np.ndarray  # per listed entry, an index into the block's gates
-
-
 @dataclass(frozen=True, eq=False)
 class Block:
-    """A uniformly controlled gate: entry e's ops act where the `controls`
-    qutrits hold `values[e]`, and they are its gates in the steps that list it.
+    """A uniformly controlled gate: op k acts on `targets[k]` with
+    `gates[gate_ids[k]]` where the `controls` qutrits hold `values[entries[k]]`.
 
-    `values` is an (m, c) array of distinct rows of 0, 1 and 2, and each
-    step lists its entries in ascending order, once each: a row gathered
-    twice would lose one of its updates.
+    `values` is an (m, c) int array of distinct rows of 0, 1 and 2, and
+    `entries`, `targets` and `gate_ids` are int columns with one item per
+    op, in emission order.  Ops of different entries act on disjoint
+    slices of the state and commute; each entry's ops run in column order.
     """
 
     controls: tuple[int, ...]
     values: np.ndarray
     gates: tuple[GateSpec, ...]
-    steps: tuple[Step, ...]
+    entries: np.ndarray
+    targets: np.ndarray
+    gate_ids: np.ndarray
 
     def __post_init__(self):
-        for q in self.controls + tuple(step.target for step in self.steps):
-            if type(q) is not int or q < 0:
-                raise ValueError(f"block qutrits must be ints >= 0, got {q!r}")
         m, c = self.values.shape
-        if (c != len(set(self.controls)) or len(self.controls) != c or not self.steps
-                or not np.isin(self.values, (0, 1, 2)).all()
+        if (any(type(q) is not int or q < 0 for q in self.controls)
+                or len(set(self.controls)) != c or len(self.controls) != c
+                or any(a.dtype.kind not in "iu"
+                       for a in (self.values, self.entries, self.targets, self.gate_ids))
+                or not 0 < len(self.entries) == len(self.targets) == len(self.gate_ids)
+                or not ((self.values >= 0) & (self.values <= 2)).all()
                 or len(np.unique(self.values @ 3 ** np.arange(c))) != m):
-            raise ValueError("a block needs distinct control qutrits, distinct rows "
-                             "of control values 0, 1, 2 and at least one step")
-        for step in self.steps:
-            entries, ids = step.entries, step.gate_ids
-            if (step.target in self.controls or not 0 < len(entries) == len(ids)
-                    or not 0 <= entries[0] <= entries[-1] < m or (np.diff(entries) <= 0).any()
-                    or not 0 <= ids.min() <= ids.max() < len(self.gates)):
-                raise ValueError(f"bad block step on target {step.target}")
+            raise ValueError("a block needs distinct int control qutrits >= 0, distinct rows "
+                             "of control values 0, 1, 2 and int columns of at least one op")
+        if not (0 <= self.entries.min() <= self.entries.max() < m
+                and 0 <= self.gate_ids.min() <= self.gate_ids.max() < len(self.gates)
+                and self.targets.min() >= 0
+                and not any((self.targets == q).any() for q in self.controls)):
+            raise ValueError("block entries and gate ids must be in range, and targets "
+                             ">= 0 and not controls")
 
     @cached_property
     def matrices(self) -> np.ndarray:
         """(len(gates), 3, 3) stack of the gate matrices."""
         return np.array([gate.matrix() for gate in self.gates])
 
-    def entry_ops(self) -> list[list[tuple[int, int]]]:
-        """Each entry's ops as (target, gate index) pairs, in emission order."""
-        ops = [[] for _ in range(len(self.values))]
-        for step in self.steps:
-            for e, g in zip(step.entries.tolist(), step.gate_ids.tolist()):
-                ops[e].append((step.target, g))
-        return ops
+    @cached_property
+    def steps(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """The kernel's schedule: (target, entries, gate ids) per step.
+
+        An entry's ops stay at one level while their targets rise and go up
+        a level when they do not; a step is one (level, target), run in that
+        order, with its entries ascending.  So each entry's ops run in
+        column order and no step lists an entry twice.
+        """
+        by_entry = np.argsort(self.entries, kind="stable")
+        entry, target = self.entries[by_entry], self.targets[by_entry]
+        first = np.concatenate(([True], entry[1:] != entry[:-1]))  # of its entry
+        rises = np.concatenate(([True], target[1:] > target[:-1]))
+        up = np.cumsum(~(first | rises))  # level-ups so far, counting across entries
+        level = up - np.maximum.accumulate(up * first)
+        key = level * (int(target.max()) + 1) + target
+        order = np.lexsort((entry, key))
+        cuts = np.flatnonzero(np.diff(key[order])) + 1
+        ids = self.gate_ids[by_entry]
+        return tuple((int(target[ops[0]]), entry[ops], ids[ops])
+                     for ops in np.split(order, cuts))
 
 
 def _group(num_qutrits: int, qutrits: list, values: list, targets: list, gates: list):
     """Blocks of a flat op list, given column-wise, checking each op's range.
 
-    Consecutive ops on one control-qutrit tuple share a block; an op whose
-    control values match an earlier entry but not the latest one starts a
-    new block, so each entry's ops stay contiguous and in order.
+    Consecutive ops on one control-qutrit tuple share a block, and each
+    distinct tuple of control values among them is one of its entries.
     """
     blocks = []
-    start, seen, entries = 0, set(), []  # entries: per op, its entry in its block
+    start, rows, entries = 0, {}, []  # rows: entry of each control-value tuple
     for i, (qs, vs, target) in enumerate(zip(qutrits, values, targets)):
         if i and qs == qutrits[i - 1] and vs == values[i - 1]:
             _check_range(target, (), num_qutrits)
         else:
             _check_range(target, qs, num_qutrits)
-            if i and (qs != qutrits[i - 1] or vs in seen):
-                blocks.append(_block(qutrits, values, targets, gates, entries, start, i))
-                start, seen = i, set()
-            seen.add(vs)
-        entries.append(len(seen) - 1)
+            if i and qs != qutrits[i - 1]:
+                blocks.append(_block(qutrits[start], rows, entries, targets[start:i],
+                                     gates[start:i]))
+                start, rows, entries = i, {}, []
+        entries.append(rows.setdefault(vs, len(rows)))
     if targets:
-        blocks.append(_block(qutrits, values, targets, gates, entries, start, len(targets)))
+        blocks.append(_block(qutrits[start], rows, entries, targets[start:], gates[start:]))
     return tuple(blocks)
 
 
-def _block(qutrits, values, targets, gates, entries, start: int, stop: int) -> Block:
-    """The block of ops start..stop-1: step (j, t) holds every entry's j-th op
-    when that op is on target t, so each entry's ops run in order."""
-    entry = np.array(entries[start:stop])
-    target = np.array(targets[start:stop])
-    firsts = np.flatnonzero(np.diff(entry, prepend=-1))
-    rank = np.arange(stop - start) - firsts[entry]
-    _, step_of = np.unique(rank * (target.max() + 1) + target, return_inverse=True)
-    by_step = np.argsort(step_of, kind="stable")  # op order within each step
-    ids: dict = {}  # gates are shared by identity
-    gate_ids = np.array([ids.setdefault(id(g), len(ids)) for g in gates[start:stop]])
-    table = {id(g): g for g in gates[start:stop]}
-    steps = tuple(
-        Step(int(target[ops[0]]), entry[ops], gate_ids[ops])
-        for ops in np.split(by_step, np.cumsum(np.bincount(step_of))[:-1])
-    )
-    rows = [values[start + i] for i in firsts.tolist()]
-    controls = qutrits[start]
-    values = np.array(rows, dtype=np.int64).reshape(len(rows), len(controls))
-    return Block(controls, values, tuple(table.values()), steps)
+def _block(controls: tuple, rows: dict, entries: list, targets: list, gates: list) -> Block:
+    """The block of one run of ops; gates are shared by identity."""
+    ids: dict = {}
+    gate_ids = [ids.setdefault(id(g), len(ids)) for g in gates]
+    distinct = tuple({id(g): g for g in gates}.values())
+    values = np.array(list(rows), dtype=np.int64).reshape(len(rows), len(controls))
+    return Block(controls, values, distinct, np.array(entries), np.array(targets),
+                 np.array(gate_ids))
 
 
 _qutrit = attrgetter("qutrit")
@@ -233,8 +231,7 @@ class Circuit:
         _check_width(num_qutrits)
         blocks = tuple(blocks)
         for blk in blocks:
-            for step in blk.steps:
-                _check_range(step.target, blk.controls, num_qutrits)
+            _check_range(int(blk.targets.max()), blk.controls, num_qutrits)
         circuit = cls.__new__(cls)
         circuit.num_qutrits, circuit.blocks = num_qutrits, blocks
         return circuit
@@ -244,9 +241,10 @@ class Circuit:
         ops = []
         for blk in self.blocks:
             specs = [[ControlSpec(q, v) for v in range(3)] for q in blk.controls]
-            for row, entry in zip(blk.values.tolist(), blk.entry_ops()):
-                controls = tuple([per_value[v] for per_value, v in zip(specs, row)])
-                ops += [CircuitOp._of_block(blk.gates[g], t, controls) for t, g in entry]
+            controls = [tuple([per_value[v] for per_value, v in zip(specs, row)])
+                        for row in blk.values.tolist()]
+            ops += [CircuitOp._of_block(blk.gates[g], t, controls[e]) for e, t, g in zip(
+                blk.entries.tolist(), blk.targets.tolist(), blk.gate_ids.tolist())]
         return tuple(ops)
 
     def __eq__(self, other):
@@ -303,17 +301,17 @@ def _apply_block(tensor: np.ndarray, blk: Block):
     view = np.moveaxis(tensor, blk.controls, range(c))
     index = tuple(blk.values.T)
     rows = view[index] if c else view[np.newaxis]
-    for step in blk.steps:
+    for target, entries, gate_ids in blk.steps:
         # Axis 0 of `rows` is the entry; the target's axis shifts left by
         # the number of controls that precede it.
-        axis = 1 + step.target - sum(q < step.target for q in blk.controls)
-        full = len(step.entries) == len(rows)
-        part = rows if full else rows[step.entries]
+        axis = 1 + target - sum(q < target for q in blk.controls)
+        full = len(entries) == len(rows)
+        part = rows if full else rows[entries]
         moved = np.moveaxis(part, axis, 1)
-        mats = blk.matrices[step.gate_ids]
+        mats = blk.matrices[gate_ids]
         moved[...] = (mats @ moved.reshape(len(part), 3, -1)).reshape(moved.shape)
         if not full:
-            rows[step.entries] = part
+            rows[entries] = part
     if c:
         view[index] = rows
 
@@ -383,7 +381,7 @@ def circuit_to_json(circuit: Circuit) -> str:
     and params are rendered once per block, control entries once per
     distinct (q, v) and each entry's control list once.
     """
-    entries: dict = {}
+    texts: dict = {}
     ops = []
     for blk in circuit.blocks:
         gates = []
@@ -395,15 +393,17 @@ def circuit_to_json(circuit: Circuit) -> str:
                 f'{{\n   "gate": {json.dumps(gate.kind)},\n   "subspace": {subspace},\n'
                 f'   "params": {params},\n   "target": '
             )
-        for row, entry in zip(blk.values.tolist(), blk.entry_ops()):
+        tails = []
+        for row in blk.values.tolist():
             controls = []
             for q, v in zip(blk.controls, row):
-                text = entries.get((q, v))
+                text = texts.get((q, v))
                 if text is None:
-                    text = entries[q, v] = f'{{\n     "q": {q},\n     "v": {v}\n    }}'
+                    text = texts[q, v] = f'{{\n     "q": {q},\n     "v": {v}\n    }}'
                 controls.append(text)
-            tail = f',\n   "controls": {_json_array(controls, "   ")}\n  }}'
-            ops += [f"{gates[g]}{t}{tail}" for t, g in entry]
+            tails.append(f',\n   "controls": {_json_array(controls, "   ")}\n  }}')
+        ops += [f"{gates[g]}{t}{tails[e]}" for e, t, g in zip(
+            blk.entries.tolist(), blk.targets.tolist(), blk.gate_ids.tolist())]
     return f'{{\n "num_qutrits": {circuit.num_qutrits},\n "ops": {_json_array(ops, " ")}\n}}'
 
 

@@ -23,6 +23,7 @@ from qutritimg import (
     read_ppm,
     run,
     sample,
+    write_pgm,
     write_ppm,
 )
 from qutritimg.cli import main
@@ -106,6 +107,21 @@ def test_encode_over_capacity_fails_without_output(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "13 qutrits" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, data", [
+    ("fqri", b"P2\n1000000 1000000\n255\n0\n"),  # not a power of 3
+    ("mcqri", b"P3\n531441 531441\n255\n0 0 0\n"),  # 3^12: more samples than bytes
+    ("fqri", b"P5\n847288609443 847288609443\n255\n\x00"),  # 3^25
+], ids=["P2-not-3n", "P3-3^12", "P5-3^25"])
+def test_encode_huge_header_fails_without_output(tmp_path, capsys, method, data):
+    image = tmp_path / "huge.pnm"
+    image.write_bytes(data)
+    out = tmp_path / "circ.json"
+    assert _run("encode", "--method", method, "--input", image, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -402,12 +418,23 @@ def test_diagram_empty_circuit(tmp_path, capsys):
 
 # --- fuzzing: bad input ends in exit 1 and one error line -------------------
 
-def _fails_cleanly(*argv):
-    """Run the CLI; True when it exits 1 with exactly one `error:` line."""
+def _exit_and_stderr(*argv):
+    """Run the CLI quietly; its exit code and what it wrote to stderr."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = _run(*argv)  # any exception but ValueError/OSError escapes here
-    return code == 1 and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return code, err.getvalue()
+
+
+def _fails_cleanly(*argv):
+    """Run the CLI; True when it exits 1 with exactly one `error:` line."""
+    code, err = _exit_and_stderr(*argv)
+    return code == 1 and err.startswith("error: ") and err.count("\n") == 1
+
+
+def _utf8(text):
+    """`text` as UTF-8, a lone surrogate as the invalid bytes it stands for."""
+    return text.encode("utf-8", "surrogatepass")
 
 
 def _sample_circuit_doc():
@@ -459,7 +486,7 @@ def broken_circuit_texts(draw):
 def test_fuzz_circuit_json_fails_cleanly(text):
     with tempfile.TemporaryDirectory() as tmp:
         circ, out = pathlib.Path(tmp, "circ.json"), pathlib.Path(tmp, "h.csv")
-        circ.write_text(text)
+        circ.write_bytes(_utf8(text))
         assert _fails_cleanly("simulate", "--circuit", circ, "--shots", 10, "--out", out)
         assert not out.exists()
         assert _fails_cleanly("diagram", "--circuit", circ)
@@ -507,6 +534,57 @@ def broken_tables(draw):
 def test_fuzz_table_csv_fails_cleanly(text):
     with tempfile.TemporaryDirectory() as tmp:
         table, out = pathlib.Path(tmp, "table.csv"), pathlib.Path(tmp, "out.pgm")
-        table.write_text(text)
+        table.write_bytes(_utf8(text))
         assert _fails_cleanly("decode", "--method", "fqri", "--hist", table, "--out", out)
         assert not out.exists()
+
+
+def _netpbm_files():
+    """The 3x3 samples as P2, P5, P3 and P6 bytes."""
+    data = pathlib.Path(__file__).resolve().parent.parent / "data"
+    gray = read_pgm((data / "gray_3x3.pgm").read_bytes())
+    rgb = read_ppm((data / "rgb_3x3.ppm").read_bytes())
+    return {b"P2": write_pgm(gray), b"P5": write_pgm(gray, binary=True),
+            b"P3": write_ppm(rgb), b"P6": write_ppm(rgb, binary=True)}
+
+
+NETPBM = _netpbm_files()
+SIDES = st.one_of(st.integers(-1, 30), st.sampled_from([3**k for k in range(26)]),
+                  st.integers(0, 10**12))
+
+
+@st.composite
+def mutated_netpbm(draw):
+    """A valid P2, P5, P3 or P6 file with new header dimensions, or cut,
+    or with one byte changed, bytes inserted or a span deleted."""
+    magic = draw(st.sampled_from(sorted(NETPBM)))
+    data = NETPBM[magic]
+    how = draw(st.sampled_from(("dims", "truncate", "byte", "insert", "delete")))
+    raster = data[len(magic + b"\n3 3\n255\n"):]
+    if how == "dims":
+        return magic, b"%s\n%d %d\n255\n%s" % (magic, draw(SIDES), draw(SIDES), raster)
+    k = draw(st.integers(0, len(data) - 1))
+    if how == "truncate":
+        return magic, data[:k]
+    if how == "byte":
+        return magic, data[:k] + bytes([draw(st.integers(0, 255))]) + data[k + 1:]
+    if how == "insert":
+        return magic, data[:k] + draw(st.binary(min_size=1, max_size=8)) + data[k:]
+    return magic, data[:k] + data[k + draw(st.integers(1, 8)):]
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_netpbm())
+def test_fuzz_netpbm_encodes_or_fails_cleanly(case):
+    magic, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        image, out = pathlib.Path(tmp, "image"), pathlib.Path(tmp, "circ.json")
+        image.write_bytes(data)
+        method = "fqri" if magic in (b"P2", b"P5") else "mcqri"
+        code, err = _exit_and_stderr("encode", "--method", method, "--input", image,
+                                     "--out", out)
+        if code == 0:
+            assert out.exists() and not err
+        else:
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()

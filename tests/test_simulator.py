@@ -37,7 +37,7 @@ from qutritimg import (
     trits_from_index,
 )
 from qutritimg.gates import PARAM_COUNTS, SUBSPACE_KINDS
-from qutritimg.simulator import Block, Step
+from qutritimg.simulator import Block
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -543,13 +543,40 @@ def test_grouping_keeps_emission_order():
         CircuitOp(GateSpec("H"), 0, (x,)),
         CircuitOp(GateSpec("P1"), 2, (x,)),
         CircuitOp(GateSpec("P2"), 0, (y,)),
-        CircuitOp(GateSpec("X", (0, 2)), 0, (x,)),  # x again after y: a new block
+        CircuitOp(GateSpec("X", (0, 2)), 0, (x,)),  # x again after y: same block and entry
         CircuitOp(GateSpec("P1"), 0, (ControlSpec(2, 0),)),  # other control qutrit
     )
     circuit = Circuit(3, ops)
-    assert [len(b.values) for b in circuit.blocks] == [2, 1, 1]
+    assert [len(b.values) for b in circuit.blocks] == [2, 1]
+    assert circuit.blocks[0].entries.tolist() == [0, 0, 1, 0]
     rebuilt = Circuit.from_blocks(3, circuit.blocks)
     assert rebuilt.ops == ops and rebuilt == circuit
+
+
+@settings(deadline=None)
+@given(multiplexed_circuits())
+def test_steps_keep_each_entry_order(circuit):
+    for blk in circuit.blocks:
+        ran = [[] for _ in blk.values]
+        for target, entries, gate_ids in blk.steps:
+            assert (np.diff(entries) > 0).all()  # ascending, none twice
+            for e, g in zip(entries.tolist(), gate_ids.tolist()):
+                ran[e].append((target, g))
+        columns = [[] for _ in blk.values]
+        for e, t, g in zip(blk.entries.tolist(), blk.targets.tolist(), blk.gate_ids.tolist()):
+            columns[e].append((t, g))
+        assert ran == columns
+
+
+@pytest.mark.parametrize("side", [3, 9, 27])
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_json_round_trip_keeps_the_kernel_schedule(name, side):
+    codec = CODECS[name]
+    for circuit in codec.measure(codec.encode(_random_image(codec, side, side))):
+        again = circuit_from_json(circuit_to_json(circuit))
+        assert [len(b.steps) for b in again.blocks] == [len(b.steps) for b in circuit.blocks]
+        if name == "qrciq":  # one step per digit channel
+            assert len(circuit.blocks[1].steps) == 3
 
 
 @pytest.mark.parametrize("build", [
@@ -592,8 +619,8 @@ def test_sample_counts_follow_index_order():
     assert list(hist.counts.items()) == list(expect.items())
 
 
-def _step(target, entries, ids):
-    return Step(target, np.array(entries, dtype=np.int64), np.array(ids, dtype=np.int64))
+def _ints(*items):
+    return np.array(items, dtype=np.int64)
 
 
 @pytest.mark.parametrize("change", [
@@ -601,17 +628,19 @@ def _step(target, entries, ids):
     {"values": np.array([[3], [0]])},
     {"controls": (-1,)},
     {"controls": (True,)},
-    {"steps": ()},
-    {"steps": (_step(1, [0, 1], [0, 0]),)},  # target is a control
-    {"steps": (_step(0, [1, 0], [0, 0]),)},
-    {"steps": (_step(0, [0, 2], [0, 0]),)},
-    {"steps": (_step(0, [], []),)},
-    {"steps": (_step(0, [0, 1], [0, 1]),)},
-], ids=["repeated-row", "value-3", "negative-control", "bool-control", "no-steps",
-        "target-is-control", "descending", "entry-out-of-range", "empty-step", "gate-id"])
+    {"entries": _ints(), "targets": _ints(), "gate_ids": _ints()},
+    {"targets": _ints(1, 1)},  # target is a control
+    {"targets": _ints(-1, 0)},
+    {"targets": np.array([False, False])},
+    {"targets": _ints(0)},
+    {"entries": _ints(0, 2)},
+    {"gate_ids": _ints(0, 1)},
+], ids=["repeated-row", "value-3", "negative-control", "bool-control", "no-ops",
+        "target-is-control", "negative-target", "bool-target", "ragged-columns",
+        "entry-out-of-range", "gate-id"])
 def test_block_rejects_bad_layout(change):
     fields = {"controls": (1,), "values": np.array([[0], [1]]), "gates": (GateSpec("H"),),
-              "steps": (_step(0, [0, 1], [0, 0]),)}
+              "entries": _ints(0, 1), "targets": _ints(0, 0), "gate_ids": _ints(0, 0)}
     Block(**fields)
     with pytest.raises(ValueError):
         Block(**(fields | change))
