@@ -549,6 +549,9 @@ def test_grouping_keeps_emission_order():
     circuit = Circuit(3, ops)
     assert [len(b.values) for b in circuit.blocks] == [2, 1]
     assert circuit.blocks[0].entries.tolist() == [0, 0, 1, 0]
+    # entry 0's targets 0, 2 rise, then 0 starts level 1; entry 1 joins step (0, 0)
+    steps = [(t, e.tolist()) for t, e, _ in circuit.blocks[0].steps]
+    assert steps == [(0, [0, 1]), (2, [0]), (0, [0])]
     rebuilt = Circuit.from_blocks(3, circuit.blocks)
     assert rebuilt.ops == ops and rebuilt == circuit
 
