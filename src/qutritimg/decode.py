@@ -77,7 +77,7 @@ def _value_u8(theta: float) -> int:
 def _as_probabilities(hist, num_qutrits: int) -> tuple[np.ndarray, int]:
     """Accept a ShotHistogram or a raw probability vector of finite entries >= 0.
 
-    A raw vector need not sum to 1.
+    A raw vector need not sum to 1, but not all of it may be 0.
     """
     if isinstance(hist, ShotHistogram):
         if hist.num_qutrits != num_qutrits:
@@ -96,6 +96,8 @@ def _as_probabilities(hist, num_qutrits: int) -> tuple[np.ndarray, int]:
         raise ProbabilityError(
             f"probability {i} is {float(probs[i])!r}; entries must be finite and >= 0"
         )
+    if not probs.any():
+        raise ProbabilityError("every probability is 0; a raw vector needs a positive sum")
     return probs, 0
 
 

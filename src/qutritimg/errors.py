@@ -10,7 +10,7 @@ class ParseError(ValueError):
 
 
 class ProbabilityError(ValueError):
-    """A probability vector has a negative, NaN or infinite entry."""
+    """A probability vector has a negative, NaN or infinite entry, or sums to 0."""
 
 
 class UnsupportedDepthError(ParseError):

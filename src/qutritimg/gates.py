@@ -50,6 +50,38 @@ def hadamard3() -> np.ndarray:
     ) / math.sqrt(3)
 
 
+def _embedded(j: int, k: int, count: int) -> np.ndarray:
+    """`count` 3x3 matrices, zero but for 1 on the level outside (j, k)."""
+    m = np.zeros((count, 3, 3), dtype=np.complex128)
+    m[:, 3 - j - k, 3 - j - k] = 1
+    return m
+
+
+def _rotations(axis: str, j: int, k: int, thetas) -> np.ndarray:
+    """(len(thetas), 3, 3) stack of `rotation(axis, j, k, theta)` per angle.
+
+    Entries come from scalar `math`/`cmath` calls, one angle at a time:
+    numpy's vectorised trig can differ from them in the last bit.
+    """
+    _check_pair(j, k)
+    if axis not in ("x", "y", "z"):
+        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
+    m = _embedded(j, k, len(thetas))
+    if axis == "z":
+        m[:, j, j] = [cmath.exp(-1j * theta / 2) for theta in thetas]
+        m[:, k, k] = [cmath.exp(1j * theta / 2) for theta in thetas]
+        return m
+    c = [math.cos(theta / 2) for theta in thetas]
+    s = [math.sin(theta / 2) for theta in thetas]
+    m[:, j, j] = m[:, k, k] = c
+    if axis == "x":
+        m[:, j, k] = m[:, k, j] = [-1j * v for v in s]
+    else:
+        m[:, j, k] = [-v for v in s]
+        m[:, k, j] = s
+    return m
+
+
 def rotation(axis: str, j: int, k: int, theta: float) -> np.ndarray:
     """exp(-i*theta/2 * sigma_axis) embedded on the (j, k) subspace.
 
@@ -57,22 +89,20 @@ def rotation(axis: str, j: int, k: int, theta: float) -> np.ndarray:
     sigma_z = |j><j| - |k><k|, sigma_x = |j><k| + |k><j|,
     sigma_y = -i|j><k| + i|k><j|.  Closed forms are used for exactness.
     """
+    return _rotations(axis, j, k, (theta,))[0]
+
+
+def _u_subspaces(j: int, k: int, params) -> np.ndarray:
+    """(len(params), 3, 3) stack of `u_subspace(j, k, theta, phi, delta)` per
+    (theta, phi, delta), from scalar trig as in `_rotations`."""
     _check_pair(j, k)
-    c = math.cos(theta / 2)
-    s = math.sin(theta / 2)
-    m = np.eye(3, dtype=np.complex128)
-    if axis == "z":
-        m[j, j] = cmath.exp(-1j * theta / 2)
-        m[k, k] = cmath.exp(1j * theta / 2)
-    elif axis == "x":
-        m[j, j] = m[k, k] = c
-        m[j, k] = m[k, j] = -1j * s
-    elif axis == "y":
-        m[j, j] = m[k, k] = c
-        m[j, k] = -s
-        m[k, j] = s
-    else:
-        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
+    m = _embedded(j, k, len(params))
+    c = [math.cos(theta / 2) for theta, _, _ in params]
+    s = [math.sin(theta / 2) for theta, _, _ in params]
+    m[:, j, j] = c
+    m[:, j, k] = [-cmath.exp(1j * delta) * v for (_, _, delta), v in zip(params, s)]
+    m[:, k, j] = [cmath.exp(1j * phi) * v for (_, phi, _), v in zip(params, s)]
+    m[:, k, k] = [cmath.exp(1j * (delta + phi)) * v for (_, phi, delta), v in zip(params, c)]
     return m
 
 
@@ -83,15 +113,7 @@ def u_subspace(j: int, k: int, theta: float, phi: float, delta: float) -> np.nda
     (k,j)=e^{i*phi} sin(th/2), (k,k)=e^{i*(delta+phi)} cos(th/2).
     Phases are kept verbatim; no global-phase normalization.
     """
-    _check_pair(j, k)
-    c = math.cos(theta / 2)
-    s = math.sin(theta / 2)
-    m = np.eye(3, dtype=np.complex128)
-    m[j, j] = c
-    m[j, k] = -cmath.exp(1j * delta) * s
-    m[k, j] = cmath.exp(1j * phi) * s
-    m[k, k] = cmath.exp(1j * (delta + phi)) * c
-    return m
+    return _u_subspaces(j, k, ((theta, phi, delta),))[0]
 
 
 def identity3() -> np.ndarray:
@@ -169,3 +191,21 @@ class GateSpec:
         if self.params:
             name += "(" + ",".join(f"{p:.2f}" for p in self.params) + ")"
         return name
+
+
+def gate_matrices(gates) -> np.ndarray:
+    """(len(gates), 3, 3) stack of the gates' matrices, byte for byte
+    `np.array([g.matrix() for g in gates])`, built a (kind, subspace) group
+    at a time: one stack per rotation or U group, one matrix per other kind."""
+    groups: dict = {}
+    for i, gate in enumerate(gates):
+        groups.setdefault((gate.kind, gate.subspace), []).append(i)
+    out = np.empty((len(gates), 3, 3), dtype=np.complex128)
+    for (kind, pair), idx in groups.items():
+        if kind == "U":
+            out[idx] = _u_subspaces(*pair, [gates[i].params for i in idx])
+        elif kind in ("RX", "RY", "RZ"):
+            out[idx] = _rotations(kind[1].lower(), *pair, [gates[i].params[0] for i in idx])
+        else:
+            out[idx] = gates[idx[0]].matrix()
+    return out

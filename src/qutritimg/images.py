@@ -5,6 +5,7 @@ Supported variants: P2/P5 grayscale, P3/P6 RGB, maxval 255 only.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,8 @@ class RgbImage:
 
 # --- netpbm parsing --------------------------------------------------------
 
-_WHITESPACE = b" \t\r\n\v\f"
+_WHITESPACE = b" \t\r\n\v\f"  # what bytes.split() splits on
+_COMMENT = re.compile(rb"#[^\r\n]*")
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -149,16 +151,22 @@ def _read_samples(data: bytes, pos: int, count: int, binary: bool) -> np.ndarray
         if len(raster) != count:
             raise ParseError(f"raster truncated: expected {count} bytes, got {len(raster)}")
         return np.frombuffer(raster, dtype=np.uint8).astype(np.int64)
-    values = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        token, pos = _next_token(data, pos)
-        try:
-            values[i] = int(token)
-        except ValueError as exc:
-            raise ParseError(f"bad sample {token!r}") from exc
-    if values.size and (values.min() < 0 or values.max() > 255):
+    # A comment runs from `#` to the end of its line, also inside a token.
+    tokens = _COMMENT.sub(b" ", data[pos:]).split(None, count)[:count]
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        for token in tokens:  # name the first bad one
+            try:
+                int(token)
+            except ValueError as exc:
+                raise ParseError(f"bad sample {token!r}") from exc
+    if len(values) < count:
+        raise ParseError("unexpected end of file in header")
+    # Range-checked as Python ints: a sample past int64 is out of range too.
+    if values and (min(values) < 0 or max(values) > 255):
         raise ParseError("sample out of range [0, 255]")
-    return values
+    return np.array(values, dtype=np.int64)
 
 
 def read_pgm(data: bytes) -> GrayImage:

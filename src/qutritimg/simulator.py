@@ -13,7 +13,9 @@ target; an entry's ops share a level while their targets rise, and a
 step is one (level, target), so each entry keeps its own op order and
 the (3, 3) @ (3, 3^(q-c-1)) BLAS product of a single controlled op, and
 statevectors are bit-identical to applying the ops one at a time.  The
-full 3^q x 3^q operator is never built.
+full 3^q x 3^q operator is never built.  `run` allocates one scratch
+buffer of 2 x 3^q amplitudes per call; every step copies its rows into it
+and writes its product there, so no step allocates a state-sized array.
 
 `Circuit(q, ops)` and `circuit_from_json` group a flat op list into blocks
 in one pass; the encoders build their columns with numpy.  `Circuit.ops`
@@ -33,7 +35,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import ParseError, ShapeError
-from .gates import GateSpec
+from .gates import GateSpec, gate_matrices
 from .ternary import Statevector, index_from_trits, statevector_zero, trits_from_index
 
 
@@ -134,10 +136,24 @@ class Block:
             raise ValueError("block entries and gate ids must be in range, and targets "
                              ">= 0 and not controls")
 
+    @classmethod
+    def _of_op(cls, op: CircuitOp, num_qutrits: int) -> Block:
+        """The one-op block of `op`, checked only for range: a CircuitOp has
+        checked the rest.  Its one step is filled in."""
+        controls = tuple(c.qutrit for c in op.controls)
+        _check_range(op.target, controls, num_qutrits)
+        zero = np.zeros(1, dtype=np.int64)
+        blk = cls.__new__(cls)
+        blk.__dict__.update(
+            controls=controls, gates=(op.gate,), entries=zero, gate_ids=zero,
+            values=np.array([[c.value for c in op.controls]], dtype=np.int64),
+            targets=np.array([op.target]), steps=((op.target, zero, zero),))
+        return blk
+
     @cached_property
     def matrices(self) -> np.ndarray:
         """(len(gates), 3, 3) stack of the gate matrices."""
-        return np.array([gate.matrix() for gate in self.gates])
+        return gate_matrices(self.gates)
 
     @cached_property
     def steps(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
@@ -290,12 +306,21 @@ class ShotHistogram:
         return probs
 
 
-def _apply_block(tensor: np.ndarray, blk: Block):
+def _scratch(num_qutrits: int) -> np.ndarray:
+    """The kernel's work buffer: room for a step's input and its product,
+    each at most the 3^q amplitudes of the state."""
+    return np.empty(2 * 3**num_qutrits, dtype=np.complex128)
+
+
+def _apply_block(tensor: np.ndarray, blk: Block, scratch: np.ndarray):
     """Apply every op of `blk` to a (3,)*q amplitude tensor, in place.
 
     One gather of the selected rows, one batched matmul per step, one
     scatter.  Each entry's 3x3 products have the shape a single controlled
     op would give np.dot, (3, 3) @ (3, 3^(q-c-1)), so BLAS rounds alike.
+    A step copies its rows, target axis second, into the front of
+    `scratch` and writes the product behind them, so it allocates no
+    temporaries the size of its rows.
     """
     c = len(blk.controls)
     view = np.moveaxis(tensor, blk.controls, range(c))
@@ -305,13 +330,23 @@ def _apply_block(tensor: np.ndarray, blk: Block):
         # Axis 0 of `rows` is the entry; the target's axis shifts left by
         # the number of controls that precede it.
         axis = 1 + target - sum(q < target for q in blk.controls)
-        full = len(entries) == len(rows)
-        part = rows if full else rows[entries]
+        k = len(entries)
+        size = k * (rows.size // len(rows))
+        src = scratch[:size].reshape(k, 3, -1)
+        out = scratch[size:2 * size].reshape(src.shape)
+        full = k == len(rows)
+        # A partial step gathers its rows into `out`, which the product
+        # overwrites once they are copied; mode="clip" (entries are in
+        # range) lets np.take write there unbuffered.
+        part = rows if full else np.take(rows, entries, axis=0, mode="clip",
+                                         out=out.reshape((k,) + rows.shape[1:]))
         moved = np.moveaxis(part, axis, 1)
-        mats = blk.matrices[gate_ids]
-        moved[...] = (mats @ moved.reshape(len(part), 3, -1)).reshape(moved.shape)
-        if not full:
-            rows[entries] = part
+        np.copyto(src.reshape(moved.shape), moved)
+        np.matmul(blk.matrices[gate_ids], src, out=out)
+        if full:
+            moved[...] = out.reshape(moved.shape)
+        else:
+            rows[entries] = np.moveaxis(out.reshape(moved.shape), 1, axis)
     if c:
         view[index] = rows
 
@@ -319,18 +354,22 @@ def _apply_block(tensor: np.ndarray, blk: Block):
 def apply_op(state: Statevector, op: CircuitOp) -> Statevector:
     """Apply one (possibly controlled) gate, returning a new statevector."""
     q = state.num_qutrits
-    (blk,) = Circuit(q, (op,)).blocks
     out = state.amplitudes.copy()
-    _apply_block(out.reshape((3,) * q), blk)
+    _apply_block(out.reshape((3,) * q), Block._of_op(op, q), _scratch(q))
     return Statevector(q, out)
 
 
 def run(circuit: Circuit) -> Statevector:
-    """Execute all blocks on the all-|0> state, in place in one buffer."""
-    state = statevector_zero(circuit.num_qutrits)
-    tensor = state.amplitudes.reshape((3,) * circuit.num_qutrits)
+    """Execute all blocks on the all-|0> state, in place in one buffer.
+
+    Every step of every block works in one scratch buffer allocated here.
+    """
+    q = circuit.num_qutrits
+    state = statevector_zero(q)
+    tensor = state.amplitudes.reshape((3,) * q)
+    scratch = _scratch(q)
     for blk in circuit.blocks:
-        _apply_block(tensor, blk)
+        _apply_block(tensor, blk, scratch)
     return state
 
 

@@ -125,6 +125,15 @@ def test_encode_huge_header_fails_without_output(tmp_path, capsys, method, data)
     assert not out.exists()
 
 
+def test_encode_sample_past_int64_fails_cleanly(tmp_path, capsys):
+    image = tmp_path / "big.pgm"
+    image.write_bytes(b"P2\n3 3\n255\n1 2 3 4 5 6 7 8 99999999999999999999\n")
+    out = tmp_path / "circ.json"
+    assert _run("encode", "--method", "fqri", "--input", image, "--out", out) == 1
+    assert capsys.readouterr().err == "error: sample out of range [0, 255]\n"
+    assert not out.exists()
+
+
 def test_simulate_exact_probability_table(tmp_path, gray_path):
     circ = tmp_path / "circ.json"
     _run("encode", "--method", "fqri", "--input", gray_path, "--out", circ)

@@ -401,6 +401,70 @@ def test_raw_vector_with_bad_entry_names_it(name, bad):
         codec.decode(*tables, 1)
 
 
+def test_all_zero_raw_vector_is_rejected():
+    for name, codec in CODECS.items():
+        vector = np.zeros(3 ** (2 + codec.extra_qutrits))
+        with pytest.raises(ProbabilityError, match="every probability is 0"):
+            codec.decode(*[vector] * codec.histograms, 1)
+
+
+FAULTS = ("long", "short", "2d", "negative", "nan", "inf", "-inf", "zero-sum")
+
+
+@st.composite
+def raw_vectors(draw):
+    """(codec, n, vectors, fault): one raw vector per histogram the codec
+    decodes, at n = 1 or 2, of scales from subnormal to 1e300 and often
+    sparse; `fault` names what was broken in one of them, or is None.
+    qrciq gets weighted supports of its encodings with slots dropped, the
+    only vectors it can decode; the other codecs any entries >= 0."""
+    codec = CODECS[draw(st.sampled_from(sorted(CODECS)))]
+    n = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 3 ** (2 * n + codec.extra_qutrits)
+    scale = draw(st.sampled_from([5e-324, 1e-300, 1e-3, 1.0, 1e300]))
+    keep = draw(st.sampled_from([1.0, 0.5, 0.01]))
+    vectors = []
+    for i in range(codec.histograms):
+        support = np.ones(size, dtype=bool)
+        if codec.name == "qrciq":
+            support = _probs(codec.encode(random_rgb(rng, n)).circuit) > 1e-15
+        vector = rng.random(size) * scale * (support & (rng.random(size) < keep))
+        vector[rng.choice(np.flatnonzero(support))] = scale  # never all 0
+        vectors.append(vector)
+    fault = draw(st.sampled_from((None,) + FAULTS))
+    k = draw(st.integers(0, codec.histograms - 1))
+    bad = vectors[k]
+    i = int(rng.integers(size))
+    if fault == "long":
+        bad = np.append(bad, scale)
+    elif fault == "short":
+        bad = bad[:draw(st.sampled_from([0, 1, size - 1]))]
+    elif fault == "2d":
+        bad = bad.reshape(3, -1)
+    elif fault == "zero-sum":
+        bad = np.zeros(size)
+    elif fault is not None:
+        bad[i] = {"negative": -draw(st.sampled_from([5e-324, 1.0])), "nan": math.nan,
+                  "inf": math.inf, "-inf": -math.inf}[fault]
+    vectors[k] = bad
+    return codec, n, vectors, fault
+
+
+@settings(deadline=None, max_examples=200)
+@given(raw_vectors())
+def test_fuzz_decoders_with_raw_vectors(case):
+    codec, n, vectors, fault = case
+    if fault is None:
+        report = codec.decode(*vectors, n)
+        assert isinstance(report.image, GrayImage if codec.gray else RgbImage)
+        assert report.image.side == 3**n and report.shots_used == 0
+        return
+    error = ShapeError if fault in ("long", "short", "2d") else ProbabilityError
+    with pytest.raises(error):
+        codec.decode(*vectors, n)
+
+
 def test_sampled_decode_reports_shots(sample_gray):
     state = run(encode_fqri(sample_gray).circuit)
     hist = sample(state, shots=2000, seed=1)

@@ -17,6 +17,7 @@ from qutritimg import (
     u_subspace,
     x_gate,
 )
+from qutritimg.gates import PARAM_COUNTS, SUBSPACE_KINDS, gate_matrices
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -220,3 +221,84 @@ def test_gatespec_labels():
     assert GateSpec("P2").label() == "+2"
     assert GateSpec("RY", (0, 1), (0.4558,)).label() == "RY01(0.46)"
     assert GateSpec("U", (1, 2), (2.365, 1.0963, 0)).label() == "U12(2.37,1.10,0.00)"
+
+
+# --- stacked matrices against the scalar builders they replaced ---------------
+
+def _rotation_reference(axis, j, k, theta):
+    """`rotation` as one np.eye and item writes, kept as the reference."""
+    c = math.cos(theta / 2)
+    s = math.sin(theta / 2)
+    m = np.eye(3, dtype=np.complex128)
+    if axis == "z":
+        m[j, j] = cmath.exp(-1j * theta / 2)
+        m[k, k] = cmath.exp(1j * theta / 2)
+    elif axis == "x":
+        m[j, j] = m[k, k] = c
+        m[j, k] = m[k, j] = -1j * s
+    else:
+        m[j, j] = m[k, k] = c
+        m[j, k] = -s
+        m[k, j] = s
+    return m
+
+
+def _u_subspace_reference(j, k, theta, phi, delta):
+    """`u_subspace` as one np.eye and item writes, kept as the reference."""
+    c = math.cos(theta / 2)
+    s = math.sin(theta / 2)
+    m = np.eye(3, dtype=np.complex128)
+    m[j, j] = c
+    m[j, k] = -cmath.exp(1j * delta) * s
+    m[k, j] = cmath.exp(1j * phi) * s
+    m[k, k] = cmath.exp(1j * (delta + phi)) * c
+    return m
+
+
+SPECIAL_ANGLES = (0.0, -0.0, math.pi, -math.pi)
+GATE_ANGLES = st.one_of(st.sampled_from(SPECIAL_ANGLES), angles)
+
+
+@pytest.mark.parametrize("theta", SPECIAL_ANGLES + (0.3, -2.7, 1e-300, 5e-324))
+@pytest.mark.parametrize("pair", PAIRS)
+def test_rotation_and_u_are_byte_equal_to_scalar_builders(pair, theta):
+    for axis in "xyz":
+        assert rotation(axis, *pair, theta).tobytes() == \
+            _rotation_reference(axis, *pair, theta).tobytes()
+    for phi in SPECIAL_ANGLES + (1.1,):
+        for delta in SPECIAL_ANGLES + (-0.4,):
+            assert u_subspace(*pair, theta, phi, delta).tobytes() == \
+                _u_subspace_reference(*pair, theta, phi, delta).tobytes()
+
+
+@st.composite
+def gate_lists(draw):
+    """Gates of every kind, subspace and param sign, kinds interleaved."""
+    gates = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(sorted(PARAM_COUNTS)))
+        pair = draw(st.sampled_from(PAIRS)) if kind in SUBSPACE_KINDS else None
+        gates.append(GateSpec(kind, pair, [draw(GATE_ANGLES) for _ in range(PARAM_COUNTS[kind])]))
+    return gates
+
+
+@given(gate_lists())
+def test_gate_matrices_are_byte_equal_to_per_gate_matrices(gates):
+    stacked = gate_matrices(gates)
+    assert stacked.dtype == np.complex128 and stacked.shape == (len(gates), 3, 3)
+    assert stacked.tobytes() == np.array([g.matrix() for g in gates]).tobytes()
+
+
+def test_gate_matrices_cover_every_kind_and_signed_angle():
+    gates = [GateSpec(kind, pair, (a, b, c)[:PARAM_COUNTS[kind]])
+             for kind in sorted(PARAM_COUNTS)
+             for pair in (PAIRS if kind in SUBSPACE_KINDS else (None,))
+             for a in SPECIAL_ANGLES for b in SPECIAL_ANGLES[::-1] for c in (0.25, -0.0)]
+    expect = np.array([g.matrix() for g in gates])
+    assert gate_matrices(gates).tobytes() == expect.tobytes()
+    for g, m in zip(gates, expect):  # and each kind's own closed form
+        if g.kind in ("RX", "RY", "RZ"):
+            assert m.tobytes() == _rotation_reference(g.kind[1].lower(), *g.subspace,
+                                                      *g.params).tobytes()
+        elif g.kind == "U":
+            assert m.tobytes() == _u_subspace_reference(*g.subspace, *g.params).tobytes()

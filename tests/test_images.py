@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qutritimg import (
@@ -15,6 +15,7 @@ from qutritimg import (
     write_pgm,
     write_ppm,
 )
+from qutritimg.images import _next_token, _read_samples
 
 
 def test_validate_side():
@@ -110,3 +111,79 @@ def test_wrong_kind_is_a_parse_error(sample_gray, sample_rgb):
         read_ppm(write_pgm(sample_gray))
     with pytest.raises(ParseError):
         read_pgm(write_ppm(sample_rgb))
+
+
+def test_sample_past_int64_is_out_of_range():
+    with pytest.raises(ParseError, match=r"^sample out of range \[0, 255\]$"):
+        read_pgm(b"P2\n3 3\n255\n1 2 3 4 5 6 7 8 99999999999999999999\n")
+
+
+# --- the plain raster reader against the per-token reader it replaced ----------
+
+def _ascii_samples_reference(data, pos, count):
+    """The plain branch of `_read_samples` before one tokenizing pass replaced
+    it, one `_next_token` call per sample, kept as the reference.  It holds
+    the samples as Python ints; it used to write them into an int64 array,
+    which raised OverflowError past 2^63 - 1."""
+    if count > len(data) - pos:
+        raise ParseError(f"raster truncated: {count} samples in {len(data) - pos} bytes")
+    values = []
+    for _ in range(count):
+        token, pos = _next_token(data, pos)
+        try:
+            values.append(int(token))
+        except ValueError as exc:
+            raise ParseError(f"bad sample {token!r}") from exc
+    if values and (min(values) < 0 or max(values) > 255):
+        raise ParseError("sample out of range [0, 255]")
+    return np.array(values, dtype=np.int64)
+
+
+def _samples_outcome(read, data, pos, count):
+    try:
+        values = read(data, pos, count)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    assert values.dtype == np.int64 and values.shape == (count,)
+    return values.tobytes()
+
+
+SEPARATORS = st.sampled_from([b" ", b"\n", b"\r\n", b"\t", b"\v", b"\f", b"  \n\n",
+                              b"#c\n", b" # note 1 2 3\r", b"\n#\n", b"##\v#\n"])
+TOKENS = st.one_of(
+    st.integers(0, 255).map(lambda v: b"%d" % v),
+    st.sampled_from([b"-1", b"256", b"+7", b"007", b"1_0", b"99999999999999999999",
+                     b"-99999999999999999999", b"x", b"1a", b"0x1f", b"\xa07", b"\x1c"]),
+    st.binary(min_size=1, max_size=3),
+)
+
+
+@st.composite
+def plain_rasters(draw):
+    """(raster, count): tokens and separators that include comments mid-raster,
+    `#` right after a token, \\v and \\f, short rasters and extra tokens."""
+    count = draw(st.sampled_from([1, 9, 27]))
+    tokens = draw(st.lists(TOKENS, max_size=count + 3))
+    raster = draw(st.sampled_from([b"", b"\n", b"#c\n"]))
+    for token in tokens:
+        raster += token + draw(st.one_of(SEPARATORS, st.sampled_from([b"#", b"#x"])))
+    return raster + draw(st.sampled_from([b"", b"\n", b"#end"])), count
+
+
+@settings(max_examples=300)
+@given(plain_rasters())
+def test_plain_raster_reader_matches_per_token_reference(case):
+    raster, count = case
+    data = b"P2\n3 3\n255" + raster
+    pos = len(data) - len(raster)
+    expect = _samples_outcome(_ascii_samples_reference, data, pos, count)
+    got = _samples_outcome(lambda *a: _read_samples(*a, False), data, pos, count)
+    assert got == expect
+
+
+@pytest.mark.parametrize("raster, values", [
+    (b"\n1 2#c 3\n4\v5\f6 7\r8 9 10 11", [1, 2, 4, 5, 6, 7, 8, 9, 10]),  # 3 is a comment
+    (b" 1#\n2#x\r3 4 5 6 7 8 9# 10", [1, 2, 3, 4, 5, 6, 7, 8, 9]),
+])
+def test_plain_raster_comments_and_separators(raster, values):
+    assert read_pgm(b"P2\n3 3\n255" + raster).pixels.reshape(-1).tolist() == values

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -511,6 +512,34 @@ def test_run_is_bit_identical_to_per_op_kernel(circuit):
     for op in circuit.ops:
         folded = apply_op(folded, op)
     assert folded.amplitudes.tobytes() == expect
+
+
+def test_scratch_buffer_carries_nothing_between_steps():
+    """Blocks whose steps shrink, grow and change axis share one scratch
+    buffer per `run`: a full-state block, 27 entries with partial steps,
+    2 entries on other targets, then the full state again."""
+    rng = np.random.default_rng(10)
+
+    def gate():
+        return GateSpec("U", PAIRS[rng.integers(3)], tuple(rng.uniform(-math.pi, math.pi, 3)))
+
+    def controlled(qutrits, values, target):
+        return CircuitOp(gate(), target, tuple(map(ControlSpec, qutrits, values)))
+
+    ops = [CircuitOp(GateSpec("H"), t) for t in range(10)] + [CircuitOp(gate(), 6)]
+    for values in itertools.product(range(3), repeat=3):
+        for target in (0, 8, 9) if sum(values) % 2 else (9,):  # partial steps, then a full one
+            ops.append(controlled((2, 5, 7), values, target))
+    ops += [controlled((0, 9), (1, 2), 4), controlled((0, 9), (0, 0), 4),
+            controlled((0, 9), (1, 2), 1), controlled((0, 9), (1, 2), 3)]  # then partial ones
+    ops += [CircuitOp(gate(), 8), CircuitOp(gate(), 3)]
+    circuit = Circuit(10, ops)
+    assert [len(b.values) for b in circuit.blocks] == [1, 27, 2, 1]
+    assert [[(t, len(e)) for t, e, _ in b.steps] for b in circuit.blocks[1:3]] == [
+        [(0, 13), (8, 13), (9, 27)], [(4, 2), (1, 1), (3, 1)]]
+    expect = _per_op_amplitudes(circuit).tobytes()
+    assert run(circuit).amplitudes.tobytes() == expect
+    assert run(circuit).amplitudes.tobytes() == expect
 
 
 def _random_image(codec, side, seed):
