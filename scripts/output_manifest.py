@@ -6,7 +6,9 @@ circuits), `simulate` with shots and with --exact, `decode` of both
 tables (image and report) and `roundtrip` (image and report); for qrciq
 it also runs `roundtrip` at 27x27.  It then hashes the raw amplitude
 bytes of `run` on every measured circuit of every codec at 3x3, 9x9 and
-27x27, so the statevectors must be bit-identical too.  Inputs are random
+27x27, so the statevectors must be bit-identical too; at 27x27 it also
+hashes the histogram CSV of 100,000 seeded shots of each such state and
+the raw bytes of that histogram's `to_probabilities`.  Inputs are random
 images from fixed seeds and everything is written to a temporary
 directory.  Two commits give the same outputs when their manifests are
 identical:
@@ -23,7 +25,9 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from qutritimg import CODECS, GrayImage, RgbImage, run, write_pgm, write_ppm  # noqa: E402
+from qutritimg import (  # noqa: E402
+    CODECS, GrayImage, RgbImage, histogram_to_csv, run, sample, write_pgm, write_ppm,
+)
 from qutritimg.cli import main as cli  # noqa: E402
 
 RUNS = [(name, side) for name in CODECS for side in (3, 9)] + [("qrciq", 27)]
@@ -62,8 +66,9 @@ def write_artifacts(inputs: pathlib.Path, outputs: pathlib.Path):
                  "--report", out / f"decode-{table}.json")
 
 
-def statevector_lines():
-    """`sha256  statevector/<codec>-<side>x<side>.m<k>` per measured circuit."""
+def state_lines():
+    """`sha256  statevector/<codec>-<side>x<side>.m<k>` per measured circuit;
+    at 27x27 also `histogram/...` and `probabilities/...` of its shots."""
     rng = np.random.default_rng(2025)
     for name, codec in CODECS.items():
         for side in (3, 9, 27):
@@ -71,8 +76,15 @@ def statevector_lines():
             pixels = rng.integers(0, 256, shape)
             image = GrayImage(pixels) if codec.gray else RgbImage(pixels)
             for k, circuit in enumerate(codec.measure(codec.encode(image))):
-                digest = hashlib.sha256(run(circuit).amplitudes.tobytes()).hexdigest()
-                yield f"{digest}  statevector/{name}-{side}x{side}.m{k + 1}"
+                label = f"{name}-{side}x{side}.m{k + 1}"
+                state = run(circuit)
+                artifacts = {"statevector": state.amplitudes.tobytes()}
+                if side == 27:
+                    hist = sample(state, 100_000, seed=5 + k)
+                    artifacts["histogram"] = histogram_to_csv(hist).encode()
+                    artifacts["probabilities"] = hist.to_probabilities().tobytes()
+                for kind, data in artifacts.items():
+                    yield f"{hashlib.sha256(data).hexdigest()}  {kind}/{label}"
 
 
 def main() -> int:
@@ -84,7 +96,7 @@ def main() -> int:
         for path in sorted(outputs.rglob("*.*")):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(outputs)}")
-    for line in statevector_lines():
+    for line in state_lines():
         print(line)
     return 0
 

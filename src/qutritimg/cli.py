@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 from .decode import CODECS
@@ -134,7 +135,11 @@ def cmd_diagram(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Its `func` defaults are the
+    cmd_* functions, which look up what they call as module globals on
+    every call."""
     parser = argparse.ArgumentParser(
         prog="qutritimg",
         description="Encode images into qutrit circuits, simulate, and decode.",

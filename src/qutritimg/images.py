@@ -162,7 +162,7 @@ def _read_samples(data: bytes, pos: int, count: int, binary: bool) -> np.ndarray
             except ValueError as exc:
                 raise ParseError(f"bad sample {token!r}") from exc
     if len(values) < count:
-        raise ParseError("unexpected end of file in header")
+        raise ParseError(f"raster truncated: expected {count} samples, got {len(values)}")
     # Range-checked as Python ints: a sample past int64 is out of range too.
     if values and (min(values) < 0 or max(values) > 255):
         raise ParseError("sample out of range [0, 255]")

@@ -22,6 +22,12 @@ in one pass; the encoders build their columns with numpy.  `Circuit.ops`
 is the flat op view in emission order, derived from the columns when
 first read; circuit equality and the circuit JSON writer follow it.
 `apply_op` applies one op to a copy and leaves its input unchanged.
+
+`sample` returns a `ShotHistogram` of two int64 arrays, the hit basis
+indices in ascending order and their counts, taken straight from the
+multinomial draw; counts and totals are bounded by 2^63 - 1.  Its trit
+strings exist only in the `counts` view, built when first read (the
+histogram CSV writer reads it), and `to_probabilities` is one scatter.
 """
 
 from __future__ import annotations
@@ -275,35 +281,85 @@ class Circuit:
         return f"Circuit(num_qutrits={self.num_qutrits!r}, ops={self.ops!r})"
 
 
-@dataclass
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 class ShotHistogram:
-    """Counts of measured basis states, keyed by trit string (MSB first)."""
+    """Counts of measured basis states over a `num_qutrits` register.
 
-    num_qutrits: int
-    counts: dict[str, int]
-    shots: int
+    Stored as two int64 arrays: `indices`, the ascending basis indices that
+    were hit (or listed, with any zero counts, when built from a dict), and
+    `tallies`, their counts.  A count or total past 2^63 - 1 is rejected.
+    `counts` is the trit-string view (MSB first) in index order, built when
+    first read; the CSV writer and dict-based callers use it.
+    """
 
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError(f"a histogram needs at least 1 shot, got {self.shots}")
-        for state, count in self.counts.items():
-            if len(state) != self.num_qutrits:
+    def __init__(self, num_qutrits: int, counts: dict[str, int], shots: int):
+        if shots < 1:
+            raise ValueError(f"a histogram needs at least 1 shot, got {shots}")
+        indices = []
+        for state, count in counts.items():
+            if len(state) != num_qutrits:
                 raise ShapeError(
                     f"state {state!r} has length {len(state)}, "
-                    f"expected {self.num_qutrits}"
+                    f"expected {num_qutrits}"
                 )
-            index_from_trits(state)
+            index = index_from_trits(state)
+            if not isinstance(count, (int, np.integer)):
+                raise ValueError(f"count for state {state!r} is not an integer: {count!r}")
             if count < 0:
                 raise ValueError(f"negative count for state {state!r}")
-        if sum(self.counts.values()) != self.shots:
+            indices.append(index)
+        if sum(counts.values()) != shots:
             raise ValueError("histogram counts do not sum to shots")
+        # Counts are >= 0 and sum to shots, so this bounds each one too.
+        if shots > _INT64_MAX:
+            raise ValueError(f"histogram total {shots} exceeds 2^63 - 1")
+        indices = np.array(indices, dtype=np.int64)
+        order = np.argsort(indices)
+        tallies = np.array(list(counts.values()), dtype=np.int64)[order]
+        self._set(num_qutrits, indices[order], tallies, shots)
+
+    @classmethod
+    def _of_arrays(cls, num_qutrits, indices, tallies, shots) -> ShotHistogram:
+        """A histogram of checked arrays: ascending distinct indices in
+        range, counts >= 0 that sum to 1 <= shots <= 2^63 - 1."""
+        hist = cls.__new__(cls)
+        hist._set(num_qutrits, indices, tallies, shots)
+        return hist
+
+    def _set(self, num_qutrits, indices, tallies, shots):
+        indices.flags.writeable = tallies.flags.writeable = False
+        self.num_qutrits, self.indices, self.tallies, self.shots = (
+            num_qutrits, indices, tallies, shots)
+
+    @cached_property
+    def counts(self) -> dict[str, int]:
+        """Trit string -> count, in index order."""
+        q = self.num_qutrits
+        return {trits_from_index(i, q): c
+                for i, c in zip(self.indices.tolist(), self.tallies.tolist())}
 
     def to_probabilities(self) -> np.ndarray:
-        """Empirical probability per basis index (count / shots)."""
+        """Empirical probability per basis index (count / shots).
+
+        Each value is the Python int division, correctly rounded also past
+        2^53 shots, where a float64 division of the two would not be.
+        """
         probs = np.zeros(3**self.num_qutrits)
-        for state, count in self.counts.items():
-            probs[index_from_trits(state)] = count / self.shots
+        probs[self.indices] = [c / self.shots for c in self.tallies.tolist()]
         return probs
+
+    def __eq__(self, other):
+        if not isinstance(other, ShotHistogram):
+            return NotImplemented
+        return (self.num_qutrits == other.num_qutrits and self.shots == other.shots
+                and np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.tallies, other.tallies))
+
+    def __repr__(self):
+        return (f"ShotHistogram(num_qutrits={self.num_qutrits!r}, "
+                f"counts={self.counts!r}, shots={self.shots!r})")
 
 
 def _scratch(num_qutrits: int) -> np.ndarray:
@@ -389,10 +445,8 @@ def sample(state: Statevector, shots: int, seed: int) -> ShotHistogram:
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     drawn = rng.multinomial(shots, probs)
-    q = state.num_qutrits
     hit = np.flatnonzero(drawn)
-    counts = {trits_from_index(i, q): c for i, c in zip(hit.tolist(), drawn[hit].tolist())}
-    return ShotHistogram(q, counts, shots)
+    return ShotHistogram._of_arrays(state.num_qutrits, hit, drawn[hit], shots)
 
 
 # --- circuit JSON ---------------------------------------------------------
@@ -508,7 +562,7 @@ def circuit_from_json(text: str) -> Circuit:
 
 def histogram_to_csv(hist: ShotHistogram) -> str:
     lines = ["state,count"]
-    lines += [f"{state},{hist.counts[state]}" for state in sorted(hist.counts)]
+    lines += [f"{state},{count}" for state, count in hist.counts.items()]
     return "\n".join(lines) + "\n"
 
 

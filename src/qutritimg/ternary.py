@@ -37,7 +37,7 @@ def index_from_trits(trits: str) -> int:
     """Integer value of a most-significant-first trit string."""
     if len(trits) < 1:
         raise ValueError("empty trit string")
-    if any(ch not in _TRIT_CHARS for ch in trits):
+    if trits.strip(_TRIT_CHARS):  # left with a character that is not a trit
         raise ValueError(f"invalid trit string {trits!r}")
     return int(trits, 3)
 

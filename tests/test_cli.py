@@ -26,6 +26,7 @@ from qutritimg import (
     write_pgm,
     write_ppm,
 )
+from qutritimg import cli
 from qutritimg.cli import main
 
 
@@ -280,7 +281,8 @@ def test_decode_fqrqci_requires_three_histograms(tmp_path, rgb_path, capsys):
 @pytest.mark.parametrize("rows,message", [
     (["0000000,0"], "at least 1 shot"),
     (["0000000,3", "0000000,4"], "duplicate state"),
-], ids=["zero-shots", "repeated-state"])
+    (["0000000,99999999999999999999"], "exceeds 2^63 - 1"),
+], ids=["zero-shots", "repeated-state", "count-past-int64"])
 def test_decode_rejects_bad_count_table(tmp_path, capsys, rows, message):
     hist = tmp_path / "hist.csv"
     hist.write_text("\n".join(["state,count"] + rows) + "\n")
@@ -303,6 +305,48 @@ def test_decode_rejects_extra_histograms(tmp_path, rgb_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "--hist2" in err and "fqrri" in err
     assert not out.exists()
+
+
+def _fresh_process(*argv):
+    """`python -m qutritimg argv` in a new process: (exit code, stderr)."""
+    import subprocess
+    import sys
+
+    import qutritimg
+
+    result = subprocess.run(
+        [sys.executable, "-m", "qutritimg", *map(str, argv)], capture_output=True,
+        text=True, cwd=pathlib.Path(qutritimg.__file__).parents[1],
+    )
+    return result.returncode, result.stderr
+
+
+def test_one_parser_serves_every_call(tmp_path, rgb_path, capsys):
+    """main builds its parser once per process: after a failed call, valid
+    calls with and without --n give what they give in a fresh process."""
+    circ, hist = tmp_path / "circ.json", tmp_path / "hist.csv"
+    _run("encode", "--method", "fqrri", "--input", rgb_path, "--out", circ)
+    _run("simulate", "--circuit", circ, "--shots", 500, "--seed", 2, "--out", hist)
+    calls = [["--hist2", hist], [], ["--n", 1]]
+    outputs = {}
+    for side in ("same", "fresh"):
+        d = tmp_path / side
+        d.mkdir()
+        for k, extra in enumerate(calls):
+            argv = ["decode", "--method", "fqrri", "--hist", hist, *extra,
+                    "--out", d / f"img{k}.ppm", "--report", d / f"rep{k}.json"]
+            if side == "same":
+                code, err = _run(*argv), capsys.readouterr().err
+            else:
+                code, err = _fresh_process(*argv)
+            files = [d / f"img{k}.ppm", d / f"rep{k}.json"]
+            outputs[side, k] = code, err, [p.read_bytes() if p.exists() else None
+                                           for p in files]
+    assert cli._build_parser() is cli._build_parser()
+    for k in range(len(calls)):
+        assert outputs["same", k] == outputs["fresh", k]
+    assert outputs["same", 0][0] == 1 and outputs["same", 0][2] == [None, None]
+    assert outputs["same", 1][0] == outputs["same", 2][0] == 0
 
 
 @pytest.mark.parametrize("sim", [["--exact"], ["--shots", 2000, "--seed", 6]],

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qutritimg import (
@@ -129,7 +129,11 @@ def _ascii_samples_reference(data, pos, count):
         raise ParseError(f"raster truncated: {count} samples in {len(data) - pos} bytes")
     values = []
     for _ in range(count):
-        token, pos = _next_token(data, pos)
+        try:
+            token, pos = _next_token(data, pos)
+        except ParseError:  # end of file
+            raise ParseError(
+                f"raster truncated: expected {count} samples, got {len(values)}") from None
         try:
             values.append(int(token))
         except ValueError as exc:
@@ -172,6 +176,7 @@ def plain_rasters(draw):
 
 @settings(max_examples=300)
 @given(plain_rasters())
+@example((b"\n0 0 0" + b" " * 12, 9))  # short, but one byte per sample
 def test_plain_raster_reader_matches_per_token_reference(case):
     raster, count = case
     data = b"P2\n3 3\n255" + raster
@@ -179,6 +184,11 @@ def test_plain_raster_reader_matches_per_token_reference(case):
     expect = _samples_outcome(_ascii_samples_reference, data, pos, count)
     got = _samples_outcome(lambda *a: _read_samples(*a, False), data, pos, count)
     assert got == expect
+
+
+def test_short_plain_raster_names_the_sample_count():
+    with pytest.raises(ParseError, match=r"^raster truncated: expected 9 samples, got 3$"):
+        read_pgm(b"P2\n3 3\n255\n0 0 0" + b" " * 12)
 
 
 @pytest.mark.parametrize("raster, values", [

@@ -30,12 +30,17 @@ def test_output_manifest_prints_one_line_per_artifact(capsys):
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     # per codec and size: circuits, shots and exact tables, two decodes and a
     # roundtrip (image and report each); qrciq adds a 27x27 roundtrip; and
-    # one statevector per measured circuit at 3x3, 9x9 and 27x27
+    # one statevector per measured circuit at 3x3, 9x9 and 27x27, and a
+    # histogram and its probabilities per measured circuit at 27x27
     per_size = {name: 3 * codec.histograms + 6 for name, codec in CODECS.items()}
-    states = 3 * sum(codec.histograms for codec in CODECS.values())
+    measured = sum(codec.histograms for codec in CODECS.values())
     names = {line.split()[1] for line in lines}
-    assert len(lines) == len(names) == 2 * sum(per_size.values()) + 2 + states
-    assert sum(n.startswith("statevector/") for n in names) == states
+    assert len(lines) == len(names) == 2 * sum(per_size.values()) + 2 + 5 * measured
+    assert sum(n.startswith("statevector/") for n in names) == 3 * measured
+    for kind in ("histogram/", "probabilities/"):
+        assert sorted(n for n in names if n.startswith(kind)) == sorted(
+            n.replace("statevector/", kind) for n in names
+            if n.startswith("statevector/") and "-27x27." in n)
     for name, count in per_size.items():
         assert sum(n.startswith(f"{name}-9x9/") for n in names) == count
     assert sorted(n for n in names if n.startswith("qrciq-27x27/")) == [

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -397,6 +397,101 @@ def mutated_docs(draw):
          ' "params": [], "target": 0, "controls": [{"q": 2, "v": 0}]}]}')
 def test_circuit_json_reader_fails_where_reference_fails(text):
     assert _outcome(circuit_from_json, text) == _outcome(_reference_from_json, text)
+
+
+INT64_MAX = 2**63 - 1
+
+
+def _reference_probabilities(num_qutrits, counts, shots):
+    """The per-state `to_probabilities` of the dict-keyed histogram."""
+    probs = np.zeros(3**num_qutrits)
+    for state, count in counts.items():
+        probs[int(state, 3)] = count / shots
+    return probs
+
+
+def _reference_csv(counts):
+    """The dict-keyed CSV writer, which sorted the trit strings."""
+    lines = ["state,count"] + [f"{state},{counts[state]}" for state in sorted(counts)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def dict_histograms(draw):
+    """(q, counts, shots): keys in any order, zero counts, counts near
+    2^53 and 2^63 - 1, totals up to 2^63 - 1."""
+    q = draw(st.integers(1, 4))
+    keys = draw(st.lists(st.integers(0, 3**q - 1), min_size=1, max_size=12, unique=True))
+    counts, room = {}, INT64_MAX
+    for index in keys:
+        count = draw(st.one_of(st.integers(0, 3), st.integers(2**53 - 3, 2**53 + 3),
+                               st.integers(INT64_MAX - 3, INT64_MAX),
+                               st.integers(0, INT64_MAX)))
+        counts[trits_from_index(index, q)] = min(count, room)
+        room -= counts[trits_from_index(index, q)]
+    assume(room < INT64_MAX)
+    return q, counts, INT64_MAX - room
+
+
+@settings(max_examples=300)
+@given(dict_histograms())
+@example((1, {"0": 3, "1": 2**53 - 2}, 2**53 + 1))
+@example((2, {"21": 0, "00": 4, "10": 0}, 4))
+def test_histogram_arrays_match_dict_references(case):
+    q, counts, shots = case
+    hist = ShotHistogram(q, counts, shots)
+    assert hist.to_probabilities().tobytes() == (
+        _reference_probabilities(q, counts, shots).tobytes())
+    assert hist.counts == counts
+    assert list(hist.counts) == sorted(counts)
+    assert histogram_to_csv(hist) == _reference_csv(counts)
+    assert histogram_from_csv(histogram_to_csv(hist)) == hist
+
+
+def test_probabilities_are_int_divisions_past_2_53_shots():
+    hist = ShotHistogram(1, {"0": 3, "1": 2**53 - 2}, 2**53 + 1)
+    assert hist.to_probabilities()[0] == 3 / (2**53 + 1) == 3.330669073875469e-16
+    # float64 division rounds the total first
+    assert np.float64(3) / np.float64(2**53 + 1) == 3.3306690738754696e-16
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4), st.data(), st.one_of(st.integers(1, 10**6),
+                                               st.integers(2**53 - 3, INT64_MAX)))
+def test_sample_matches_dict_reference(q, data, shots):
+    weights = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                 min_size=3**q, max_size=3**q))
+    assume(any(weights))
+    state = Statevector(q, np.sqrt(np.array(weights)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    hist = sample(state, shots, seed)
+    probs = probabilities(state)
+    drawn = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    hit = np.flatnonzero(drawn)
+    counts = {trits_from_index(i, q): c for i, c in zip(hit.tolist(), drawn[hit].tolist())}
+    assert hist == ShotHistogram(q, counts, shots)
+    assert hist.counts == counts
+    assert hist.to_probabilities().tobytes() == (
+        _reference_probabilities(q, counts, shots).tobytes())
+
+
+@pytest.mark.parametrize("counts, shots", [
+    ({"0": 2**63}, 2**63),
+    ({"0": 2**62, "1": 2**62}, 2**63),
+    ({"2": 99999999999999999999}, 99999999999999999999),
+])
+def test_histogram_past_int64_is_rejected(counts, shots):
+    with pytest.raises(ValueError, match=r"exceeds 2\^63 - 1"):
+        ShotHistogram(1, counts, shots)
+    assert ShotHistogram(1, {"0": INT64_MAX}, INT64_MAX).tallies.tolist() == [INT64_MAX]
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, np.float64(2.0), "2"])
+def test_histogram_counts_must_be_integers(count):
+    with pytest.raises(ValueError, match="is not an integer"):
+        ShotHistogram(1, {"0": count, "1": 3}, 5)
+    hist = ShotHistogram(1, {"0": np.int64(2), "1": True, "2": 2}, 5)
+    assert hist.tallies.tolist() == [2, 1, 2]
 
 
 def test_histogram_csv_round_trip():

@@ -49,8 +49,10 @@ def test_index_from_trits_rejects_garbage():
         index_from_trits("")
     with pytest.raises(ValueError):
         index_from_trits("013")
-    with pytest.raises(ValueError):
-        index_from_trits(" 12")
+    # int(text, 3) takes each of these; none is a trit string
+    for text in (" 12", "12 ", "1 2", "+1", "-1", "1_0", "12\n", "\uff11"):
+        with pytest.raises(ValueError, match="invalid trit string"):
+            index_from_trits(text)
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())
