@@ -329,6 +329,7 @@ class ShotHistogram:
         return hist
 
     def _set(self, num_qutrits, indices, tallies, shots):
+        # Read-only: the cached `counts` view must not go stale.
         indices.flags.writeable = tallies.flags.writeable = False
         self.num_qutrits, self.indices, self.tallies, self.shots = (
             num_qutrits, indices, tallies, shots)
