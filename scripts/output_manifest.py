@@ -8,8 +8,11 @@ it also runs `roundtrip` at 27x27.  It then hashes the raw amplitude
 bytes of `run` on every measured circuit of every codec at 3x3, 9x9 and
 27x27, so the statevectors must be bit-identical too; at 27x27 it also
 hashes the histogram CSV of 100,000 seeded shots of each such state and
-the raw bytes of that histogram's `to_probabilities`.  Inputs are random
-images from fixed seeds and everything is written to a temporary
+the raw bytes of that histogram's `to_probabilities`.  Last it hashes
+`run` of seeded random circuits on 2 to 7 qutrits: every gate kind,
+targets touched again, complex gates on untouched qutrits and controls on
+untouched qutrits, cases the codec circuits do not cover.  Inputs are
+random images from fixed seeds and everything is written to a temporary
 directory.  Two commits give the same outputs when their manifests are
 identical:
 
@@ -26,11 +29,14 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from qutritimg import (  # noqa: E402
-    CODECS, GrayImage, RgbImage, histogram_to_csv, run, sample, write_pgm, write_ppm,
+    CODECS, Circuit, CircuitOp, ControlSpec, GateSpec, GrayImage, RgbImage,
+    histogram_to_csv, run, sample, write_pgm, write_ppm,
 )
 from qutritimg.cli import main as cli  # noqa: E402
+from qutritimg.gates import PARAM_COUNTS, SUBSPACE_KINDS  # noqa: E402
 
 RUNS = [(name, side) for name in CODECS for side in (3, 9)] + [("qrciq", 27)]
+RANDOM_CIRCUITS = 20
 
 
 def _cli(*argv):
@@ -87,6 +93,36 @@ def state_lines():
                     yield f"{hashlib.sha256(data).hexdigest()}  {kind}/{label}"
 
 
+def random_circuit(rng) -> Circuit:
+    """On 2 to 8 qutrits: an uncontrolled RZ or U on each of a random set
+    of qutrits, not all, in random order (complex amplitudes, and first
+    touches whose column 0 is often complex), then up to 30 ops of any kind
+    on any target, a third of them with controls on a random set of the
+    other qutrits.  Angles are random."""
+    q = int(rng.integers(2, 9))
+    prefix = rng.permutation(q)[:rng.integers(q)].tolist()
+    rest = rng.integers(q, size=rng.integers(1, 31)).tolist()
+    ops = []
+    for i, target in enumerate(prefix + rest):
+        kinds = ("RZ", "U") if i < len(prefix) else sorted(PARAM_COUNTS)
+        kind = kinds[rng.integers(len(kinds))]
+        pair = ((0, 1), (0, 2), (1, 2))[rng.integers(3)] if kind in SUBSPACE_KINDS else None
+        params = rng.uniform(-4.0, 4.0, PARAM_COUNTS[kind]).tolist()
+        others = [int(p) for p in rng.permutation(q) if p != target]
+        c = int(rng.integers(1, q)) if i >= len(prefix) and rng.integers(3) == 0 else 0
+        controls = [ControlSpec(p, int(rng.integers(3))) for p in others[:c]]
+        ops.append(CircuitOp(GateSpec(kind, pair, params), target, controls))
+    return Circuit(q, ops)
+
+
+def random_lines():
+    """`sha256  statevector/random-<k>` per seeded random circuit."""
+    rng = np.random.default_rng(2026)
+    for k in range(RANDOM_CIRCUITS):
+        data = run(random_circuit(rng)).amplitudes.tobytes()
+        yield f"{hashlib.sha256(data).hexdigest()}  statevector/random-{k:02d}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         inputs, outputs = pathlib.Path(tmp, "inputs"), pathlib.Path(tmp, "outputs")
@@ -96,7 +132,7 @@ def main() -> int:
         for path in sorted(outputs.rglob("*.*")):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(outputs)}")
-    for line in state_lines():
+    for line in (*state_lines(), *random_lines()):
         print(line)
     return 0
 

@@ -413,6 +413,7 @@ def apply_op(state: Statevector, op: CircuitOp) -> Statevector:
     q = state.num_qutrits
     out = state.amplitudes.copy()
     _apply_block(out.reshape((3,) * q), Block._of_op(op, q), _scratch(q))
+    np.add(out, 0.0, out=out)  # -0.0 -> +0.0
     return Statevector(q, out)
 
 
@@ -420,6 +421,8 @@ def run(circuit: Circuit) -> Statevector:
     """Execute all blocks on the all-|0> state, in place in one buffer.
 
     Every step of every block works in one scratch buffer allocated here.
+    Every zero amplitude is returned as +0.0: BLAS writes -0.0 into some
+    columns of an all-zero input, depending on the product's width.
     """
     q = circuit.num_qutrits
     state = statevector_zero(q)
@@ -427,6 +430,7 @@ def run(circuit: Circuit) -> Statevector:
     scratch = _scratch(q)
     for blk in circuit.blocks:
         _apply_block(tensor, blk, scratch)
+    np.add(state.amplitudes, 0.0, out=state.amplitudes)  # -0.0 -> +0.0
     return state
 
 

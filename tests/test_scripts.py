@@ -31,12 +31,16 @@ def test_output_manifest_prints_one_line_per_artifact(capsys):
     # per codec and size: circuits, shots and exact tables, two decodes and a
     # roundtrip (image and report each); qrciq adds a 27x27 roundtrip; and
     # one statevector per measured circuit at 3x3, 9x9 and 27x27, and a
-    # histogram and its probabilities per measured circuit at 27x27
+    # histogram and its probabilities per measured circuit at 27x27; and
+    # one statevector per random circuit
     per_size = {name: 3 * codec.histograms + 6 for name, codec in CODECS.items()}
     measured = sum(codec.histograms for codec in CODECS.values())
+    randoms = script.RANDOM_CIRCUITS
     names = {line.split()[1] for line in lines}
-    assert len(lines) == len(names) == 2 * sum(per_size.values()) + 2 + 5 * measured
-    assert sum(n.startswith("statevector/") for n in names) == 3 * measured
+    assert len(lines) == len(names) == (
+        2 * sum(per_size.values()) + 2 + 5 * measured + randoms)
+    assert sum(n.startswith("statevector/random-") for n in names) == randoms
+    assert sum(n.startswith("statevector/") for n in names) == 3 * measured + randoms
     for kind in ("histogram/", "probabilities/"):
         assert sorted(n for n in names if n.startswith(kind)) == sorted(
             n.replace("statevector/", kind) for n in names

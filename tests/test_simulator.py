@@ -566,7 +566,7 @@ def _per_op_amplitudes(circuit):
     tensor = state.amplitudes.reshape((3,) * circuit.num_qutrits)
     for op in circuit.ops:
         _apply_in_place(tensor, op)
-    return state.amplitudes
+    return np.add(state.amplitudes, 0.0)  # zeros as +0.0, as `run` returns them
 
 
 ANGLES = st.one_of(st.sampled_from((0.0, -0.0, math.pi, -math.pi / 2)),
@@ -659,6 +659,15 @@ def test_encoder_blocks_match_their_op_view(name, side):
             expect = _per_op_amplitudes(circuit).tobytes()
             assert run(circuit).amplitudes.tobytes() == expect
             assert run(again).amplitudes.tobytes() == expect
+
+
+@pytest.mark.parametrize("side", [3, 9, 27])
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_run_returns_no_negative_zero(name, side):
+    codec = CODECS[name]
+    for circuit in codec.measure(codec.encode(_random_image(codec, side, side))):
+        parts = run(circuit).amplitudes.view(np.float64)
+        assert not np.signbit(parts[parts == 0]).any()
 
 
 def test_grouping_keeps_emission_order():
