@@ -17,6 +17,24 @@ full 3^q x 3^q operator is never built.  `run` allocates one scratch
 buffer of 2 x 3^q amplitudes per call; every step copies its rows into it
 and writes its product there, so no step allocates a state-sized array.
 
+`run` starts from |0...0> and keeps one extent per qutrit: 1 while no
+step has targeted it, 3 after.  The state is zero outside the support box
+of the first extent[j] values of every axis j.  A step of a block without
+controls runs on that box alone (its target's extent set to 3) when two
+things hold: its target is still at extent 1, and every entry of column 0
+of its gate is purely real or purely imaginary (I, H, P1, P2, X, RX, RY,
+and RZ or U on the pair (1, 2)).  BLAS rounds a (3, 3) @ (3, N) product
+differently depending on N, so a box product is bit-identical to the full
+one only where each output is one rounded real product plus exact zeros;
+a re-touched target or a complex column 0 breaks that.  Every other step,
+and every controlled block, runs on the full state.  The location
+Hadamards of every codec are first touches, so they cost a fraction of
+the state.  `run` and `apply_op` return every zero amplitude as +0.0:
+OpenBLAS writes -0.0 into some columns of an all-zero input, and such
+zeros may lie outside the box.  Both reject a NaN or infinite gate param
+before any state exists, since a NaN times the zeros outside the box is
+NaN in the full product.
+
 `Circuit(q, ops)` and `circuit_from_json` group a flat op list into blocks
 in one pass; the encoders build their columns with numpy.  `Circuit.ops`
 is the flat op view in emission order, derived from the columns when
@@ -42,7 +60,9 @@ import numpy as np
 
 from .errors import ParseError, ShapeError
 from .gates import GateSpec, gate_matrices
-from .ternary import Statevector, index_from_trits, statevector_zero, trits_from_index
+from .ternary import (
+    Statevector, check_capacity, index_from_trits, statevector_zero, trits_from_index,
+)
 
 
 def _check_int(value, field: str):
@@ -160,6 +180,17 @@ class Block:
     def matrices(self) -> np.ndarray:
         """(len(gates), 3, 3) stack of the gate matrices."""
         return gate_matrices(self.gates)
+
+    @cached_property
+    def narrows(self) -> tuple[bool, ...]:
+        """Per step of `steps`, whether it may run on the support box when
+        its target is still |0>: the block has no controls and every entry
+        of column 0 of the step's gate is purely real or purely imaginary."""
+        if self.controls:
+            return (False,) * len(self.steps)
+        column = self.matrices[:, :, 0]
+        single = ((column.real == 0) | (column.imag == 0)).all(axis=1)
+        return tuple(bool(single[ids].all()) for _, _, ids in self.steps)
 
     @cached_property
     def steps(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
@@ -289,7 +320,8 @@ class ShotHistogram:
 
     Stored as two int64 arrays: `indices`, the ascending basis indices that
     were hit (or listed, with any zero counts, when built from a dict), and
-    `tallies`, their counts.  A count or total past 2^63 - 1 is rejected.
+    `tallies`, their counts.  A count or total past 2^63 - 1 is rejected,
+    and so is a register wider than `MAX_QUTRITS`.
     `counts` is the trit-string view (MSB first) in index order, built when
     first read; the CSV writer and dict-based callers use it.
     """
@@ -297,6 +329,7 @@ class ShotHistogram:
     def __init__(self, num_qutrits: int, counts: dict[str, int], shots: int):
         if shots < 1:
             raise ValueError(f"a histogram needs at least 1 shot, got {shots}")
+        check_capacity(num_qutrits)
         indices = []
         for state, count in counts.items():
             if len(state) != num_qutrits:
@@ -369,7 +402,7 @@ def _scratch(num_qutrits: int) -> np.ndarray:
     return np.empty(2 * 3**num_qutrits, dtype=np.complex128)
 
 
-def _apply_block(tensor: np.ndarray, blk: Block, scratch: np.ndarray):
+def _apply_block(tensor: np.ndarray, blk: Block, scratch: np.ndarray, extents: list):
     """Apply every op of `blk` to a (3,)*q amplitude tensor, in place.
 
     One gather of the selected rows, one batched matmul per step, one
@@ -378,24 +411,33 @@ def _apply_block(tensor: np.ndarray, blk: Block, scratch: np.ndarray):
     A step copies its rows, target axis second, into the front of
     `scratch` and writes the product behind them, so it allocates no
     temporaries the size of its rows.
+
+    `extents` holds per qutrit 1 while it is still |0> and 3 once a step
+    has targeted it, and is updated here.  A step that `blk.narrows` and
+    whose target is still at 1 runs on the box of the first `extents[j]`
+    values of every axis j, its target's at 3: the state is zero outside it.
     """
     c = len(blk.controls)
     view = np.moveaxis(tensor, blk.controls, range(c))
     index = tuple(blk.values.T)
     rows = view[index] if c else view[np.newaxis]
-    for target, entries, gate_ids in blk.steps:
+    for i, (target, entries, gate_ids) in enumerate(blk.steps):
+        narrow = extents[target] == 1 and blk.narrows[i]
+        extents[target] = 3
+        # Only a block without controls narrows, so `rows` is the tensor.
+        box = rows[(slice(None), *map(slice, extents))] if narrow else rows
         # Axis 0 of `rows` is the entry; the target's axis shifts left by
         # the number of controls that precede it.
         axis = 1 + target - sum(q < target for q in blk.controls)
         k = len(entries)
-        size = k * (rows.size // len(rows))
+        size = k * (box.size // len(box))
         src = scratch[:size].reshape(k, 3, -1)
         out = scratch[size:2 * size].reshape(src.shape)
-        full = k == len(rows)
+        full = k == len(box)
         # A partial step gathers its rows into `out`, which the product
         # overwrites once they are copied; mode="clip" (entries are in
         # range) lets np.take write there unbuffered.
-        part = rows if full else np.take(rows, entries, axis=0, mode="clip",
+        part = box if full else np.take(rows, entries, axis=0, mode="clip",
                                          out=out.reshape((k,) + rows.shape[1:]))
         moved = np.moveaxis(part, axis, 1)
         np.copyto(src.reshape(moved.shape), moved)
@@ -408,11 +450,22 @@ def _apply_block(tensor: np.ndarray, blk: Block, scratch: np.ndarray):
         view[index] = rows
 
 
+def _check_params(gates):
+    """Reject a gate with a NaN or infinite param before any state exists:
+    its matrix is NaN or cannot be built, and the support box would leave
+    the zeros that a NaN times 0 makes NaN in the full product."""
+    for gate in gates:
+        for param in gate.params:
+            if not math.isfinite(param):
+                raise ValueError(f"gate {gate.label()} has a non-finite parameter")
+
+
 def apply_op(state: Statevector, op: CircuitOp) -> Statevector:
     """Apply one (possibly controlled) gate, returning a new statevector."""
+    _check_params((op.gate,))
     q = state.num_qutrits
     out = state.amplitudes.copy()
-    _apply_block(out.reshape((3,) * q), Block._of_op(op, q), _scratch(q))
+    _apply_block(out.reshape((3,) * q), Block._of_op(op, q), _scratch(q), [3] * q)
     np.add(out, 0.0, out=out)  # -0.0 -> +0.0
     return Statevector(q, out)
 
@@ -421,15 +474,22 @@ def run(circuit: Circuit) -> Statevector:
     """Execute all blocks on the all-|0> state, in place in one buffer.
 
     Every step of every block works in one scratch buffer allocated here.
-    Every zero amplitude is returned as +0.0: BLAS writes -0.0 into some
-    columns of an all-zero input, depending on the product's width.
+    A first touch of a qutrit by a block without controls, by a gate whose
+    column 0 entries are each purely real or purely imaginary, runs on the
+    support box of the qutrits touched so far; everything else runs on the
+    full state, and the result is bit-identical to it (see the module
+    docstring).  Every zero amplitude is returned as +0.0: BLAS writes -0.0
+    into some columns of an all-zero input, depending on the product's
+    width.  A NaN or infinite gate param is a ValueError.
     """
+    _check_params(gate for blk in circuit.blocks for gate in blk.gates)
     q = circuit.num_qutrits
     state = statevector_zero(q)
     tensor = state.amplitudes.reshape((3,) * q)
     scratch = _scratch(q)
+    extents = [1] * q
     for blk in circuit.blocks:
-        _apply_block(tensor, blk, scratch)
+        _apply_block(tensor, blk, scratch, extents)
     np.add(state.amplitudes, 0.0, out=state.amplitudes)  # -0.0 -> +0.0
     return state
 
@@ -608,6 +668,7 @@ def probabilities_from_csv(text: str) -> tuple[int, np.ndarray]:
     if not rows:
         raise ParseError("probability table has no rows")
     length = len(rows[0].split(",")[0])
+    check_capacity(length)
     if len(rows) != 3**length:
         raise ParseError(
             f"probability table must list all 3^{length} states, got {len(rows)} rows"

@@ -88,14 +88,20 @@ class Statevector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def statevector_zero(num_qutrits: int) -> Statevector:
-    """The all-|0> state of a `num_qutrits` register."""
-    if num_qutrits < 1:
-        raise ValueError("register needs at least one qutrit")
+def check_capacity(num_qutrits: int):
+    """Reject a register wider than `MAX_QUTRITS`, before anything of size
+    3^num_qutrits is computed or allocated."""
     if num_qutrits > MAX_QUTRITS:
         raise CapacityError(
             f"{num_qutrits} qutrits exceeds the cap of {MAX_QUTRITS}"
         )
+
+
+def statevector_zero(num_qutrits: int) -> Statevector:
+    """The all-|0> state of a `num_qutrits` register."""
+    if num_qutrits < 1:
+        raise ValueError("register needs at least one qutrit")
+    check_capacity(num_qutrits)
     amps = np.zeros(3**num_qutrits, dtype=np.complex128)
     amps[0] = 1.0
     return Statevector(num_qutrits, amps)

@@ -250,6 +250,8 @@ def _set_row(k, row):
     pytest.param(_set_row(0, lambda r: "000,1.5"), "'1.5' is not", id="above-one"),
     pytest.param(lambda rows: [f"{r.split(',')[0]},{float(r.split(',')[1]) / 2!r}"
                                for r in rows], "sum to 0.5", id="sum-half"),
+    pytest.param(lambda rows: ["0" * 13 + ",1"], "13 qutrits exceeds the cap of 12",
+                 id="13-trits"),
 ])
 def test_decode_rejects_bad_probability_table(tmp_path, gray_path, capsys, mutate,
                                               message):
@@ -282,7 +284,9 @@ def test_decode_fqrqci_requires_three_histograms(tmp_path, rgb_path, capsys):
     (["0000000,0"], "at least 1 shot"),
     (["0000000,3", "0000000,4"], "duplicate state"),
     (["0000000,99999999999999999999"], "exceeds 2^63 - 1"),
-], ids=["zero-shots", "repeated-state", "count-past-int64"])
+    (["0" * 13 + ",5"], "13 qutrits exceeds the cap of 12"),
+    (["0" * 41 + ",5"], "41 qutrits exceeds the cap of 12"),
+], ids=["zero-shots", "repeated-state", "count-past-int64", "13-trits", "41-trits"])
 def test_decode_rejects_bad_count_table(tmp_path, capsys, rows, message):
     hist = tmp_path / "hist.csv"
     hist.write_text("\n".join(["state,count"] + rows) + "\n")

@@ -11,6 +11,7 @@ from scipy import stats
 from oracles import dense_op_matrix
 from qutritimg import (
     CODECS,
+    CapacityError,
     Circuit,
     CircuitOp,
     ControlSpec,
@@ -510,6 +511,17 @@ def test_histogram_csv_errors():
         histogram_from_csv("state,count\n001,x\n")
 
 
+@pytest.mark.parametrize("width", [13, 41])
+def test_tables_wider_than_the_cap_are_rejected(width):
+    state = "1" * width
+    message = rf"^{width} qutrits exceeds the cap of 12$"
+    for read in (lambda: ShotHistogram(width, {state: 2}, 2),
+                 lambda: histogram_from_csv(f"state,count\n{state},2\n"),
+                 lambda: probabilities_from_csv(f"state,probability\n{state},1\n")):
+        with pytest.raises(CapacityError, match=message):
+            read()
+
+
 def test_probability_csv_round_trip():
     probs = np.zeros(9)
     probs[0] = 0.25
@@ -635,6 +647,48 @@ def test_scratch_buffer_carries_nothing_between_steps():
     expect = _per_op_amplitudes(circuit).tobytes()
     assert run(circuit).amplitudes.tobytes() == expect
     assert run(circuit).amplitudes.tobytes() == expect
+
+
+def _op(kind, target, pair=None, params=(), controls=()):
+    return CircuitOp(GateSpec(kind, pair, params), target, tuple(controls))
+
+
+BOX_CASES = {
+    "re-touch": Circuit(7, [_op("H", 0), _op("H", 0)]),
+    "complex-first-touch": Circuit(7, [_op("RZ", 2, (0, 1), (1.1,)),
+                                       _op("RZ", 0, (0, 2), (2.3,))]),
+    "after-controlled-block": Circuit(7, [
+        _op("H", 0), _op("U", 3, (0, 1), (0.7, 1.9, -2.6), [ControlSpec(0, 0)]),
+        _op("H", 3), _op("RX", 3, (1, 2), (0.4,))]),
+    "controls-on-untouched": Circuit(7, [
+        _op("H", 1), _op("H", 5),
+        _op("RY", 1, (0, 2), (1.3,), [ControlSpec(0, 0), ControlSpec(6, 0)]),
+        _op("RZ", 6, (0, 1), (0.9,), [ControlSpec(2, 0)]), _op("H", 6), _op("H", 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOX_CASES))
+def test_support_box_is_bit_identical_to_per_op_kernel(name):
+    """A re-touched target, a complex column 0 on complex amplitudes, a
+    target a controlled block has touched and controls on qutrits still at
+    |0> each run on the full state, so BLAS rounds as in the per-op kernel."""
+    circuit = BOX_CASES[name]
+    assert run(circuit).amplitudes.tobytes() == _per_op_amplitudes(circuit).tobytes()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind,slot", [("RX", 0), ("RY", 0), ("RZ", 0),
+                                        ("U", 0), ("U", 1), ("U", 2)])
+def test_non_finite_params_are_rejected_before_any_state(kind, slot, value, monkeypatch):
+    params = [0.5] * PARAM_COUNTS[kind]
+    params[slot] = value
+    op = _op(kind, 1, (0, 2), params)
+    circuit = Circuit(2, [_op("H", 0), op])
+    monkeypatch.setattr("qutritimg.simulator.statevector_zero", None)  # never called
+    monkeypatch.setattr("qutritimg.simulator._scratch", None)
+    for call in (lambda: run(circuit), lambda: apply_op(Statevector(2, np.eye(9)[0]), op)):
+        with pytest.raises(ValueError, match=rf"^gate {kind}02\(.*\) has a non-finite parameter$"):
+            call()
 
 
 def _random_image(codec, side, seed):
