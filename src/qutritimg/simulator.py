@@ -424,7 +424,8 @@ def _apply_block(tensor: np.ndarray, blk: Block, scratch: np.ndarray, extents: l
     for i, (target, entries, gate_ids) in enumerate(blk.steps):
         narrow = extents[target] == 1 and blk.narrows[i]
         extents[target] = 3
-        # Only a block without controls narrows, so `rows` is the tensor.
+        # Only a block without controls narrows: `rows` is then the tensor
+        # behind one entry axis.
         box = rows[(slice(None), *map(slice, extents))] if narrow else rows
         # Axis 0 of `rows` is the entry; the target's axis shifts left by
         # the number of controls that precede it.
