@@ -11,7 +11,10 @@ hashes the histogram CSV of 100,000 seeded shots of each such state and
 the raw bytes of that histogram's `to_probabilities`.  Last it hashes
 `run` of seeded random circuits on 2 to 7 qutrits: every gate kind,
 targets touched again, complex gates on untouched qutrits and controls on
-untouched qutrits, cases the codec circuits do not cover.  Inputs are
+untouched qutrits, cases the codec circuits do not cover; and `run` of
+seeded random multiplexors: several entries per control tuple, partial
+steps, first touches by P1, P2, X, H and RY, some in one step with RZ or
+U, and targets hit again.  Inputs are
 random images from fixed seeds and everything is written to a temporary
 directory.  Two commits give the same outputs when their manifests are
 identical:
@@ -37,6 +40,8 @@ from qutritimg.gates import PARAM_COUNTS, SUBSPACE_KINDS  # noqa: E402
 
 RUNS = [(name, side) for name in CODECS for side in (3, 9)] + [("qrciq", 27)]
 RANDOM_CIRCUITS = 20
+MULTIPLEXORS = 20
+REAL_COLUMN_KINDS = ("P1", "P2", "X", "H", "RY")
 
 
 def _cli(*argv):
@@ -115,12 +120,47 @@ def random_circuit(rng) -> Circuit:
     return Circuit(q, ops)
 
 
+def _gate(rng, kinds) -> GateSpec:
+    kind = kinds[rng.integers(len(kinds))]
+    pair = ((0, 1), (0, 2), (1, 2))[rng.integers(3)] if kind in SUBSPACE_KINDS else None
+    return GateSpec(kind, pair, rng.uniform(-4.0, 4.0, PARAM_COUNTS[kind]).tolist())
+
+
+def random_multiplexor(rng) -> Circuit:
+    """On 3 to 8 qutrits: uncontrolled Hadamards on a random set of qutrits,
+    not all, then one to three multiplexors.  Each has 1 to q - 2 random
+    control qutrits, 2 to 9 distinct rows of control values and 4 to 40
+    ops, each on a random row and a random other qutrit, so entries hold
+    several ops, steps list some of the entries and targets are hit again.
+    Four ops in five are P1, P2, X, H or RY, whose column 0 is real; the
+    rest are RZ or U, which share steps with them."""
+    q = int(rng.integers(3, 9))
+    ops = [CircuitOp(GateSpec("H"), int(t)) for t in rng.permutation(q)[:rng.integers(q)]]
+    for _ in range(rng.integers(1, 4)):
+        positions = rng.permutation(q).tolist()
+        c = int(rng.integers(1, q - 1))
+        qutrits, free = positions[:c], positions[c:]
+        rows = rng.choice(3**c, size=min(3**c, int(rng.integers(2, 10))), replace=False)
+        entries = [[ControlSpec(p, int(r) // 3**j % 3) for j, p in enumerate(qutrits)]
+                   for r in rows]
+        for _ in range(rng.integers(4, 41)):
+            kinds = ("RZ", "U") if rng.integers(5) == 0 else REAL_COLUMN_KINDS
+            ops.append(CircuitOp(_gate(rng, kinds), free[rng.integers(len(free))],
+                                 entries[rng.integers(len(entries))]))
+    return Circuit(q, ops)
+
+
 def random_lines():
-    """`sha256  statevector/random-<k>` per seeded random circuit."""
+    """`sha256  statevector/random-<k>` per seeded random circuit, then
+    `sha256  statevector/multiplexor-<k>` per seeded random multiplexor."""
     rng = np.random.default_rng(2026)
     for k in range(RANDOM_CIRCUITS):
         data = run(random_circuit(rng)).amplitudes.tobytes()
         yield f"{hashlib.sha256(data).hexdigest()}  statevector/random-{k:02d}"
+    rng = np.random.default_rng(2027)
+    for k in range(MULTIPLEXORS):
+        data = run(random_multiplexor(rng)).amplitudes.tobytes()
+        yield f"{hashlib.sha256(data).hexdigest()}  statevector/multiplexor-{k:02d}"
 
 
 def main() -> int:

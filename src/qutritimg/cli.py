@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from functools import cache
 from pathlib import Path
 
@@ -105,12 +106,21 @@ def cmd_decode(args) -> int:
 def cmd_roundtrip(args) -> int:
     codec = CODECS[args.method]
     image = _read_image(codec, Path(args.input))
-    enc = codec.encode(image)
-    hists = [
-        sample(run(c), args.shots, args.seed + k)
-        for k, c in enumerate(codec.measure(enc))
-    ]
-    report = codec.decode(*hists, enc.n)
+    timings = dict.fromkeys(("encode", "run", "sample", "decode"), 0.0)
+
+    def timed(stage, func, *func_args):
+        start = time.perf_counter()
+        result = func(*func_args)
+        timings[stage] += (time.perf_counter() - start) * 1e3
+        return result
+
+    enc = timed("encode", codec.encode, image)
+    circuits = timed("encode", codec.measure, enc)
+    hists = []
+    for k, circuit in enumerate(circuits):
+        state = timed("run", run, circuit)
+        hists.append(timed("sample", sample, state, args.shots, args.seed + k))
+    report = timed("decode", codec.decode, *hists, enc.n)
     ext = ".pgm" if codec.gray else ".ppm"
     out = Path(args.out) if args.out else Path(args.report).with_suffix(ext)
     _write_image(codec, report.image, out)
@@ -125,6 +135,15 @@ def cmd_roundtrip(args) -> int:
             "exact_match": image == report.image,
         }
     )
+    if args.diagnostics:
+        doc.update(
+            {
+                "timings_ms": timings,
+                "ops": sum(len(blk.entries) for c in circuits for blk in c.blocks),
+                "qutrits": state.num_qutrits,
+                "state_bytes": state.amplitudes.nbytes,
+            }
+        )
     Path(args.report).write_text(json.dumps(doc, indent=2))
     return 0
 
@@ -179,6 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rt.add_argument("--seed", type=int, default=0)
     rt.add_argument("--report", required=True, help="report JSON path")
     rt.add_argument("--out", help="decoded image path (default: next to report)")
+    rt.add_argument("--diagnostics", action="store_true",
+                    help="add stage timings (timings_ms) and the register size "
+                         "(ops, qutrits, state_bytes) to the report")
     rt.set_defaults(func=cmd_roundtrip)
 
     dia = sub.add_parser("diagram", help="print a text diagram of a circuit")

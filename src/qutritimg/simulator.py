@@ -183,11 +183,12 @@ class Block:
 
     @cached_property
     def narrows(self) -> tuple[bool, ...]:
-        """Per step of `steps`, whether it may run on the support box when
-        its target is still |0>: the block has no controls and every entry
-        of column 0 of the step's gate is purely real or purely imaginary."""
-        if self.controls:
-            return (False,) * len(self.steps)
+        """Per step of `steps`, whether it may run as an outer product on the
+        support box when its target is still |0>: every entry of column 0
+        of each of the step's gates is purely real or purely imaginary.
+        Then each output is one rounded product of such an entry with an
+        amplitude, plus exact zeros, and BLAS and numpy's complex multiply
+        give the same bits for that, with or without FMA."""
         column = self.matrices[:, :, 0]
         single = ((column.real == 0) | (column.imag == 0)).all(axis=1)
         return tuple(bool(single[ids].all()) for _, _, ids in self.steps)
@@ -405,41 +406,52 @@ def _scratch(num_qutrits: int) -> np.ndarray:
 def _apply_block(tensor: np.ndarray, blk: Block, scratch: np.ndarray, extents: list):
     """Apply every op of `blk` to a (3,)*q amplitude tensor, in place.
 
-    One gather of the selected rows, one batched matmul per step, one
-    scatter.  Each entry's 3x3 products have the shape a single controlled
-    op would give np.dot, (3, 3) @ (3, 3^(q-c-1)), so BLAS rounds alike.
-    A step copies its rows, target axis second, into the front of
-    `scratch` and writes the product behind them, so it allocates no
-    temporaries the size of its rows.
-
+    One gather of the selected rows, one pass per step, one scatter.
     `extents` holds per qutrit 1 while it is still |0> and 3 once a step
-    has targeted it, and is updated here.  A step that `blk.narrows` and
-    whose target is still at 1 runs on the box of the first `extents[j]`
-    values of every axis j, its target's at 3: the state is zero outside it.
+    has targeted it, and is updated here.  A first touch, a step that
+    `blk.narrows` and whose target is still at 1, is an outer product on
+    the box of the first `extents[j]` values of every non-control axis j:
+    output i on the target is M[i, 0] times the target-0 amplitude, since
+    the state is zero outside the box and at target values 1 and 2.  Every
+    other step is one batched matmul on its full rows, whose 3x3 products
+    have the shape a single controlled op would give np.dot,
+    (3, 3) @ (3, 3^(q-c-1)), so BLAS rounds alike.  Either way a step
+    writes its input copy and its product into `scratch`, so it allocates
+    no temporaries the size of its rows.
     """
     c = len(blk.controls)
     view = np.moveaxis(tensor, blk.controls, range(c))
     index = tuple(blk.values.T)
     rows = view[index] if c else view[np.newaxis]
+    free = [j for j in range(tensor.ndim) if j not in blk.controls]
     for i, (target, entries, gate_ids) in enumerate(blk.steps):
-        narrow = extents[target] == 1 and blk.narrows[i]
+        first = extents[target] == 1 and blk.narrows[i]
         extents[target] = 3
-        # Only a block without controls narrows: `rows` is then the tensor
-        # behind one entry axis.
-        box = rows[(slice(None), *map(slice, extents))] if narrow else rows
         # Axis 0 of `rows` is the entry; the target's axis shifts left by
         # the number of controls that precede it.
         axis = 1 + target - sum(q < target for q in blk.controls)
         k = len(entries)
-        size = k * (box.size // len(box))
+        full = k == len(rows)
+        if first:
+            box = rows[(slice(None), *(slice(extents[j]) for j in free))]
+            x = box[(slice(None),) * axis + (slice(1),)]  # target at 0, kept as an axis
+            n = k * (x.size // len(x))
+            if not full:
+                x = np.take(x, entries, axis=0, mode="clip",
+                            out=scratch[:n].reshape((k,) + x.shape[1:]))
+            column = blk.matrices[gate_ids, :, 0].reshape(
+                (k,) + (1,) * (axis - 1) + (3,) + (1,) * (box.ndim - axis - 1))
+            out = scratch[n:4 * n].reshape((k,) + box.shape[1:])
+            box[... if full else entries] = np.multiply(column, x, out=out)
+            continue
+        size = k * (rows.size // len(rows))
         src = scratch[:size].reshape(k, 3, -1)
         out = scratch[size:2 * size].reshape(src.shape)
-        full = k == len(box)
         # A partial step gathers its rows into `out`, which the product
         # overwrites once they are copied; mode="clip" (entries are in
         # range) lets np.take write there unbuffered.
-        part = box if full else np.take(rows, entries, axis=0, mode="clip",
-                                         out=out.reshape((k,) + rows.shape[1:]))
+        part = rows if full else np.take(rows, entries, axis=0, mode="clip",
+                                          out=out.reshape((k,) + rows.shape[1:]))
         moved = np.moveaxis(part, axis, 1)
         np.copyto(src.reshape(moved.shape), moved)
         np.matmul(blk.matrices[gate_ids], src, out=out)
@@ -503,16 +515,23 @@ def probabilities(state: Statevector) -> np.ndarray:
 def sample(state: Statevector, shots: int, seed: int) -> ShotHistogram:
     """Multinomial draw from the state's outcome distribution.
 
-    Identical (state, shots, seed) triples give identical histograms.
+    Identical (state, shots, seed) triples give identical histograms.  The
+    draw lists only the non-zero probabilities and the last index, and is
+    the full-vector draw: numpy's multinomial is a sequential binomial
+    loop, in which a category with p = 0 returns before it draws a random
+    number and leaves the remaining probability and shots unchanged, and
+    the last category takes the remainder.  The probabilities are
+    normalised over the full vector, since a pairwise sum over fewer
+    elements rounds differently.
     """
-    if not 1 <= shots <= np.iinfo(np.int64).max:
+    if not 1 <= shots <= _INT64_MAX:
         raise ValueError(f"shots must be in [1, 2^63 - 1], got {shots}")
     probs = probabilities(state)
     probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    drawn = rng.multinomial(shots, probs)
-    hit = np.flatnonzero(drawn)
-    return ShotHistogram._of_arrays(state.num_qutrits, hit, drawn[hit], shots)
+    support = np.append(np.flatnonzero(probs[:-1]), len(probs) - 1)
+    drawn = np.random.default_rng(seed).multinomial(shots, probs[support])
+    hit = drawn > 0
+    return ShotHistogram._of_arrays(state.num_qutrits, support[hit], drawn[hit], shots)
 
 
 # --- circuit JSON ---------------------------------------------------------

@@ -425,6 +425,42 @@ def test_roundtrip_qrciq_exact_at_5000_shots(tmp_path, rgb_path):
     assert report["missing_states"] == []
 
 
+def test_roundtrip_default_report_bytes(tmp_path, gray_path):
+    """Without --diagnostics the report keeps its fields and layout, byte for byte."""
+    report_path = tmp_path / "r.json"
+    assert _run("roundtrip", "--method", "fqri", "--input", gray_path, "--shots", 1000,
+                "--seed", 2, "--report", report_path, "--out", tmp_path / "r.pgm") == 0
+    assert report_path.read_text() == (
+        '{\n  "method": "fqri",\n  "n": 1,\n  "shots": 1000,\n  "clip_events": 0,\n'
+        '  "missing_states": [],\n  "seed": 2,\n  "mae": 4.666666666666667,\n'
+        '  "psnr": 33.72871189481019,\n  "exact_match": false\n}')
+
+
+@pytest.mark.parametrize("method", ["fqri", "fqrqci", "qrciq"])
+def test_roundtrip_diagnostics_adds_timings_and_sizes(tmp_path, gray_path, rgb_path, method):
+    codec = CODECS[method]
+    input_path = gray_path if codec.gray else rgb_path
+    docs = []
+    for extra in ((), ("--diagnostics",)):
+        report_path = tmp_path / f"r{len(extra)}.json"
+        assert _run("roundtrip", "--method", method, "--input", input_path, "--shots", 500,
+                    "--seed", 4, "--report", report_path, "--out", tmp_path / "r.img",
+                    *extra) == 0
+        docs.append(json.loads(report_path.read_text()))
+    plain, diagnosed = docs
+    added = {key: diagnosed.pop(key) for key in list(diagnosed) if key not in plain}
+    assert diagnosed == plain and list(diagnosed) == list(plain)
+    assert list(added) == ["timings_ms", "ops", "qutrits", "state_bytes"]
+    timings = added["timings_ms"]
+    assert list(timings) == ["encode", "run", "sample", "decode"]
+    assert all(type(ms) is float and ms >= 0 for ms in timings.values())
+    image = read_pgm(input_path.read_bytes()) if codec.gray else read_ppm(input_path.read_bytes())
+    circuits = codec.measure(codec.encode(image))
+    assert added["ops"] == sum(len(c.ops) for c in circuits)
+    assert added["qutrits"] == circuits[0].num_qutrits
+    assert added["state_bytes"] == 16 * 3 ** circuits[0].num_qutrits
+
+
 def test_roundtrip_single_shot_does_not_crash(tmp_path, gray_path):
     report_path = tmp_path / "one.json"
     assert _run("roundtrip", "--method", "fqri", "--input", gray_path,

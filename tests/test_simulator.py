@@ -456,15 +456,38 @@ def test_probabilities_are_int_divisions_past_2_53_shots():
     assert np.float64(3) / np.float64(2**53 + 1) == 3.3306690738754696e-16
 
 
-@settings(max_examples=100)
-@given(st.integers(1, 4), st.data(), st.one_of(st.integers(1, 10**6),
-                                               st.integers(2**53 - 3, INT64_MAX)))
-def test_sample_matches_dict_reference(q, data, shots):
-    weights = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
-                                 min_size=3**q, max_size=3**q))
-    assume(any(weights))
-    state = Statevector(q, np.sqrt(np.array(weights)))
-    seed = data.draw(st.integers(0, 2**32 - 1))
+@st.composite
+def sparse_weights(draw):
+    """(q, weights) on up to 7 qutrits: at most 12 non-zero weights, and the
+    last index drawn at zero, at non-zero or left to chance."""
+    q = draw(st.integers(1, 7))
+    weights = np.zeros(3**q)
+    hits = draw(st.dictionaries(st.integers(0, 3**q - 1), st.one_of(
+        st.sampled_from([1e-9, 0.5, 1.0, 3.0]), st.floats(1e-3, 4.0)), max_size=12))
+    weights[list(hits)] = list(hits.values())
+    last = draw(st.sampled_from([None, 0.0, 2.0]))
+    if last is not None:
+        weights[-1] = last
+    assume(weights.any())
+    return q, weights
+
+
+@settings(max_examples=200)
+@given(sparse_weights(), st.one_of(st.sampled_from([1, 10**6, INT64_MAX]),
+                                   st.integers(1, 10**6), st.integers(2**53 - 3, INT64_MAX)),
+       st.integers(0, 2**32 - 1))
+@example((7, np.eye(3**7)[0]), 1, 0)
+@example((7, np.eye(3**7)[-1]), 10**6, 1)
+@example((3, np.eye(27)[0]), INT64_MAX, 2)
+@example((3, np.eye(27)[-1]), INT64_MAX - 5, 3)
+@example((2, np.array([0, 1, 0, 0, 3, 0, 0, 0, 2.0])), 10**6, 4)
+@example((2, np.array([0, 1, 0, 0, 3, 0, 0, 0, 0.0])), INT64_MAX, 5)
+# normalised over the support alone, these probabilities round differently
+@example((4, np.bincount([6, 67, 68, 71, 79], [1.6, 3.75, 2.22, 0.96, 2.97], 81)), 2**62, 674)
+def test_sample_matches_dict_reference(case, shots, seed):
+    """The draw over the support only matches numpy's draw over the full vector."""
+    q, weights = case
+    state = Statevector(q, np.sqrt(weights))
     hist = sample(state, shots, seed)
     probs = probabilities(state)
     drawn = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
@@ -653,6 +676,15 @@ def _op(kind, target, pair=None, params=(), controls=()):
     return CircuitOp(GateSpec(kind, pair, params), target, tuple(controls))
 
 
+def _ctl(kind, target, values, pair=None, params=(), qutrits=(0, 1)):
+    return _op(kind, target, pair, params, map(ControlSpec, qutrits, values))
+
+
+# Complex amplitudes on qutrits 0 and 1, which the controlled cases use as
+# controls: an RZ on (0, 1) and a U re-touch after the Hadamards.
+COMPLEX_PREP = [_op("H", 0), _op("H", 1), _op("RZ", 0, (0, 1), (1.1,)),
+                _op("U", 1, (0, 2), (0.7, 1.9, -2.6))]
+
 BOX_CASES = {
     "re-touch": Circuit(7, [_op("H", 0), _op("H", 0)]),
     "complex-first-touch": Circuit(7, [_op("RZ", 2, (0, 1), (1.1,)),
@@ -664,6 +696,43 @@ BOX_CASES = {
         _op("H", 1), _op("H", 5),
         _op("RY", 1, (0, 2), (1.3,), [ControlSpec(0, 0), ControlSpec(6, 0)]),
         _op("RZ", 6, (0, 1), (0.9,), [ControlSpec(2, 0)]), _op("H", 6), _op("H", 0)]),
+    # 3 of 9 entries, so each step is partial: P1 and P2 on qutrit 2, RY on 4
+    "controlled-partial-first-touch": Circuit(6, COMPLEX_PREP + [
+        _ctl("P1", 2, (0, 0)), _ctl("RY", 4, (0, 0), (0, 2), (1.3,)),
+        _ctl("P2", 2, (1, 2)), _ctl("RY", 4, (2, 1), (1, 2), (-0.8,))]),
+    # every entry listed, with a different gate on qutrit 3
+    "controlled-full-first-touch": Circuit(6, COMPLEX_PREP + [
+        _ctl(kind, 3, values, pair, params) for values, (kind, pair, params) in zip(
+            itertools.product(range(3), repeat=2),
+            [("H", None, ()), ("P1", None, ()), ("P2", None, ()), ("X", (0, 1), ()),
+             ("X", (1, 2), ()), ("RY", (0, 1), (2.1,)), ("RY", (0, 2), (-3.0,)),
+             ("RX", (0, 2), (0.6,)), ("I", None, ())])]),
+    # column 0 of RZ on (0, 1) and of U is complex: full-rows BLAS
+    "controlled-complex-first-touch": Circuit(6, COMPLEX_PREP + [
+        _ctl("RZ", 2, (0, 1), (0, 1), (0.9,)), _ctl("U", 3, (2, 2), (0, 2), (0.3, -1.2, 2.5))]),
+    # one step on qutrit 4 of RY and U entries: full-rows BLAS
+    "controlled-mixed-step": Circuit(6, COMPLEX_PREP + [
+        _ctl("RY", 4, (0, 0), (0, 1), (0.5,)), _ctl("U", 4, (1, 0), (0, 1), (1.0, 2.0, 3.0)),
+        _ctl("H", 4, (2, 1))]),
+    # entry (1, 1) hits qutrit 5 at level 0 and again at level 1
+    "controlled-re-touch": Circuit(6, COMPLEX_PREP + [
+        _ctl("H", 5, (1, 1)), _ctl("RY", 3, (1, 1), (0, 2), (0.4,)),
+        _ctl("RY", 5, (1, 1), (1, 2), (1.7,)), _ctl("X", 5, (0, 2), (0, 2))]),
+    # controls on qutrits 3 and 4, still |0>: only the (0, 0) entry has support
+    "controlled-first-touch-on-untouched-controls": Circuit(6, COMPLEX_PREP + [
+        _ctl("RY", 2, (0, 0), (0, 1), (1.1,), (3, 4)), _ctl("H", 2, (0, 1), qutrits=(3, 4)),
+        _ctl("P2", 5, (0, 0), qutrits=(3, 4))]),
+}
+
+# Per block after COMPLEX_PREP, per step: whether it runs as an outer product
+# (`Block.narrows` and its target still |0>) rather than full-rows BLAS.
+FIRST_TOUCHES = {
+    "controlled-partial-first-touch": [(True, True)],
+    "controlled-full-first-touch": [(True,)],
+    "controlled-complex-first-touch": [(False, False)],
+    "controlled-mixed-step": [(False,)],
+    "controlled-re-touch": [(True, True, False)],
+    "controlled-first-touch-on-untouched-controls": [(True, True)],
 }
 
 
@@ -671,9 +740,21 @@ BOX_CASES = {
 def test_support_box_is_bit_identical_to_per_op_kernel(name):
     """A re-touched target, a complex column 0 on complex amplitudes, a
     target a controlled block has touched and controls on qutrits still at
-    |0> each run on the full state, so BLAS rounds as in the per-op kernel."""
+    |0> each run as full-rows BLAS, so BLAS rounds as in the per-op kernel;
+    a first touch by gates with a real or imaginary column 0 is an outer
+    product on the support box, in blocks with and without controls, and
+    rounds alike too."""
     circuit = BOX_CASES[name]
     assert run(circuit).amplitudes.tobytes() == _per_op_amplitudes(circuit).tobytes()
+    if name in FIRST_TOUCHES:
+        extents, first = [1] * circuit.num_qutrits, []
+        for blk in circuit.blocks:
+            steps = []
+            for (t, _, _), narrows in zip(blk.steps, blk.narrows):
+                steps.append(extents[t] == 1 and narrows)
+                extents[t] = 3
+            first.append(tuple(steps))
+        assert first[len(Circuit(6, COMPLEX_PREP).blocks):] == FIRST_TOUCHES[name]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
