@@ -7,33 +7,36 @@ op, its entry (a row of the values), its target and its gate.  Ops on
 different control values act on disjoint slices of the state and
 commute, so `run` applies a whole block in one numpy pass: it moves the
 control axes to the front, gathers the m selected rows with one fancy
-index, applies each step of `Block.steps` as one batched `mats @ rows`
-and scatters the rows back.  A step is one gate per listed entry on one
-target; an entry's ops share a level while their targets rise, and a
-step is one (level, target), so each entry keeps its own op order and
-the (3, 3) @ (3, 3^(q-c-1)) BLAS product of a single controlled op, and
-statevectors are bit-identical to applying the ops one at a time.  The
-full 3^q x 3^q operator is never built.  `run` allocates one scratch
-buffer of 2 x 3^q amplitudes per call; every step copies its rows into it
-and writes its product there, so no step allocates a state-sized array.
+index, applies each step of `Block.steps` as one outer product (a first
+touch, below) or one batched `mats @ rows`, and scatters the rows back.
+A step is one gate per listed entry on one target; an entry's ops share a
+level while their targets rise, and a step is one (level, target), so
+each entry keeps its own op order and the (3, 3) @ (3, 3^(q-c-1)) BLAS
+product of a single controlled op, and statevectors are bit-identical to
+applying the ops one at a time.  The full 3^q x 3^q operator is never
+built.  `run` allocates one scratch buffer of 2 x 3^q amplitudes per
+call; every step writes its product there, and its gathered input when
+it needs one, so no step allocates a state-sized array.
 
 `run` starts from |0...0> and keeps one extent per qutrit: 1 while no
 step has targeted it, 3 after.  The state is zero outside the support box
-of the first extent[j] values of every axis j.  A step of a block without
-controls runs on that box alone (its target's extent set to 3) when two
-things hold: its target is still at extent 1, and every entry of column 0
-of its gate is purely real or purely imaginary (I, H, P1, P2, X, RX, RY,
-and RZ or U on the pair (1, 2)).  BLAS rounds a (3, 3) @ (3, N) product
-differently depending on N, so a box product is bit-identical to the full
-one only where each output is one rounded real product plus exact zeros;
-a re-touched target or a complex column 0 breaks that.  Every other step,
-and every controlled block, runs on the full state.  The location
-Hadamards of every codec are first touches, so they cost a fraction of
-the state.  `run` and `apply_op` return every zero amplitude as +0.0:
-OpenBLAS writes -0.0 into some columns of an all-zero input, and such
-zeros may lie outside the box.  Both reject a NaN or infinite gate param
-before any state exists, since a NaN times the zeros outside the box is
-NaN in the full product.
+of the first extent[j] values of every axis j.  A first touch, a step
+whose target is still at extent 1 and whose gates each have a column 0 of
+purely real or purely imaginary entries (I, H, P1, P2, X, RX, RY, and RZ
+or U on the pair (1, 2)), runs in every block as an elementwise outer
+product on that box: output i on the target is M[i, 0] times the
+target-0 amplitude.  That is exact: each output is one rounded product of
+a real or imaginary gate entry with an amplitude, plus exact zeros, and
+BLAS and numpy's complex multiply give the same bits for that, with or
+without FMA.  Every other step, a re-touch or a complex column 0, runs as
+one BLAS product on its full rows: BLAS rounds a (3, 3) @ (3, N) product
+differently depending on N.  The location Hadamards of every codec, the
+first step of its location-controlled block and all of the `qrciq`
+colour shifts are first touches.  `run` and `apply_op` return every zero
+amplitude as +0.0: OpenBLAS writes -0.0 into some columns of an all-zero
+input, and such zeros may lie outside the box.  Both reject a NaN or
+infinite gate param before any state exists, since a NaN times the zeros
+outside the box is NaN in the full product.
 
 `Circuit(q, ops)` and `circuit_from_json` group a flat op list into blocks
 in one pass; the encoders build their columns with numpy.  `Circuit.ops`
@@ -42,10 +45,12 @@ first read; circuit equality and the circuit JSON writer follow it.
 `apply_op` applies one op to a copy and leaves its input unchanged.
 
 `sample` returns a `ShotHistogram` of two int64 arrays, the hit basis
-indices in ascending order and their counts, taken straight from the
-multinomial draw; counts and totals are bounded by 2^63 - 1.  Its trit
-strings exist only in the `counts` view, built when first read (the
-histogram CSV writer reads it), and `to_probabilities` is one scatter.
+indices in ascending order and their counts, taken straight from a
+multinomial draw over the non-zero probabilities and the last index,
+which gives the counts of the draw over all 3^q; counts and totals are
+bounded by 2^63 - 1.  Its trit strings exist only in the `counts` view,
+built when first read (the histogram CSV writer reads it), and
+`to_probabilities` is one scatter.
 """
 
 from __future__ import annotations
@@ -416,8 +421,8 @@ def _apply_block(tensor: np.ndarray, blk: Block, scratch: np.ndarray, extents: l
     other step is one batched matmul on its full rows, whose 3x3 products
     have the shape a single controlled op would give np.dot,
     (3, 3) @ (3, 3^(q-c-1)), so BLAS rounds alike.  Either way a step
-    writes its input copy and its product into `scratch`, so it allocates
-    no temporaries the size of its rows.
+    writes its product into `scratch`, and its gathered input when it
+    needs one, so it allocates no temporaries the size of its rows.
     """
     c = len(blk.controls)
     view = np.moveaxis(tensor, blk.controls, range(c))
@@ -487,13 +492,14 @@ def run(circuit: Circuit) -> Statevector:
     """Execute all blocks on the all-|0> state, in place in one buffer.
 
     Every step of every block works in one scratch buffer allocated here.
-    A first touch of a qutrit by a block without controls, by a gate whose
-    column 0 entries are each purely real or purely imaginary, runs on the
-    support box of the qutrits touched so far; everything else runs on the
-    full state, and the result is bit-identical to it (see the module
-    docstring).  Every zero amplitude is returned as +0.0: BLAS writes -0.0
-    into some columns of an all-zero input, depending on the product's
-    width.  A NaN or infinite gate param is a ValueError.
+    A first touch of a qutrit by gates whose column 0 entries are each
+    purely real or purely imaginary is an outer product on the support box
+    of the qutrits touched so far, in blocks with and without controls;
+    every other step is a BLAS product on its full rows.  The result is
+    bit-identical to applying the ops one at a time (see the module
+    docstring).  Every zero amplitude is returned as +0.0: BLAS writes
+    -0.0 into some columns of an all-zero input, depending on the
+    product's width.  A NaN or infinite gate param is a ValueError.
     """
     _check_params(gate for blk in circuit.blocks for gate in blk.gates)
     q = circuit.num_qutrits
