@@ -2,8 +2,9 @@
 """SHA-256 of every CLI output made from seeded inputs, one line per artifact.
 
 For every codec at 3x3 and 9x9 it runs `encode` (with the fqrqci .m2/.m3
-circuits), `simulate` with shots and with --exact, `decode` of both
-tables (image and report) and `roundtrip` (image and report); for qrciq
+circuits), `simulate` with 5,000 shots, with 64 shots and with --exact,
+`decode` of all three tables (image and report; at 64 shots most pixels
+clip or hit a degenerate branch) and `roundtrip` (image and report); for qrciq
 it also runs `roundtrip` at 27x27.  It then hashes the raw amplitude
 bytes of `run` on every measured circuit of every codec at 3x3, 9x9 and
 27x27, so the statevectors must be bit-identical too; at 27x27 it also
@@ -41,6 +42,7 @@ from qutritimg.gates import PARAM_COUNTS, SUBSPACE_KINDS  # noqa: E402
 RUNS = [(name, side) for name in CODECS for side in (3, 9)] + [("qrciq", 27)]
 RANDOM_CIRCUITS = 20
 MULTIPLEXORS = 20
+FEW_SHOTS = 64
 REAL_COLUMN_KINDS = ("P1", "P2", "X", "H", "RY")
 
 
@@ -67,7 +69,8 @@ def write_artifacts(inputs: pathlib.Path, outputs: pathlib.Path):
         if side == 27:
             continue
         _cli("encode", "--method", name, "--input", image, "--out", out / "circuit.json")
-        for table, options in (("shots", ["--shots", 5000, "--seed", 7]), ("exact", ["--exact"])):
+        for table, options in (("shots", ["--shots", 5000, "--seed", 7]), ("exact", ["--exact"]),
+                               ("few", ["--shots", FEW_SHOTS, "--seed", 11])):
             hists = []
             for k in range(codec.histograms):
                 circuit = out / (f"circuit.m{k + 1}.json" if k else "circuit.json")

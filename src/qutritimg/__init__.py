@@ -4,7 +4,6 @@ from .decode import (
     CODECS,
     Codec,
     DecodeReport,
-    clip,
     decode_fqri,
     decode_fqrqci,
     decode_fqrri,

@@ -1,11 +1,14 @@
 """Image reconstruction from shot histograms or exact probability vectors.
 
-Each decoder inverts its encoder's trigonometry.  Sampled probabilities can
-fall slightly outside the domain of the inverse trig functions, so every
-argument is clipped into range first; `clip_events` in the report counts
-how often that changed a value.  Excursions below CLIP_COUNT_TOL are
+Each decoder inverts its encoder's trigonometry in one pass over arrays of
+pixels.  Sampled probabilities can fall slightly outside the domain of the
+inverse trig functions, so every argument is clipped into range first;
+`clip_events` in the report counts, with one mask per clip site, how often
+that changed a value that is used.  Excursions below CLIP_COUNT_TOL are
 floating-point dust from exact-probability inputs, not sampling noise, and
-are clamped silently.
+are clamped silently.  The trig runs through the scalar `math` functions,
+whose rounding numpy's do not match; the rest (sqrt, +, *, /, floor) is
+correctly rounded in numpy too, and keeps the per-pixel formulas' order.
 
 Probabilities are used exactly as the inversion formulas expect them:
 raw count/shots values, scaled by the ideal location marginal (the 3^n
@@ -46,32 +49,31 @@ class DecodeReport:
     shots_used: int = 0
 
 
-def clip(x: float, lo: float, hi: float) -> float:
-    """min(max(x, lo), hi); callers count their own clip events."""
-    if lo > hi:
-        raise ValueError(f"empty clip interval [{lo}, {hi}]")
-    return min(max(x, lo), hi)
+def _scalar(f, *xs: np.ndarray) -> np.ndarray:
+    """f of each element, by the scalar `math` function: numpy's trig does
+    not round like it, so it could move a value across a rounding tie."""
+    return np.fromiter(map(f, *(x.tolist() for x in xs)), float, xs[0].size)
 
 
-class _ClipCounter:
-    """Clamp values into trig domains, counting non-roundoff excursions."""
+def _clip(x: np.ndarray, lo: float | None, hi: float, where=None) -> tuple[np.ndarray, int]:
+    """min(max(x, lo), hi) per element, and the number of elements (under
+    the mask `where`) that lay beyond [lo, hi] by more than CLIP_COUNT_TOL.
+    lo=None is for x >= 0 clipped into [0, hi]: only the top is crossed."""
+    beyond = x > hi + CLIP_COUNT_TOL
+    if lo is None:
+        x = np.minimum(x, hi)
+    else:
+        beyond |= x < lo - CLIP_COUNT_TOL
+        x = np.minimum(np.maximum(x, lo), hi)
+    if where is not None:
+        beyond &= where
+    return x, int(np.count_nonzero(beyond))
 
-    def __init__(self):
-        self.events = 0
 
-    def __call__(self, x: float, lo: float, hi: float) -> float:
-        if x < lo - CLIP_COUNT_TOL or x > hi + CLIP_COUNT_TOL:
-            self.events += 1
-        return clip(x, lo, hi)
-
-
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
-def _value_u8(theta: float) -> int:
-    """Angle in [0, pi/2] back to an 8-bit value."""
-    return min(max(_round_half_up(theta / HALF_PI * 255), 0), 255)
+def _value_u8(theta: np.ndarray) -> np.ndarray:
+    """Angles in [0, pi/2] back to 8-bit values, rounding half up: the cast
+    truncates, which is the floor of these non-negative values."""
+    return (theta / HALF_PI * 255 + 0.5).astype(np.uint8)
 
 
 def _as_probabilities(hist, num_qutrits: int) -> tuple[np.ndarray, int]:
@@ -108,45 +110,40 @@ def decode_fqri(hist, n: int) -> DecodeReport:
     the pixel was sampled does not bias the value.
     """
     probs, shots = _as_probabilities(hist, 2 * n + 1)
-    zeros, ones, _ = probs.reshape(3, -1).tolist()
-    values = [
-        _value_u8(math.atan2(math.sqrt(p1), math.sqrt(p0)))
-        for p0, p1 in zip(zeros, ones)
-    ]
-    pixels = np.array(values, dtype=np.uint8).reshape(3**n, 3**n)
-    return DecodeReport(GrayImage(pixels), 0, (), shots)
+    zeros, ones = np.sqrt(probs.reshape(3, -1)[:2])
+    # atan2 leaves [0, pi/2] only at raw entries of -0.0: atan2(+-0, -0) = +-pi
+    theta = np.minimum(np.maximum(_scalar(math.atan2, ones, zeros), 0.0), HALF_PI)
+    return DecodeReport(GrayImage(_value_u8(theta).reshape(3**n, 3**n)), 0, (), shots)
 
 
-def fqrri_values_from_angles(theta_gb: float, theta_gr: float) -> tuple[int, int, int]:
-    """Unpack the two angles back to (R, G, B).
+def fqrri_values_from_angles(theta_gb, theta_gr):
+    """Unpack the two angles, scalars or arrays alike, back to (R, G, B).
 
     v_gb recovers (G mod 16)*256 + B and v_gr recovers (G // 16)*256 + R,
-    so G = (v_gb // 256) + (v_gr // 256) * 16.
+    so G = (v_gb // 256) + (v_gr // 256) * 16.  The values are numpy
+    integers, or integer arrays of the angles' shape.
     """
-    v_gb = _round_half_up(theta_gb * 4095 * 2 / math.pi)
-    v_gr = _round_half_up(theta_gr * 4095 * 2 / math.pi)
-    b = v_gb % 256
-    r = v_gr % 256
-    g = (v_gb // 256) + (v_gr // 256) * 16
-    return r, g, b
+    v = np.floor(np.multiply((theta_gb, theta_gr), 4095) * 2 / math.pi + 0.5).astype(np.int64)
+    high, low = np.divmod(v, 256)
+    return low[1], high[0] + high[1] * 16, low[0]
 
 
 def decode_fqrri(hist, n: int) -> DecodeReport:
-    """Two-angle RGB: theta_gb from asin, theta_gr from a probability ratio."""
+    """Two-angle RGB: theta_gb from asin, theta_gr from a probability ratio.
+
+    Where p0 = 0, theta_gr is pi/2 if p2 > 0 (the atan of p2 / 0 = inf)
+    and 0 if not.
+    """
     probs, shots = _as_probabilities(hist, 2 * n + 1)
-    counter = _ClipCounter()
-    values = []
-    for p0, p1, p2 in zip(*probs.reshape(3, -1).tolist()):
-        theta_gb = math.asin(counter(3**n * math.sqrt(p1), 0.0, 1.0))
-        if p0 > 0:
-            theta_gr = math.atan(math.sqrt(p2 / p0))
-        elif p2 > 0:
-            theta_gr = HALF_PI
-        else:
-            theta_gr = 0.0
-        values.append(fqrri_values_from_angles(theta_gb, theta_gr))
-    pixels = np.array(values, dtype=np.uint8).reshape(3**n, 3**n, 3)
-    return DecodeReport(RgbImage(pixels), counter.events, (), shots)
+    zeros, ones, twos = probs.reshape(3, -1)
+    x, events = _clip(3**n * np.sqrt(ones), None, 1.0)
+    # p0 = 0 (or -0.0) gives p2 / 0 = inf, whose atan is pi/2, or 0 / 0 = NaN,
+    # which fmax takes to 0; a subnormal p0 may overflow to inf, as in Python
+    with np.errstate(all="ignore"):
+        ratio = np.fmax(twos / np.abs(zeros), 0.0)
+    rgb = fqrri_values_from_angles(_scalar(math.asin, x), _scalar(math.atan, np.sqrt(ratio)))
+    pixels = np.array(rgb, dtype=np.uint8).T.reshape(3**n, 3**n, 3)
+    return DecodeReport(RgbImage(pixels), events, (), shots)
 
 
 def fqrqci_measurement_circuits(enc: EncodeResult) -> tuple[Circuit, Circuit, Circuit]:
@@ -177,29 +174,29 @@ def decode_fqrqci(hist1, hist2, hist3, n: int) -> DecodeReport:
     dependent channels are reported as 0 -- the state carries nothing to
     recover.  That covers R=0 (G and B lost), G=0 (B lost) and R=255
     (B lost: the |0> amplitude that the basis changes interfere with is
-    zero, so both probability differences vanish identically).
+    zero, so both probability differences vanish identically).  Clip
+    events count only where a channel is recovered.
     """
     probs1, shots1 = _as_probabilities(hist1, 2 * n + 1)
     probs2, shots2 = _as_probabilities(hist2, 2 * n + 1)
     probs3, shots3 = _as_probabilities(hist3, 2 * n + 1)
-    zeros, ones, _ = probs1.reshape(3, -1).tolist()
-    cos0, _, cos2 = probs2.reshape(3, -1).tolist()
-    sin0, _, sin2 = probs3.reshape(3, -1).tolist()
-    counter = _ClipCounter()
-    values = []
-    for p0, p1, c0, c2, s0, s2 in zip(zeros, ones, cos0, cos2, sin0, sin2):
-        theta_r = math.acos(counter(3**n * math.sqrt(p0), 0.0, 1.0))
-        sin_r = math.sin(theta_r)
-        theta_g = 0.0
-        theta_b = 0.0
-        if sin_r >= DEGENERACY_EPSILON:
-            theta_g = math.acos(counter(3**n * math.sqrt(p1) / sin_r, 0.0, 1.0))
-            amp2 = sin_r * math.sin(theta_g)
-            if amp2 >= DEGENERACY_EPSILON and math.cos(theta_r) >= DEGENERACY_EPSILON:
-                theta_b = counter(math.atan2(s0 - s2, c0 - c2), 0.0, HALF_PI)
-        values.append((_value_u8(theta_r), _value_u8(theta_g), _value_u8(theta_b)))
-    pixels = np.array(values, dtype=np.uint8).reshape(3**n, 3**n, 3)
-    return DecodeReport(RgbImage(pixels), counter.events, (), shots1 + shots2 + shots3)
+    root0, root1 = 3**n * np.sqrt(probs1.reshape(3, -1)[:2])
+    cos0, _, cos2 = probs2.reshape(3, -1)
+    sin0, _, sin2 = probs3.reshape(3, -1)
+    x_r, events_r = _clip(root0, None, 1.0)
+    theta_r = _scalar(math.acos, x_r)
+    sin_r = _scalar(math.sin, theta_r)
+    has_g = sin_r >= DEGENERACY_EPSILON
+    # the divisor differs from sin_r only where theta_g is discarded
+    x_g, events_g = _clip(root1 / np.maximum(sin_r, DEGENERACY_EPSILON), None, 1.0, has_g)
+    theta_g = _scalar(math.acos, x_g)
+    has_b = (has_g & (sin_r * _scalar(math.sin, theta_g) >= DEGENERACY_EPSILON)
+             & (_scalar(math.cos, theta_r) >= DEGENERACY_EPSILON))
+    theta_b, events_b = _clip(_scalar(math.atan2, sin0 - sin2, cos0 - cos2), 0.0, HALF_PI, has_b)
+    thetas = np.array((theta_r, theta_g * has_g, theta_b * has_b))
+    pixels = _value_u8(thetas).T.reshape(3**n, 3**n, 3)
+    return DecodeReport(RgbImage(pixels), events_r + events_g + events_b, (),
+                        shots1 + shots2 + shots3)
 
 
 def decode_mcqri(hist, n: int) -> DecodeReport:
@@ -211,15 +208,11 @@ def decode_mcqri(hist, n: int) -> DecodeReport:
     digit, then the pixel index.
     """
     probs, shots = _as_probabilities(hist, 2 * n + 2)
-    cos_block, sin_block, _ = probs.reshape(3, -1).tolist()
-    counter = _ClipCounter()
-    scale = 3 ** (2 * n + 1)
-    values = [
-        _value_u8(math.acos(counter(scale * (p_cos - p_sin), -1.0, 1.0)) / 2)
-        for p_cos, p_sin in zip(cos_block, sin_block)
-    ]
-    pixels = np.array(values, dtype=np.uint8).reshape(3, -1).T.reshape(3**n, 3**n, 3)
-    return DecodeReport(RgbImage(pixels), counter.events, (), shots)
+    cos_block, sin_block, _ = probs.reshape(3, -1)
+    x, events = _clip(3 ** (2 * n + 1) * (cos_block - sin_block), -1.0, 1.0)
+    values = _value_u8(_scalar(math.acos, x) / 2)
+    pixels = values.reshape(3, -1).T.reshape(3**n, 3**n, 3)
+    return DecodeReport(RgbImage(pixels), events, (), shots)
 
 
 def decode_qrciq(hist, n: int) -> DecodeReport:

@@ -29,6 +29,8 @@ def validate_side(side: int) -> int:
 
 def _as_u8(pixels, shape_desc: str) -> np.ndarray:
     arr = np.asarray(pixels)
+    if arr.dtype == np.uint8:  # in range by its type; the decoders' output
+        return arr.copy()
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"{shape_desc} pixels must be integers")
     if arr.size and (arr.min() < 0 or arr.max() > 255):

@@ -381,13 +381,15 @@ class ShotHistogram:
                 for i, c in zip(self.indices.tolist(), self.tallies.tolist())}
 
     def to_probabilities(self) -> np.ndarray:
-        """Empirical probability per basis index (count / shots).
-
-        Each value is the Python int division, correctly rounded also past
-        2^53 shots, where a float64 division of the two would not be.
-        """
+        """Empirical probability per basis index: count / shots, correctly
+        rounded.  Up to 2^53 shots both are exact in float64, whose division
+        is correctly rounded too; past it each count is divided as a Python
+        int, since a float64 division would round the total first."""
         probs = np.zeros(3**self.num_qutrits)
-        probs[self.indices] = [c / self.shots for c in self.tallies.tolist()]
+        if self.shots <= 2**53:
+            probs[self.indices] = self.tallies / self.shots
+        else:
+            probs[self.indices] = [c / self.shots for c in self.tallies.tolist()]
         return probs
 
     def __eq__(self, other):
@@ -526,16 +528,16 @@ def sample(state: Statevector, shots: int, seed: int) -> ShotHistogram:
     the full-vector draw: numpy's multinomial is a sequential binomial
     loop, in which a category with p = 0 returns before it draws a random
     number and leaves the remaining probability and shots unchanged, and
-    the last category takes the remainder.  The probabilities are
-    normalised over the full vector, since a pairwise sum over fewer
-    elements rounds differently.
+    the last category takes the remainder.  The listed probabilities are
+    divided by the sum over the full vector, since a pairwise sum over
+    fewer elements rounds differently; one that this division takes to 0
+    draws nothing, as it would in the full-vector draw.
     """
     if not 1 <= shots <= _INT64_MAX:
         raise ValueError(f"shots must be in [1, 2^63 - 1], got {shots}")
     probs = probabilities(state)
-    probs = probs / probs.sum()
-    support = np.append(np.flatnonzero(probs[:-1]), len(probs) - 1)
-    drawn = np.random.default_rng(seed).multinomial(shots, probs[support])
+    support = np.append(np.flatnonzero(probs[:-1] != 0), len(probs) - 1)
+    drawn = np.random.default_rng(seed).multinomial(shots, probs[support] / probs.sum())
     hit = drawn > 0
     return ShotHistogram._of_arrays(state.num_qutrits, support[hit], drawn[hit], shots)
 

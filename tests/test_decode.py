@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 from oracles import fqrqci_recoverable, random_gray, random_rgb
 from qutritimg import (
     CODECS,
+    DecodeReport,
     GrayImage,
     HistogramInconsistencyError,
     ProbabilityError,
     RgbImage,
     ShapeError,
     ShotHistogram,
-    clip,
     decode_fqri,
     decode_fqrqci,
     decode_fqrri,
@@ -33,9 +34,7 @@ from qutritimg import (
     trits_from_index,
     u_subspace,
 )
-
-finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
-
+from qutritimg.decode import CLIP_COUNT_TOL, DEGENERACY_EPSILON
 
 def _probs(circuit):
     return probabilities(run(circuit))
@@ -46,26 +45,162 @@ def _fqrqci_probs(img):
     return tuple(_probs(c) for c in circuits)
 
 
-# --- clip -------------------------------------------------------------------
+# --- per-pixel references ----------------------------------------------------
 
-def test_clip_examples():
-    assert clip(1.03, -1, 1) == 1
-    assert clip(0.5, -1, 1) == 0.5
-    assert clip(-1.2, -1, 1) == -1
+HALF_PI = math.pi / 2
 
 
-def test_clip_rejects_empty_interval():
-    with pytest.raises(ValueError):
-        clip(0.0, 1.0, -1.0)
+class _ClipCounter:
+    """Clamp values into trig domains, counting non-roundoff excursions."""
+
+    def __init__(self):
+        self.events = 0
+
+    def __call__(self, x, lo, hi):
+        if x < lo - CLIP_COUNT_TOL or x > hi + CLIP_COUNT_TOL:
+            self.events += 1
+        return min(max(x, lo), hi)
 
 
-@given(finite, finite, finite)
-def test_clip_property(x, a, b):
-    lo, hi = min(a, b), max(a, b)
-    out = clip(x, lo, hi)
-    assert lo <= out <= hi
-    if lo <= x <= hi:
-        assert out == x
+def _round_half_up(x):
+    return math.floor(x + 0.5)
+
+
+def _value_u8(theta):
+    return min(max(_round_half_up(theta / HALF_PI * 255), 0), 255)
+
+
+def _table(hist):
+    """(probabilities, shots) of a histogram or a raw vector."""
+    if isinstance(hist, ShotHistogram):
+        return hist.to_probabilities(), hist.shots
+    return np.asarray(hist, dtype=float), 0
+
+
+def _reference_fqri(hist, n):
+    probs, shots = _table(hist)
+    zeros, ones, _ = probs.reshape(3, -1).tolist()
+    values = [
+        _value_u8(math.atan2(math.sqrt(p1), math.sqrt(p0)))
+        for p0, p1 in zip(zeros, ones)
+    ]
+    pixels = np.array(values, dtype=np.uint8).reshape(3**n, 3**n)
+    return DecodeReport(GrayImage(pixels), 0, (), shots)
+
+
+def _reference_fqrri_values(theta_gb, theta_gr):
+    v_gb = _round_half_up(theta_gb * 4095 * 2 / math.pi)
+    v_gr = _round_half_up(theta_gr * 4095 * 2 / math.pi)
+    return v_gr % 256, (v_gb // 256) + (v_gr // 256) * 16, v_gb % 256
+
+
+def _reference_fqrri(hist, n):
+    probs, shots = _table(hist)
+    counter = _ClipCounter()
+    values = []
+    for p0, p1, p2 in zip(*probs.reshape(3, -1).tolist()):
+        theta_gb = math.asin(counter(3**n * math.sqrt(p1), 0.0, 1.0))
+        if p0 > 0:
+            theta_gr = math.atan(math.sqrt(p2 / p0))
+        elif p2 > 0:
+            theta_gr = HALF_PI
+        else:
+            theta_gr = 0.0
+        values.append(_reference_fqrri_values(theta_gb, theta_gr))
+    pixels = np.array(values, dtype=np.uint8).reshape(3**n, 3**n, 3)
+    return DecodeReport(RgbImage(pixels), counter.events, (), shots)
+
+
+def _reference_fqrqci(hist1, hist2, hist3, n):
+    (probs1, shots1), (probs2, shots2), (probs3, shots3) = map(_table, (hist1, hist2, hist3))
+    zeros, ones, _ = probs1.reshape(3, -1).tolist()
+    cos0, _, cos2 = probs2.reshape(3, -1).tolist()
+    sin0, _, sin2 = probs3.reshape(3, -1).tolist()
+    counter = _ClipCounter()
+    values = []
+    for p0, p1, c0, c2, s0, s2 in zip(zeros, ones, cos0, cos2, sin0, sin2):
+        theta_r = math.acos(counter(3**n * math.sqrt(p0), 0.0, 1.0))
+        sin_r = math.sin(theta_r)
+        theta_g = 0.0
+        theta_b = 0.0
+        if sin_r >= DEGENERACY_EPSILON:
+            theta_g = math.acos(counter(3**n * math.sqrt(p1) / sin_r, 0.0, 1.0))
+            amp2 = sin_r * math.sin(theta_g)
+            if amp2 >= DEGENERACY_EPSILON and math.cos(theta_r) >= DEGENERACY_EPSILON:
+                theta_b = counter(math.atan2(s0 - s2, c0 - c2), 0.0, HALF_PI)
+        values.append((_value_u8(theta_r), _value_u8(theta_g), _value_u8(theta_b)))
+    pixels = np.array(values, dtype=np.uint8).reshape(3**n, 3**n, 3)
+    return DecodeReport(RgbImage(pixels), counter.events, (), shots1 + shots2 + shots3)
+
+
+def _reference_mcqri(hist, n):
+    probs, shots = _table(hist)
+    cos_block, sin_block, _ = probs.reshape(3, -1).tolist()
+    counter = _ClipCounter()
+    scale = 3 ** (2 * n + 1)
+    values = [
+        _value_u8(math.acos(counter(scale * (p_cos - p_sin), -1.0, 1.0)) / 2)
+        for p_cos, p_sin in zip(cos_block, sin_block)
+    ]
+    pixels = np.array(values, dtype=np.uint8).reshape(3, -1).T.reshape(3**n, 3**n, 3)
+    return DecodeReport(RgbImage(pixels), counter.events, (), shots)
+
+
+REFERENCES = {"fqri": _reference_fqri, "fqrri": _reference_fqrri,
+              "fqrqci": _reference_fqrqci, "mcqri": _reference_mcqri}
+
+ENTRIES = (0.0, -0.0, 1.0, 5e-324, 1e-13, 0.5)
+
+
+@st.composite
+def decoder_inputs(draw):
+    """(codec, n, tables) for the four trig codecs, one table per histogram.
+
+    The image draws pixels at 0 and 255 in every channel (the R = 0, G = 0
+    and R = 255 fqrqci degeneracies).  Its exact tables are used as they
+    are, scaled by noise, with entries set to 0 (the fqrri p0 = 0 branches),
+    to 1 or to other edge values, or sampled at 1 to 100 shots (sometimes
+    10^4) into histograms; or the tables are arbitrary entries >= 0."""
+    codec = CODECS[draw(st.sampled_from(sorted(REFERENCES)))]
+    n = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (3**n, 3**n) if codec.gray else (3**n, 3**n, 3)
+    pixels = rng.integers(0, 256, shape)
+    edges = rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+    pixels[edges] = rng.choice([0, 255], np.count_nonzero(edges))
+    image = GrayImage(pixels) if codec.gray else RgbImage(pixels)
+    states = [run(c) for c in codec.measure(codec.encode(image))]
+    form = draw(st.sampled_from(["exact", "noisy", "edited", "shots", "arbitrary"]))
+    if form == "shots":
+        shots = draw(st.one_of(st.integers(1, 100), st.just(10**4)))
+        return codec, n, [sample(s, shots, int(rng.integers(2**32))) for s in states]
+    tables = [probabilities(s) for s in states]
+    size = tables[0].size
+    for table in tables:
+        if form == "noisy":
+            table *= rng.uniform(0.9, 1.1, size)
+        elif form == "edited":
+            picked = rng.random(size) < draw(st.sampled_from([0.05, 0.3]))
+            table[picked] = rng.choice(ENTRIES, np.count_nonzero(picked))
+        elif form == "arbitrary":
+            table[:] = rng.choice(ENTRIES, size) * rng.choice([1.0, 1.0, rng.random()], size)
+            table[rng.integers(size)] = 1.0  # never all 0
+    return codec, n, tables
+
+
+@settings(deadline=None, max_examples=300)
+@given(decoder_inputs())
+def test_array_decoders_match_per_pixel_references(case):
+    codec, n, tables = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no NaN reaches a cast
+        report = codec.decode(*tables, n)
+    expected = REFERENCES[codec.name](*tables, n)
+    assert report.image.pixels.tobytes() == expected.image.pixels.tobytes()
+    assert report.image.pixels.shape == expected.image.pixels.shape
+    assert (report.clip_events, report.shots_used) == (expected.clip_events, expected.shots_used)
+    assert type(report.clip_events) is int
+    assert report.missing_states == ()
 
 
 # --- grayscale --------------------------------------------------------------

@@ -28,17 +28,18 @@ def test_output_manifest_prints_one_line_per_artifact(capsys):
     assert script.main() == 0
     lines = capsys.readouterr().out.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
-    # per codec and size: circuits, shots and exact tables, two decodes and a
-    # roundtrip (image and report each); qrciq adds a 27x27 roundtrip; and
-    # one statevector per measured circuit at 3x3, 9x9 and 27x27, and a
-    # histogram and its probabilities per measured circuit at 27x27; and
-    # one statevector per random circuit and per random multiplexor
-    per_size = {name: 3 * codec.histograms + 6 for name, codec in CODECS.items()}
+    # per codec and size: circuits, tables of 5,000 shots, 64 shots and exact
+    # probabilities, three decodes and a roundtrip (image and report each);
+    # qrciq adds a 27x27 roundtrip; and one statevector per measured circuit
+    # at 3x3, 9x9 and 27x27, and a histogram and its probabilities per
+    # measured circuit at 27x27; and one statevector per random circuit and
+    # per random multiplexor
+    per_size = {name: 4 * codec.histograms + 8 for name, codec in CODECS.items()}
     measured = sum(codec.histograms for codec in CODECS.values())
     randoms = script.RANDOM_CIRCUITS + script.MULTIPLEXORS
     names = {line.split()[1] for line in lines}
     assert len(lines) == len(names) == (
-        2 * sum(per_size.values()) + 2 + 5 * measured + randoms)
+        2 * sum(per_size.values()) + 2 + 5 * measured + randoms) == 213
     assert sum(n.startswith("statevector/random-") for n in names) == script.RANDOM_CIRCUITS
     assert sum(n.startswith("statevector/multiplexor-") for n in names) == script.MULTIPLEXORS
     assert sum(n.startswith("statevector/") for n in names) == 3 * measured + randoms
@@ -48,5 +49,6 @@ def test_output_manifest_prints_one_line_per_artifact(capsys):
             if n.startswith("statevector/") and "-27x27." in n)
     for name, count in per_size.items():
         assert sum(n.startswith(f"{name}-9x9/") for n in names) == count
+    assert sum(n.endswith("/decode-few.json") for n in names) == 2 * len(CODECS)
     assert sorted(n for n in names if n.startswith("qrciq-27x27/")) == [
         "qrciq-27x27/roundtrip.json", "qrciq-27x27/roundtrip.ppm"]

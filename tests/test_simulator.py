@@ -449,6 +449,19 @@ def test_histogram_arrays_match_dict_references(case):
     assert histogram_from_csv(histogram_to_csv(hist)) == hist
 
 
+@pytest.mark.parametrize("shots", [2**53 - 1, 2**53, 2**53 + 1, INT64_MAX])
+def test_probabilities_at_the_float64_division_boundary(shots):
+    """Counts whose quotients a float64 division rounds differently past
+    2^53 shots, where the total no longer fits a float64 exactly."""
+    counts = {"00": 1, "01": 495186, "02": 729634, "10": 2**52 + 3}
+    if shots > 2**54:
+        counts["11"] = 11370766492273369
+    counts["22"] = shots - sum(counts.values())
+    hist = ShotHistogram(2, counts, shots)
+    assert hist.to_probabilities().tobytes() == (
+        _reference_probabilities(2, counts, shots).tobytes())
+
+
 def test_probabilities_are_int_divisions_past_2_53_shots():
     hist = ShotHistogram(1, {"0": 3, "1": 2**53 - 2}, 2**53 + 1)
     assert hist.to_probabilities()[0] == 3 / (2**53 + 1) == 3.330669073875469e-16
