@@ -7,7 +7,7 @@ inverse trig functions, so every argument is clipped into range first;
 that changed a value that is used.  Excursions below CLIP_COUNT_TOL are
 floating-point dust from exact-probability inputs, not sampling noise, and
 are clamped silently.  The trig runs through the scalar `math` functions,
-whose rounding numpy's do not match; the rest (sqrt, +, *, /, floor) is
+whose rounding numpy's do not match; the rest (sqrt, +, -, *, /, floor) is
 correctly rounded in numpy too, and keeps the per-pixel formulas' order.
 
 Probabilities are used exactly as the inversion formulas expect them:

@@ -34,7 +34,8 @@ from qutritimg import (
     trits_from_index,
     u_subspace,
 )
-from qutritimg.decode import CLIP_COUNT_TOL, DEGENERACY_EPSILON
+from qutritimg.decode import CLIP_COUNT_TOL, DEGENERACY_EPSILON, HALF_PI
+
 
 def _probs(circuit):
     return probabilities(run(circuit))
@@ -46,9 +47,6 @@ def _fqrqci_probs(img):
 
 
 # --- per-pixel references ----------------------------------------------------
-
-HALF_PI = math.pi / 2
-
 
 class _ClipCounter:
     """Clamp values into trig domains, counting non-roundoff excursions."""
