@@ -8,8 +8,10 @@ clip or hit a degenerate branch) and `roundtrip` (image and report); for qrciq
 it also runs `roundtrip` at 27x27.  It then hashes the raw amplitude
 bytes of `run` on every measured circuit of every codec at 3x3, 9x9 and
 27x27, so the statevectors must be bit-identical too; at 27x27 it also
-hashes the histogram CSV of 100,000 seeded shots of each such state and
-the raw bytes of that histogram's `to_probabilities`.  Last it hashes
+hashes the circuit JSON of each such circuit, the histogram CSV of
+100,000 seeded shots of its state and the raw bytes of that histogram's
+`to_probabilities`, and for qrciq the exact probability CSV of its state
+(177,147 rows).  Last it hashes
 `run` of seeded random circuits on 2 to 7 qutrits: every gate kind,
 targets touched again, complex gates on untouched qutrits and controls on
 untouched qutrits, cases the codec circuits do not cover; and `run` of
@@ -33,8 +35,8 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from qutritimg import (  # noqa: E402
-    CODECS, Circuit, CircuitOp, ControlSpec, GateSpec, GrayImage, RgbImage,
-    histogram_to_csv, run, sample, write_pgm, write_ppm,
+    CODECS, Circuit, CircuitOp, ControlSpec, GateSpec, GrayImage, RgbImage, circuit_to_json,
+    histogram_to_csv, probabilities, probabilities_to_csv, run, sample, write_pgm, write_ppm,
 )
 from qutritimg.cli import main as cli  # noqa: E402
 from qutritimg.gates import PARAM_COUNTS, SUBSPACE_KINDS  # noqa: E402
@@ -82,7 +84,9 @@ def write_artifacts(inputs: pathlib.Path, outputs: pathlib.Path):
 
 def state_lines():
     """`sha256  statevector/<codec>-<side>x<side>.m<k>` per measured circuit;
-    at 27x27 also `histogram/...` and `probabilities/...` of its shots."""
+    at 27x27 also `histogram/...` and `probabilities/...` of its shots,
+    `circuit/...` of its JSON and, for qrciq, `probabilities-csv/...` of
+    its exact table."""
     rng = np.random.default_rng(2025)
     for name, codec in CODECS.items():
         for side in (3, 9, 27):
@@ -97,6 +101,10 @@ def state_lines():
                     hist = sample(state, 100_000, seed=5 + k)
                     artifacts["histogram"] = histogram_to_csv(hist).encode()
                     artifacts["probabilities"] = hist.to_probabilities().tobytes()
+                    artifacts["circuit"] = circuit_to_json(circuit).encode()
+                    if name == "qrciq":
+                        artifacts["probabilities-csv"] = probabilities_to_csv(
+                            state.num_qutrits, probabilities(state)).encode()
                 for kind, data in artifacts.items():
                     yield f"{hashlib.sha256(data).hexdigest()}  {kind}/{label}"
 

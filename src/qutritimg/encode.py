@@ -107,21 +107,23 @@ def _prepared(q: int, values: np.ndarray, gates, entries, targets, gate_ids) -> 
 
 def _every_entry(m: int, *ops):
     """Gates and op columns that give each of m entries, in turn, one gate
-    on the value qutrit per (make, keys) op: `keys` holds one int per
-    entry, and `make(key)` builds the gate once per distinct key."""
+    on the value qutrit per (kind, pair, params, keys) op: `keys` holds one
+    int per entry, and `params(key)` gives the params of the gate built
+    once per distinct key; the gates of an op are checked once, as one
+    shape."""
     gates: list[GateSpec] = []
     ids = []
-    for make, keys in ops:
+    for kind, pair, params, keys in ops:
         distinct, inverse = np.unique(keys, return_inverse=True)
         ids.append(inverse + len(gates))
-        gates += [make(k) for k in distinct.tolist()]
+        gates += GateSpec._of_shape(kind, pair, [params(k) for k in distinct.tolist()])
     entries = np.repeat(np.arange(m), len(ops))
     return gates, entries, np.zeros_like(entries), np.column_stack(ids).reshape(-1)
 
 
-def _ry(pair: tuple[int, int], angle):
-    """Gate maker: RY on `pair` by twice `angle(key)`."""
-    return lambda key: GateSpec("RY", pair, (2 * angle(key),))
+def _ry(pair: tuple[int, int], angle, keys):
+    """Op of `_every_entry`: RY on `pair` by twice `angle(key)`."""
+    return "RY", pair, lambda key: (2 * angle(key),), keys
 
 
 def encode_fqri(img: GrayImage) -> EncodeResult:
@@ -130,7 +132,7 @@ def encode_fqri(img: GrayImage) -> EncodeResult:
         raise TypeError("encode_fqri takes a grayscale image")
     n = img.n
     q = _register(n, 1)
-    ops = _every_entry(9**n, (_ry((0, 1), pixel_angle), img.pixels.reshape(-1)))
+    ops = _every_entry(9**n, _ry((0, 1), pixel_angle, img.pixels.reshape(-1)))
     circuit = _prepared(q, _locations(n), *ops)
     layout = ("value",) + tuple(f"loc{t}" for t in range(2 * n))
     return EncodeResult(circuit, n, "FQRI", layout)
@@ -143,16 +145,16 @@ def encode_fqrri(img: RgbImage) -> EncodeResult:
     n = img.n
     q = _register(n, 1)
     r, g, b = img.pixels.reshape(-1, 3).astype(np.int64).T
-    ops = _every_entry(9**n, (_ry((0, 1), _packed_angle), g % 16 * 256 + b),
-                       (_ry((0, 2), _packed_angle), g // 16 * 256 + r))
+    ops = _every_entry(9**n, _ry((0, 1), _packed_angle, g % 16 * 256 + b),
+                       _ry((0, 2), _packed_angle, g // 16 * 256 + r))
     circuit = _prepared(q, _locations(n), *ops)
     layout = ("value",) + tuple(f"loc{t}" for t in range(2 * n))
     return EncodeResult(circuit, n, "FQRRI", layout)
 
 
-def _u12(key: int) -> GateSpec:
-    """U(1,2) of the three-angle codec for key = G * 256 + B."""
-    return GateSpec("U", (1, 2), (2 * pixel_angle(key // 256), pixel_angle(key % 256), 0.0))
+def _u12_params(key: int) -> tuple[float, float, float]:
+    """Params of the U(1,2) of the three-angle codec for key = G * 256 + B."""
+    return 2 * pixel_angle(key // 256), pixel_angle(key % 256), 0.0
 
 
 def encode_fqrqci(img: RgbImage) -> EncodeResult:
@@ -166,7 +168,7 @@ def encode_fqrqci(img: RgbImage) -> EncodeResult:
     n = img.n
     q = _register(n, 1)
     r, g, b = img.pixels.reshape(-1, 3).astype(np.int64).T
-    ops = _every_entry(9**n, (_ry((0, 1), pixel_angle), r), (_u12, g * 256 + b))
+    ops = _every_entry(9**n, _ry((0, 1), pixel_angle, r), ("U", (1, 2), _u12_params, g * 256 + b))
     circuit = _prepared(q, _locations(n), *ops)
     layout = ("value",) + tuple(f"loc{t}" for t in range(2 * n))
     return EncodeResult(circuit, n, "FQRQCI", layout)
@@ -185,7 +187,7 @@ def encode_mcqri(img: RgbImage) -> EncodeResult:
     # Entries run pixel-major, channel-minor: (channel, location trits).
     channels = np.tile(np.arange(3), 9**n)[:, None]
     values = np.hstack((channels, np.repeat(_locations(n), 3, axis=0)))
-    ops = _every_entry(3 * 9**n, (_ry((0, 1), pixel_angle), img.pixels.reshape(-1)))
+    ops = _every_entry(3 * 9**n, _ry((0, 1), pixel_angle, img.pixels.reshape(-1)))
     circuit = _prepared(q, values, *ops)
     layout = ("value", "channel") + tuple(f"loc{t}" for t in range(2 * n))
     return EncodeResult(circuit, n, "MCQRI", layout)

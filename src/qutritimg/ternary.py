@@ -42,6 +42,29 @@ def index_from_trits(trits: str) -> int:
     return int(trits, 3)
 
 
+def _powers(length: int) -> np.ndarray:
+    """3^(length-1), ..., 3, 1: the weights of a most-significant-first string."""
+    return 3 ** np.arange(length - 1, -1, -1)
+
+
+def trit_column(indices: np.ndarray, length: int) -> np.ndarray:
+    """`trits_from_index` of every one of `indices`, all in [0, 3^length),
+    as one S{length} array."""
+    digits = (indices[:, None] // _powers(length) % 3).astype(np.uint8) + ord("0")
+    return digits.view(f"S{length}").ravel()
+
+
+def indices_of_trit_column(column: np.ndarray) -> np.ndarray:
+    """`index_from_trits` of every state of an S{length} array, or -1 for
+    a state that holds a character other than 0, 1 or 2."""
+    digits = column.view(np.uint8).reshape(len(column), -1) - ord("0")  # others wrap past 2
+    indices = digits @ _powers(digits.shape[1])
+    bad = digits > 2
+    if bad.any():
+        indices[bad.any(axis=1)] = -1
+    return indices
+
+
 def ternary_digits_u8(value: int) -> tuple[int, ...]:
     """Six base-3 digits of an 8-bit value, least significant plane first."""
     if not 0 <= value <= 255:

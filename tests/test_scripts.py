@@ -31,19 +31,22 @@ def test_output_manifest_prints_one_line_per_artifact(capsys):
     # per codec and size: circuits, tables of 5,000 shots, 64 shots and exact
     # probabilities, three decodes and a roundtrip (image and report each);
     # qrciq adds a 27x27 roundtrip; and one statevector per measured circuit
-    # at 3x3, 9x9 and 27x27, and a histogram and its probabilities per
-    # measured circuit at 27x27; and one statevector per random circuit and
-    # per random multiplexor
+    # at 3x3, 9x9 and 27x27, and its circuit JSON, a histogram and its
+    # probabilities per measured circuit at 27x27, and the exact probability
+    # CSV of qrciq at 27x27; and one statevector per random circuit and per
+    # random multiplexor
     per_size = {name: 4 * codec.histograms + 8 for name, codec in CODECS.items()}
     measured = sum(codec.histograms for codec in CODECS.values())
     randoms = script.RANDOM_CIRCUITS + script.MULTIPLEXORS
     names = {line.split()[1] for line in lines}
     assert len(lines) == len(names) == (
-        2 * sum(per_size.values()) + 2 + 5 * measured + randoms) == 213
+        2 * sum(per_size.values()) + 2 + 6 * measured + 1 + randoms) == 221
     assert sum(n.startswith("statevector/random-") for n in names) == script.RANDOM_CIRCUITS
     assert sum(n.startswith("statevector/multiplexor-") for n in names) == script.MULTIPLEXORS
     assert sum(n.startswith("statevector/") for n in names) == 3 * measured + randoms
-    for kind in ("histogram/", "probabilities/"):
+    assert [n for n in names if n.startswith("probabilities-csv/")] == [
+        "probabilities-csv/qrciq-27x27.m1"]
+    for kind in ("histogram/", "probabilities/", "circuit/"):
         assert sorted(n for n in names if n.startswith(kind)) == sorted(
             n.replace("statevector/", kind) for n in names
             if n.startswith("statevector/") and "-27x27." in n)

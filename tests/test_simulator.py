@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from qutritimg import (
     encode_fqri,
     histogram_from_csv,
     histogram_to_csv,
+    index_from_trits,
     probabilities,
     probabilities_from_csv,
     probabilities_to_csv,
@@ -40,6 +42,7 @@ from qutritimg import (
 )
 from qutritimg.gates import PARAM_COUNTS, SUBSPACE_KINDS
 from qutritimg.simulator import Block
+from qutritimg.ternary import check_capacity
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -344,12 +347,16 @@ def _outcome(read, text):
 @example(Circuit(1))
 @example(Circuit(3, (CircuitOp(GateSpec("H"), 1), CircuitOp(GateSpec("P2"), 0))))
 @example(Circuit(2, (CircuitOp(GateSpec("RZ", (0, 2), (-0.0,)), 0),)))
+@example(Circuit(2, (CircuitOp(GateSpec("RZ", (0, 2), (0.0,)), 0),
+                     CircuitOp(GateSpec("RZ", (0, 2), (-0.0,)), 0))))
+@example(Circuit(1, (CircuitOp(GateSpec("X", (0, 1)), 0), CircuitOp(GateSpec("X", (1, 2)), 0))))
 @example(Circuit(1, (CircuitOp(GateSpec("U", (1, 2), (math.nan, math.inf, -math.inf)), 0),)))
 def test_circuit_json_matches_reference(circuit):
     text = circuit_to_json(circuit)
     assert text == _reference_to_json(circuit)
     if all(math.isfinite(p) for op in circuit.ops for p in op.gate.params):
-        again = circuit_from_json(text)
+        with mock.patch("qutritimg.simulator._circuit_of_ops", None):  # read column-wise
+            again = circuit_from_json(text)
         assert again == circuit
         assert circuit_to_json(again) == text  # keeps the sign of -0.0
         assert _reference_from_json(text) == again
@@ -365,20 +372,29 @@ BAD_VALUES = (True, False, None, 1.0, 2.5, -1, 3, 12, 10**30, "H", "x", [], [0, 
 
 @st.composite
 def mutated_docs(draw):
-    """Circuit JSON with one field replaced, removed or made a wrong type."""
+    """Circuit JSON with a field replaced, removed or made a wrong type, in
+    one place or in each of two ops."""
     doc = json.loads(circuit_to_json(draw(circuits())))
-    places = [doc]
-    places += doc["ops"]
-    places += [c for op in doc["ops"] for c in op["controls"]]
-    place = draw(st.sampled_from(places))
-    key = draw(st.sampled_from(sorted(place)))
-    if draw(st.booleans()):
-        del place[key]
-    elif key in ("subspace", "params", "controls") and place[key] and draw(st.booleans()):
-        place[key][draw(st.integers(0, len(place[key]) - 1))] = draw(st.sampled_from(BAD_VALUES))
-    else:
-        place[key] = draw(st.sampled_from(BAD_VALUES))
+    groups = [[doc]] + [[op] + op["controls"] for op in doc["ops"]]
+    for group in draw(st.lists(st.sampled_from(groups), min_size=1, max_size=2, unique_by=id)):
+        place = draw(st.sampled_from(group))
+        key = draw(st.sampled_from(sorted(place)))
+        if draw(st.booleans()):
+            del place[key]
+        elif key in ("subspace", "params", "controls") and place[key] and draw(st.booleans()):
+            at = draw(st.integers(0, len(place[key]) - 1))
+            place[key][at] = draw(st.sampled_from(BAD_VALUES))
+        else:
+            place[key] = draw(st.sampled_from(BAD_VALUES))
     return json.dumps(doc)
+
+
+def _ops(*ops):
+    """Circuit JSON text of two qutrits and `ops`, each (gate, subspace, params, controls)."""
+    return json.dumps({"num_qutrits": 2, "ops": [
+        {"gate": g, "subspace": pair, "params": params, "target": 0,
+         "controls": [{"q": q, "v": v} for q, v in controls]}
+        for g, pair, params, controls in ops]})
 
 
 @settings(deadline=None)
@@ -396,8 +412,35 @@ def mutated_docs(draw):
 @example('{"num_qutrits": 2, "ops": [{"gate": "P1", "subspace": null, "params": [],'
          ' "target": 0, "controls": [{"q": 1, "v": 0}]}, {"gate": "P1", "subspace": null,'
          ' "params": [], "target": 0, "controls": [{"q": 2, "v": 0}]}]}')
+# A control list, subspace or param list equal to an earlier one but for
+# true or 1.0 in place of 1: the later op is the bad one.
+@example(_ops(("H", None, [], [(1, 1)]), ("H", None, [], [(True, 1)])))
+@example(_ops(("H", None, [], [(1, 1)]), ("H", None, [], [(1, True)])))
+@example(_ops(("H", None, [], [(1, 1)]), ("H", None, [], [(1.0, 1)])))
+@example(_ops(("H", None, [], [(1, 1)]), ("H", None, [], [(1, 1.0)])))
+@example(_ops(("X", [0, 1], [], []), ("X", [False, True], [], [])))
+@example(_ops(("RY", [0, 1], [1], []), ("RY", [0, 1], [True], [])))
+# The same gate with param 1.0 and then 1, and with 0.0 and then -0.0;
+# an int param in a gate of a shape seen before.
+@example(_ops(("RY", [0, 1], [1.0], []), ("RY", [0, 1], [1], [])))
+@example(_ops(("RZ", [0, 2], [0.0], []), ("RZ", [0, 2], [-0.0], [(1, 2)])))
+@example(_ops(("RY", [0, 1], [0.5], []), ("RY", [0, 1], [2], [])))
+# Params that iterate like an empty list; a control value that is out of
+# range, in a row whose base-3 number another row of the block has.
+@example(_ops(("H", None, {}, [])))
+@example(_ops(("H", None, "", [])))
+@example(json.dumps({"num_qutrits": 3, "ops": [
+    {"gate": "H", "subspace": None, "params": [], "target": 0,
+     "controls": [{"q": 1, "v": v}, {"q": 2, "v": w}]} for v, w in ((0, 1), (3, 0))]}))
+# Errors in two ops: the first is reported.
+@example(_ops(("Q", None, [], []), ("H", None, [], [(1, 1), (1, 1)])))
+@example(_ops(("H", None, [], [(1, 5)]), ("H", [0, 1], [], [])))
 def test_circuit_json_reader_fails_where_reference_fails(text):
-    assert _outcome(circuit_from_json, text) == _outcome(_reference_from_json, text)
+    outcome = _outcome(circuit_from_json, text)
+    expect = _outcome(_reference_from_json, text)
+    assert outcome == expect
+    if isinstance(outcome, Circuit):  # and keeps the sign of every zero param
+        assert circuit_to_json(outcome) == circuit_to_json(expect)
 
 
 INT64_MAX = 2**63 - 1
@@ -568,6 +611,220 @@ def test_probability_csv_round_trip():
     q, again = probabilities_from_csv(text)
     assert q == 2
     np.testing.assert_allclose(again, probs)
+
+
+# --- CSV tables against the per-row readers and writers --------------------
+
+def _reference_histogram_to_csv(hist):
+    """The per-row writer the array writer replaced: one line per `counts` item."""
+    lines = ["state,count"] + [f"{state},{count}" for state, count in hist.counts.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_histogram_from_csv(text):
+    """The per-row reader the array reader replaced, whose checks of
+    `ShotHistogram(q, counts, shots)` are spelled out in their order, with
+    a bad state, a state of the wrong length and a negative count raised
+    as ParseErrors that name the row."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != "state,count":
+        raise ParseError("expected 'state,count' header")
+    counts, rows = {}, {}
+    for ln in lines[1:]:
+        try:
+            state, raw = ln.split(",")
+            count = int(raw)
+        except ValueError as exc:
+            raise ParseError(f"bad histogram row {ln!r}") from exc
+        if state in counts:
+            raise ParseError(f"duplicate state {state!r}")
+        counts[state], rows[state] = count, ln
+    if not counts:
+        raise ParseError("histogram has no rows")
+    q, shots = len(next(iter(counts))), sum(counts.values())
+    if shots < 1:
+        raise ValueError(f"a histogram needs at least 1 shot, got {shots}")
+    check_capacity(q)
+    for state, count in counts.items():
+        if len(state) != q:
+            raise ParseError(f"state {state!r} is not {q} trits long")
+        try:
+            index_from_trits(state)
+        except ValueError as exc:
+            raise ParseError(f"bad histogram row {rows[state]!r}") from exc
+        if count < 0:
+            raise ParseError(f"negative count in histogram row {rows[state]!r}")
+    return ShotHistogram(q, counts, shots)
+
+
+def _reference_probabilities_to_csv(num_qutrits, probs):
+    if len(probs) != 3**num_qutrits:
+        raise ShapeError(f"expected {3**num_qutrits} probabilities, got {len(probs)}")
+    lines = ["state,probability"]
+    lines += [f"{trits_from_index(i, num_qutrits)},{p:.17g}" for i, p in enumerate(probs)]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_probabilities_from_csv(text):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != "state,probability":
+        raise ParseError("expected 'state,probability' header")
+    rows = lines[1:]
+    if not rows:
+        raise ParseError("probability table has no rows")
+    length = len(rows[0].split(",")[0])
+    check_capacity(length)
+    if len(rows) != 3**length:
+        raise ParseError(
+            f"probability table must list all 3^{length} states, got {len(rows)} rows"
+        )
+    probs = np.zeros(3**length)
+    seen = set()
+    for ln in rows:
+        try:
+            state, raw = ln.split(",")
+            index, p = index_from_trits(state), float(raw)
+        except ValueError as exc:
+            raise ParseError(f"bad probability row {ln!r}") from exc
+        if len(state) != length:
+            raise ParseError(f"state {state!r} is not {length} trits long")
+        if index in seen:
+            raise ParseError(f"duplicate state {state!r}")
+        if not 0.0 <= p <= 1.0:
+            raise ParseError(f"probability {raw.strip()!r} is not a number in [0, 1]")
+        seen.add(index)
+        probs[index] = p
+    total = float(probs.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ParseError(f"probabilities sum to {total!r}, not 1")
+    return length, probs
+
+
+# Every line separator of str.splitlines, and characters that are no trits.
+SEPARATORS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              " ", " ")
+NOT_TRITS = ("3", "x", "-", " ", "\t", "\x00", "é", "١", " ", "?", ",")
+BAD_COUNTS = ("1.5", "+3", "1_000", "-4", "-0", " 7 ", "\t2", "x", "", "٣", "1e3", "0x10",
+              "99999999999999999999", "9223372036854775807", "nan")
+BAD_PROBABILITIES = ("nan", "-nan", "inf", "-0.0", "1.0000001", "-1e-300", "1e400", " 0.5 ",
+                     "+.5", "1_0", "0x1", "", "x", "1", "0", "5e-324")
+
+
+@st.composite
+def mutated_tables(draw, header):
+    """A table written by the reference writer, with up to four edits:
+    characters of a state replaced or inserted, states made longer or
+    shorter, rows repeated, values replaced, commas added or removed,
+    blank lines added, and the lines joined by any `splitlines` separator."""
+    q = draw(st.integers(1, 3))
+    if header == "state,count":
+        keys = draw(st.lists(st.integers(0, 3**q - 1), min_size=1, max_size=9, unique=True))
+        counts = {trits_from_index(i, q): draw(st.integers(0, 50)) for i in keys}
+        assume(sum(counts.values()) > 0)
+        text = _reference_histogram_to_csv(ShotHistogram(q, counts, sum(counts.values())))
+        bad = BAD_COUNTS
+    else:
+        weights = np.array(draw(st.lists(st.integers(0, 4), min_size=3**q, max_size=3**q)), float)
+        assume(weights.any())
+        text = _reference_probabilities_to_csv(q, weights / weights.sum())
+        bad = BAD_PROBABILITIES
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(1, len(lines) - 1))  # the header stays
+        state, _, value = lines[k].partition(",")
+        at = draw(st.integers(0, len(state)))
+        how = draw(st.sampled_from(("char", "insert", "longer", "shorter", "duplicate", "value",
+                                    "comma", "no-comma", "blank")))
+        if how == "char" and at < len(state):
+            lines[k] = f"{state[:at]}{draw(st.sampled_from(NOT_TRITS))}{state[at + 1:]},{value}"
+        elif how == "insert":
+            lines[k] = f"{state[:at]}{draw(st.sampled_from(NOT_TRITS))}{state[at:]},{value}"
+        elif how == "longer":
+            lines[k] = f"{state}{draw(st.sampled_from('012'))},{value}"
+        elif how == "shorter":
+            lines[k] = f"{state[:-1]},{value}"
+        elif how == "duplicate":
+            lines.insert(draw(st.integers(1, len(lines))), lines[k])
+        elif how == "value":
+            lines[k] = f"{state},{draw(st.sampled_from(bad))}"
+        elif how == "comma":
+            lines[k] = draw(st.sampled_from((f"{state},{value},", f",{state},{value}",
+                                             f"{state},,{value}")))
+        elif how == "no-comma":
+            lines[k] = f"{state}{value}"
+        else:
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", " ", "\t"))))
+    separator = draw(st.sampled_from(SEPARATORS))
+    return separator.join(lines) + draw(st.sampled_from(("", separator)))
+
+
+def _table_outcome(read, text):
+    """What a table reader makes of `text`: the histogram or (q, probability
+    bytes), or the exception type and message."""
+    try:
+        result = read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, ShotHistogram):
+        return result.num_qutrits, result.shots, result.indices.tolist(), result.tallies.tolist()
+    return result[0], result[1].tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_tables("state,count"))
+@example("state,count\n01x,3\n")
+@example("state,count\n012,3\n00,1\n")
+@example("state,count\n01,-3\n00,4\n")
+@example("state,count\n01,-3\n00,2\n")
+@example("state,count\n0 1,3\n01,1\n")
+@example("state,count\r\n01,3\r\n\x0b \n22,1_000 ")
+@example("state,count\n1111111111111,2\n")
+@example("state,count\n,2\n")
+@example("state,count\n01,2,\n2,1\n")
+@example("state,count\n01,2\n02,9223372036854775807\n")
+def test_histogram_csv_reader_matches_reference(text):
+    outcome = _table_outcome(histogram_from_csv, text)
+    assert outcome == _table_outcome(_reference_histogram_from_csv, text)
+    if isinstance(outcome[0], int):
+        hist = histogram_from_csv(text)
+        assert histogram_to_csv(hist) == _reference_histogram_to_csv(hist)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_tables("state,probability"))
+@example("state,probability\n0,0.5\n1,0.5\n2,nan\n")
+@example("state,probability\n0,0.5\n1,0.5\né,0\n")
+@example("state,probability\n0,0.5\n0,0.5\n2,0\n")
+@example("state,probability\n0,0.5\n1,0.5\n22,0\n")
+@example("state,probability\n,1\n")
+@example("state,probability\r\n0,1\x1c1, 0  2,0")
+def test_probability_csv_reader_matches_reference(text):
+    assert (_table_outcome(probabilities_from_csv, text)
+            == _table_outcome(_reference_probabilities_from_csv, text))
+
+
+SPECIAL_PROBABILITIES = (0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 0.5, 1.0, 1e16, math.nan,
+                         math.inf, -math.inf, -1.0)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda q: st.tuples(st.just(q), st.lists(
+    st.one_of(st.sampled_from(SPECIAL_PROBABILITIES), st.floats()),
+    min_size=3**q, max_size=3**q))))
+def test_probability_csv_writer_matches_reference(case):
+    q, probs = case
+    for table in (np.array(probs), probs):
+        assert probabilities_to_csv(q, table) == _reference_probabilities_to_csv(q, table)
+
+
+def test_histogram_csv_errors_name_the_row():
+    for text, message in (
+            ("state,count\n01x,3\n", "bad histogram row '01x,3'"),
+            ("state,count\n01,3\n012,2\n", "state '012' is not 2 trits long"),
+            ("state,count\n01,-3\n00,4\n", "negative count in histogram row '01,-3'")):
+        with pytest.raises(ParseError) as exc:
+            histogram_from_csv(text)
+        assert str(exc.value) == message
 
 
 def test_diagram_single_h():
@@ -800,7 +1057,8 @@ def test_encoder_blocks_match_their_op_view(name, side):
         for op in circuit.ops:  # plain ints, so the JSON writer never sees numpy scalars
             assert type(op.target) is int
             assert all(type(c.qutrit) is int and type(c.value) is int for c in op.controls)
-        again = circuit_from_json(circuit_to_json(circuit))
+        with mock.patch("qutritimg.simulator._circuit_of_ops", None):  # read column-wise
+            again = circuit_from_json(circuit_to_json(circuit))
         assert again == circuit
         assert circuit_to_json(again) == circuit_to_json(circuit)
         if side < 27:

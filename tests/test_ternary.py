@@ -12,6 +12,7 @@ from qutritimg import (
     trits_from_index,
     value_from_digits,
 )
+from qutritimg.ternary import indices_of_trit_column, trit_column
 
 
 def test_trits_from_index_zero():
@@ -107,3 +108,25 @@ def test_statevector_zero_cap():
         statevector_zero(MAX_QUTRITS + 1)
     with pytest.raises(ValueError):
         statevector_zero(0)
+
+
+@pytest.mark.parametrize("length", [1, 2, 5, MAX_QUTRITS])
+def test_trit_column_matches_the_scalar_codec(length):
+    indices = np.unique(np.random.default_rng(length).integers(0, 3**length, 500))
+    column = trit_column(indices, length)
+    assert column.dtype == np.dtype(f"S{length}")
+    assert [s.decode() for s in column.tolist()] == [
+        trits_from_index(i, length) for i in indices.tolist()]
+    assert indices_of_trit_column(column).tolist() == indices.tolist()
+
+
+@given(st.lists(st.text(alphabet="0123x -\x00", min_size=3, max_size=3), min_size=1))
+def test_indices_of_trit_column_marks_non_trits(states):
+    column = np.array([s.encode() for s in states], dtype="S3")
+    expect = []
+    for state in states:
+        try:
+            expect.append(index_from_trits(state))
+        except ValueError:
+            expect.append(-1)
+    assert indices_of_trit_column(column).tolist() == expect
