@@ -79,7 +79,9 @@ def _value_u8(theta: np.ndarray) -> np.ndarray:
 def _as_probabilities(hist, num_qutrits: int) -> tuple[np.ndarray, int]:
     """Accept a ShotHistogram or a raw probability vector of finite entries >= 0.
 
-    A raw vector need not sum to 1, but not all of it may be 0.
+    A raw vector need not sum to 1, but not all of it may be 0.  Its -0.0
+    entries are +0.0 in the returned copy, so the decoders need not mind
+    the sign of a zero (atan2(0, -0.0) is pi).
     """
     if isinstance(hist, ShotHistogram):
         if hist.num_qutrits != num_qutrits:
@@ -100,7 +102,7 @@ def _as_probabilities(hist, num_qutrits: int) -> tuple[np.ndarray, int]:
         )
     if not probs.any():
         raise ProbabilityError("every probability is 0; a raw vector needs a positive sum")
-    return probs, 0
+    return probs + 0.0, 0  # -0.0 + 0.0 is +0.0
 
 
 def decode_fqri(hist, n: int) -> DecodeReport:
@@ -111,8 +113,7 @@ def decode_fqri(hist, n: int) -> DecodeReport:
     """
     probs, shots = _as_probabilities(hist, 2 * n + 1)
     zeros, ones = np.sqrt(probs.reshape(3, -1)[:2])
-    # atan2 leaves [0, pi/2] only at raw entries of -0.0: atan2(+-0, -0) = +-pi
-    theta = np.minimum(np.maximum(_scalar(math.atan2, ones, zeros), 0.0), HALF_PI)
+    theta = _scalar(math.atan2, ones, zeros)  # in [0, pi/2]: no entry is -0.0
     return DecodeReport(GrayImage(_value_u8(theta).reshape(3**n, 3**n)), 0, (), shots)
 
 
@@ -137,10 +138,10 @@ def decode_fqrri(hist, n: int) -> DecodeReport:
     probs, shots = _as_probabilities(hist, 2 * n + 1)
     zeros, ones, twos = probs.reshape(3, -1)
     x, events = _clip(3**n * np.sqrt(ones), None, 1.0)
-    # p0 = 0 (or -0.0) gives p2 / 0 = inf, whose atan is pi/2, or 0 / 0 = NaN,
-    # which fmax takes to 0; a subnormal p0 may overflow to inf, as in Python
+    # p0 = 0 gives p2 / 0 = inf, whose atan is pi/2, or 0 / 0 = NaN, which
+    # fmax takes to 0; a subnormal p0 may overflow to inf, as in Python
     with np.errstate(all="ignore"):
-        ratio = np.fmax(twos / np.abs(zeros), 0.0)
+        ratio = np.fmax(twos / zeros, 0.0)
     rgb = fqrri_values_from_angles(_scalar(math.asin, x), _scalar(math.atan, np.sqrt(ratio)))
     pixels = np.array(rgb, dtype=np.uint8).T.reshape(3**n, 3**n, 3)
     return DecodeReport(RgbImage(pixels), events, (), shots)

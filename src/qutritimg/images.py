@@ -185,7 +185,7 @@ def write_pgm(img: GrayImage, binary: bool = False) -> bytes:
     side = img.side
     if binary:
         return f"P5\n{side} {side}\n255\n".encode() + img.pixels.tobytes()
-    rows = "\n".join(" ".join(str(v) for v in row) for row in img.pixels)
+    rows = "\n".join(" ".join(map(str, row)) for row in img.pixels.tolist())
     return f"P2\n{side} {side}\n255\n{rows}\n".encode()
 
 
@@ -193,7 +193,5 @@ def write_ppm(img: RgbImage, binary: bool = False) -> bytes:
     side = img.side
     if binary:
         return f"P6\n{side} {side}\n255\n".encode() + img.pixels.tobytes()
-    rows = "\n".join(
-        " ".join(str(v) for v in row.reshape(-1)) for row in img.pixels
-    )
+    rows = "\n".join(" ".join(map(str, row)) for row in img.pixels.reshape(side, -1).tolist())
     return f"P3\n{side} {side}\n255\n{rows}\n".encode()

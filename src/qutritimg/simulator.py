@@ -45,6 +45,13 @@ from the columns when first read; circuit equality follows it.  The
 circuit JSON writer expands the blocks in the same order.  `apply_op`
 applies one op to a copy and leaves its input unchanged.
 
+`circuit_from_json` pauses the cyclic garbage collector while it parses
+and reads: `json.loads` builds tens of thousands of dicts and lists,
+enough to start collections that traverse them all and free nothing, as
+the doc is a tree that reference counting frees.  The pause is
+process-wide and best-effort: the collector comes back on when the call
+ends only if it was on when the call began.
+
 `sample` returns a `ShotHistogram` of two int64 arrays, the hit basis
 indices in ascending order and their counts, taken straight from a
 multinomial draw over the non-zero probabilities and the last index,
@@ -57,6 +64,7 @@ tables convert a whole state column at a time (`ternary.trit_column` and
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -161,7 +169,7 @@ class Block:
                        for a in (self.values, self.entries, self.targets, self.gate_ids))
                 or not 0 < len(self.entries) == len(self.targets) == len(self.gate_ids)
                 or not ((self.values >= 0) & (self.values <= 2)).all()
-                or len(np.unique(self.values @ 3 ** np.arange(c))) != m):
+                or not np.diff(np.sort(_row_keys(self.values))).all()):
             raise ValueError("a block needs distinct int control qutrits >= 0, distinct rows "
                              "of control values 0, 1, 2 and int columns of at least one op")
         if not (0 <= self.entries.min() <= self.entries.max() < m
@@ -641,15 +649,27 @@ def circuit_from_json(text: str) -> Circuit:
     the doc is read again op by op, in the order of building each
     CircuitOp and then the Circuit, so the first bad field is the one
     reported.
+
+    The cyclic garbage collector is off for the call, whether it returns or
+    raises, and back on after it only if it was on before: the parsed doc
+    (20-65k dicts and lists for a 27x27 image) has no cycles, so a
+    collection during the read would traverse it to free nothing.  The
+    switch is process-wide, so another thread may see it off meanwhile.
     """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"invalid circuit JSON: {exc}") from exc
-    try:
-        return _circuit_of_columns(doc)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return _circuit_of_ops(doc)
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ParseError(f"invalid circuit JSON: {exc}") from exc
+        try:
+            return _circuit_of_columns(doc)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return _circuit_of_ops(doc)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _OP_FIELDS = itemgetter("subspace", "params", "gate", "controls", "target")

@@ -69,10 +69,10 @@ def _value_u8(theta):
 
 
 def _table(hist):
-    """(probabilities, shots) of a histogram or a raw vector."""
+    """(probabilities, shots) of a histogram or a raw vector, -0.0 as +0.0."""
     if isinstance(hist, ShotHistogram):
         return hist.to_probabilities(), hist.shots
-    return np.asarray(hist, dtype=float), 0
+    return np.asarray(hist, dtype=float) + 0.0, 0
 
 
 def _reference_fqri(hist, n):
@@ -532,6 +532,24 @@ def test_raw_vector_with_bad_entry_names_it(name, bad):
     tables[-1][4] = bad  # in the last table: fqrqci must check its third input too
     with pytest.raises(ProbabilityError, match=f"^probability 4 is {bad!r};"):
         codec.decode(*tables, 1)
+
+
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_raw_negative_zero_decodes_like_positive_zero(name):
+    """A raw -0.0 entry decodes as +0.0 (atan2(0, -0.0) is pi, which took an
+    fqri pixel to 255), and the caller's vector keeps its -0.0."""
+    codec = CODECS[name]
+    rng = np.random.default_rng(5)
+    enc = codec.encode(random_gray(rng, 1) if codec.gray else random_rgb(rng, 1))
+    tables = [_probs(c) for c in codec.measure(enc)]
+    for table in tables:
+        table[[0, 9]] = -0.0  # fqri: p0 = p1 = 0 at pixel 0
+    unsigned = [table + 0.0 for table in tables]
+    report = codec.decode(*tables, 1)
+    assert report == codec.decode(*unsigned, 1)
+    assert all(np.signbit(table[[0, 9]]).all() for table in tables)
+    if name == "fqri":
+        assert report.image.pixels[0, 0] == 0
 
 
 def test_all_zero_raw_vector_is_rejected():

@@ -73,6 +73,15 @@ def test_random_image_round_trip(seed, binary, rgb):
         assert read_pgm(write_pgm(img, binary=binary)) == img
 
 
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([3, 9, 27]))
+def test_plain_writers_match_per_sample_rendering(seed, side):
+    rng = np.random.default_rng(seed)
+    for img, write, magic in ((GrayImage(rng.integers(0, 256, (side, side))), write_pgm, "P2"),
+                              (RgbImage(rng.integers(0, 256, (side, side, 3))), write_ppm, "P3")):
+        rows = "\n".join(" ".join(str(v) for v in row.reshape(-1)) for row in img.pixels)
+        assert write(img) == f"{magic}\n{side} {side}\n255\n{rows}\n".encode()
+
+
 def test_pgm_header_comments():
     data = b"P2\n# a comment\n3 3 # trailing\n255\n" + b"0 " * 9
     img = read_pgm(data)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -41,6 +42,7 @@ from qutritimg import (
     trits_from_index,
 )
 from qutritimg.gates import PARAM_COUNTS, SUBSPACE_KINDS
+from qutritimg import simulator
 from qutritimg.simulator import Block
 from qutritimg.ternary import check_capacity
 
@@ -250,6 +252,62 @@ def test_circuit_json_errors():
         circuit_from_json("not json")
     with pytest.raises(ParseError):
         circuit_from_json('{"num_qutrits": 2}')
+
+
+_BOTH_PASSES_FAIL = [  # each fails the column pass and then the op-by-op pass
+    '{"num_qutrits": 2, "ops": [{"gate": "H", "subspace": null, "params": [], '
+    '"target": "0", "controls": []}]}',
+    '{"num_qutrits": 2, "ops": [{"gate": "H", "subspace": null, "params": [], '
+    '"target": 5, "controls": []}]}',
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("text", [
+    '{"num_qutrits": 2, "ops": [{"gate": "H", "subspace": null, "params": [], '
+    '"target": 1, "controls": [{"q": 0, "v": 2}]}]}',
+    "not json", *_BOTH_PASSES_FAIL,
+], ids=["valid", "invalid-json", "bad-target-type", "target-out-of-range"])
+def test_circuit_from_json_restores_the_collector(text, enabled):
+    """The read pauses the cyclic collector and leaves it as it found it,
+    whether the read returns or raises."""
+    seen = []
+
+    def spy(name):
+        real = getattr(simulator, name)
+        return lambda doc: seen.append(gc.isenabled()) or real(doc)
+
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        with mock.patch.object(simulator, "_circuit_of_columns", spy("_circuit_of_columns")), \
+                mock.patch.object(simulator, "_circuit_of_ops", spy("_circuit_of_ops")):
+            try:
+                circuit_from_json(text)
+            except (ParseError, ValueError):
+                pass
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen == ([] if text == "not json" else [False] * (1 + (text in _BOTH_PASSES_FAIL)))
+
+
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_circuit_json_read_leaves_no_cyclic_garbage(name):
+    """The parsed doc is a tree, so reference counting frees all of it
+    while the collector is paused; a run of the circuit adds no cycles."""
+    codec = CODECS[name]
+    rng = np.random.default_rng(27)
+    image = GrayImage(rng.integers(0, 256, (27, 27))) if codec.gray else \
+        RgbImage(rng.integers(0, 256, (27, 27, 3)))
+    texts = [circuit_to_json(c) for c in codec.measure(codec.encode(image))]
+    gc.collect()
+    for text in texts:
+        circuit = circuit_from_json(text)
+        if circuit.num_qutrits <= 9:
+            run(circuit)
+    del circuit
+    assert gc.collect() == 0
 
 
 # --- circuit JSON against the json.dumps writer and the per-op reader --------
@@ -1188,3 +1246,24 @@ def test_block_rejects_bad_layout(change):
         Block(**(fields | change))
     with pytest.raises(ValueError, match="out of range"):
         Circuit.from_blocks(1, (Block(**fields),))
+
+
+@pytest.mark.parametrize("width", [1, 4, 41])
+def test_block_rows_must_be_distinct(width):
+    """A repeated row of control values is rejected at any width, past the
+    39 controls whose base-3 keys fit in int64 too."""
+    rng = np.random.default_rng(width)
+    rows = np.unique(rng.integers(0, 3, (20, width)), axis=0)
+    rng.shuffle(rows)
+    m = len(rows)
+
+    def block(values):
+        ops = np.arange(len(values))
+        return Block(tuple(range(1, width + 1)), values, (GateSpec("H"),), ops,
+                     np.zeros_like(ops), np.zeros_like(ops))
+
+    block(rows)
+    for k in (0, m // 2, m):
+        repeated = np.insert(rows, k, rows[rng.integers(m)], axis=0)
+        with pytest.raises(ValueError, match="distinct rows of control values"):
+            block(repeated)
