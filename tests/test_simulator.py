@@ -41,8 +41,8 @@ from qutritimg import (
     statevector_zero,
     trits_from_index,
 )
-from qutritimg.gates import PARAM_COUNTS, SUBSPACE_KINDS
 from qutritimg import simulator
+from qutritimg.gates import PARAM_COUNTS, SUBSPACE_KINDS
 from qutritimg.simulator import Block
 from qutritimg.ternary import check_capacity
 
