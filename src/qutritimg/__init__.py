@@ -48,7 +48,6 @@ from .simulator import (
     CircuitOp,
     ControlSpec,
     ShotHistogram,
-    apply_op,
     circuit_from_json,
     circuit_to_json,
     diagram,

@@ -32,18 +32,17 @@ without FMA.  Every other step, a re-touch or a complex column 0, runs as
 one BLAS product on its full rows: BLAS rounds a (3, 3) @ (3, N) product
 differently depending on N.  The location Hadamards of every codec, the
 first step of its location-controlled block and all of the `qrciq`
-colour shifts are first touches.  `run` and `apply_op` return every zero
-amplitude as +0.0: OpenBLAS writes -0.0 into some columns of an all-zero
-input, and such zeros may lie outside the box.  Both reject a NaN or
-infinite gate param before any state exists, since a NaN times the zeros
-outside the box is NaN in the full product.
+colour shifts are first touches.  `run` returns every zero amplitude as
++0.0: OpenBLAS writes -0.0 into some columns of an all-zero input, and
+such zeros may lie outside the box.  It rejects a NaN or infinite gate
+param before any state exists, since a NaN times the zeros outside the
+box is NaN in the full product.
 
 `Circuit(q, ops)` and `circuit_from_json` group a flat op list, given as
 columns, into blocks with numpy; the encoders build their columns with
 numpy too.  `Circuit.ops` is the flat op view in emission order, derived
 from the columns when first read; circuit equality follows it.  The
-circuit JSON writer expands the blocks in the same order.  `apply_op`
-applies one op to a copy and leaves its input unchanged.
+circuit JSON writer expands the blocks in the same order.
 
 `circuit_from_json` pauses the cyclic garbage collector while it parses
 and reads: `json.loads` builds tens of thousands of dicts and lists,
@@ -179,20 +178,6 @@ class Block:
             raise ValueError("block entries and gate ids must be in range, and targets "
                              ">= 0 and not controls")
 
-    @classmethod
-    def _of_op(cls, op: CircuitOp, num_qutrits: int) -> Block:
-        """The one-op block of `op`, checked only for range: a CircuitOp has
-        checked the rest.  Its one step is filled in."""
-        controls = tuple(c.qutrit for c in op.controls)
-        _check_range(op.target, controls, num_qutrits)
-        zero = np.zeros(1, dtype=np.int64)
-        blk = cls.__new__(cls)
-        blk.__dict__.update(
-            controls=controls, gates=(op.gate,), entries=zero, gate_ids=zero,
-            values=np.array([[c.value for c in op.controls]], dtype=np.int64),
-            targets=np.array([op.target]), steps=((op.target, zero, zero),))
-        return blk
-
     @cached_property
     def matrices(self) -> np.ndarray:
         """(len(gates), 3, 3) stack of the gate matrices."""
@@ -278,8 +263,8 @@ def _row_keys(table: np.ndarray) -> np.ndarray:
     """One int per row of control values 0, 1 and 2, equal for equal rows:
     the row as a base-3 number, while that fits in int64."""
     c = table.shape[1]
-    if c <= 39:  # 3^40 > 2^63
-        return table @ 3 ** np.arange(c)
+    if c <= 39:  # 3^40 > 2^63; uint64 @ int64 would promote to float64
+        return table.astype(np.int64, copy=False) @ 3 ** np.arange(c)
     return np.unique(table, axis=0, return_inverse=True)[1].reshape(-1)
 
 
@@ -522,16 +507,6 @@ def _check_params(gates):
                 raise ValueError(f"gate {gate.label()} has a non-finite parameter")
 
 
-def apply_op(state: Statevector, op: CircuitOp) -> Statevector:
-    """Apply one (possibly controlled) gate, returning a new statevector."""
-    _check_params((op.gate,))
-    q = state.num_qutrits
-    out = state.amplitudes.copy()
-    _apply_block(out.reshape((3,) * q), Block._of_op(op, q), _scratch(q), [3] * q)
-    np.add(out, 0.0, out=out)  # -0.0 -> +0.0
-    return Statevector(q, out)
-
-
 def run(circuit: Circuit) -> Statevector:
     """Execute all blocks on the all-|0> state, in place in one buffer.
 
@@ -666,7 +641,7 @@ def circuit_from_json(text: str) -> Circuit:
         try:
             return _circuit_of_columns(doc)
         except (KeyError, TypeError, ValueError, OverflowError):
-            return _circuit_of_ops(doc)
+            return _circuit_op_by_op(doc)
     finally:
         if enabled:
             gc.enable()
@@ -678,7 +653,7 @@ _Q, _V = itemgetter("q"), itemgetter("v")
 
 def _circuit_of_columns(doc) -> Circuit:
     """The circuit of a doc whose every field checks, read column-wise.
-    Any bad field raises, though not always the error `_circuit_of_ops`
+    Any bad field raises, though not always the error `_circuit_op_by_op`
     reports for it."""
     ops, num_qutrits = _json(doc["ops"], list, "ops"), doc["num_qutrits"]
     _check_width(num_qutrits)
@@ -722,7 +697,7 @@ def _gate_column(kinds, pairs, params, flat: np.ndarray) -> list[GateSpec]:
     return list(map(built.__getitem__, firsts))
 
 
-def _circuit_of_ops(doc) -> Circuit:
+def _circuit_op_by_op(doc) -> Circuit:
     """The circuit of `doc`, read one op at a time: each field is checked
     in the order of building its CircuitOp, then the Circuit, so the error
     raised is that of the first bad field."""
@@ -908,8 +883,10 @@ def probabilities_from_csv(text: str) -> tuple[int, np.ndarray]:
 # --- text diagrams ---------------------------------------------------------
 
 def diagram_columns(circuit: Circuit) -> list[list[str]]:
-    """Cell grid of the diagram: one header column plus one column per op."""
+    """Cell grid of the diagram: one header column plus one column per op.
+    A register wider than `MAX_QUTRITS` is a CapacityError, before any cell."""
     q = circuit.num_qutrits
+    check_capacity(q)
     cols = [[f"q{j}:" for j in range(q)]]
     for op in circuit.ops:
         cells = [""] * q

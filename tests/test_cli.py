@@ -585,6 +585,13 @@ def test_fuzz_circuit_json_fails_cleanly(text):
         assert _fails_cleanly("diagram", "--circuit", circ)
 
 
+@pytest.mark.parametrize("width", [13, 10**30])
+def test_diagram_wider_than_the_cap_fails_cleanly(tmp_path, width):
+    circ = tmp_path / "wide.json"
+    circ.write_text(json.dumps({"num_qutrits": width, "ops": []}))
+    assert _fails_cleanly("diagram", "--circuit", circ)
+
+
 def _tables():
     """A valid histogram CSV and probability CSV of the 3x3 gray sample."""
     image = read_pgm((pathlib.Path(__file__).resolve().parent.parent / "data" / "gray_3x3.pgm")

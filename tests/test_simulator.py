@@ -24,7 +24,6 @@ from qutritimg import (
     RgbImage,
     ShotHistogram,
     Statevector,
-    apply_op,
     circuit_from_json,
     circuit_to_json,
     diagram,
@@ -71,8 +70,19 @@ def _random_op(rng, q):
     return CircuitOp(GateSpec(kind, subspace, params), target, controls)
 
 
+def _apply(state, op):
+    """`op` applied by the block kernel to a copy of `state`, any state: its
+    one-op block as `Circuit` builds it (range checked), every qutrit's
+    extent 3, and every zero returned as +0.0, as `run` returns them."""
+    q = state.num_qutrits
+    blk, = Circuit(q, (op,)).blocks
+    out = state.amplitudes.copy()
+    simulator._apply_block(out.reshape((3,) * q), blk, simulator._scratch(q), [3] * q)
+    return Statevector(q, out + 0.0)
+
+
 def test_uncontrolled_h_on_msb():
-    state = apply_op(statevector_zero(2), CircuitOp(GateSpec("H"), 0))
+    state = _apply(statevector_zero(2), CircuitOp(GateSpec("H"), 0))
     expect = np.zeros(9, dtype=complex)
     expect[[0, 3, 6]] = 1 / math.sqrt(3)
     np.testing.assert_allclose(state.amplitudes, expect, atol=1e-15)
@@ -82,34 +92,34 @@ def test_control_satisfied_and_not():
     op = CircuitOp(GateSpec("X", (0, 1)), 0, (ControlSpec(1, 1),))
     amps = np.zeros(9)
     amps[1] = 1.0  # |01>
-    out = apply_op(Statevector(2, amps), op)
+    out = _apply(Statevector(2, amps), op)
     expect = np.zeros(9)
     expect[4] = 1.0  # |11>
     np.testing.assert_array_equal(out.amplitudes.real, expect)
 
-    out = apply_op(statevector_zero(2), op)  # |00>: control unsatisfied
+    out = _apply(statevector_zero(2), op)  # |00>: control unsatisfied
     np.testing.assert_array_equal(out.amplitudes, statevector_zero(2).amplitudes)
 
 
-def test_apply_op_matches_dense_oracle():
+def test_one_op_block_matches_dense_oracle():
     rng = np.random.default_rng(7)
     for _ in range(200):
         q = int(rng.integers(1, 4))
         state = _random_state(rng, q)
         op = _random_op(rng, q)
         before = state.amplitudes.copy()
-        fast = apply_op(state, op).amplitudes
+        fast = _apply(state, op).amplitudes
         np.testing.assert_array_equal(state.amplitudes, before)  # input untouched
         slow = dense_op_matrix(op, q) @ state.amplitudes
         np.testing.assert_allclose(fast, slow, atol=1e-12)
         assert abs(np.linalg.norm(fast) - 1) < 1e-12
 
 
-def test_apply_op_bounds():
+def test_one_op_block_bounds():
     with pytest.raises(ValueError):
-        apply_op(statevector_zero(2), CircuitOp(GateSpec("H"), 2))
+        _apply(statevector_zero(2), CircuitOp(GateSpec("H"), 2))
     with pytest.raises(ValueError):
-        apply_op(
+        _apply(
             statevector_zero(2),
             CircuitOp(GateSpec("H"), 0, (ControlSpec(5, 0),)),
         )
@@ -144,7 +154,7 @@ def test_run_preserves_norm_on_random_circuits():
         assert abs(state.norm() - 1) < 1e-10
         folded = statevector_zero(q)
         for op in ops:
-            folded = apply_op(folded, op)
+            folded = _apply(folded, op)
         np.testing.assert_array_equal(state.amplitudes, folded.amplitudes)
 
 
@@ -163,14 +173,14 @@ def test_ops_with_different_control_values_commute():
                         (ControlSpec(shared, v1),))
         op2 = CircuitOp(GateSpec("U", (1, 2), tuple(rng.uniform(0, 3, 3))), target,
                         (ControlSpec(shared, v2),))
-        ab = apply_op(apply_op(state, op1), op2).amplitudes
-        ba = apply_op(apply_op(state, op2), op1).amplitudes
+        ab = _apply(_apply(state, op1), op2).amplitudes
+        ba = _apply(_apply(state, op2), op1).amplitudes
         np.testing.assert_allclose(ab, ba, atol=1e-12)
 
 
 def test_probabilities_examples():
     assert probabilities(statevector_zero(2))[0] == 1.0
-    h = apply_op(statevector_zero(1), CircuitOp(GateSpec("H"), 0))
+    h = _apply(statevector_zero(1), CircuitOp(GateSpec("H"), 0))
     np.testing.assert_allclose(probabilities(h), [1 / 3] * 3, atol=1e-15)
 
 
@@ -183,7 +193,7 @@ def test_sample_deterministic_state():
 
 
 def test_sample_seed_reproducibility():
-    state = apply_op(statevector_zero(2), CircuitOp(GateSpec("H"), 0))
+    state = _apply(statevector_zero(2), CircuitOp(GateSpec("H"), 0))
     a = sample(state, shots=5000, seed=42)
     b = sample(state, shots=5000, seed=42)
     assert a.counts == b.counts
@@ -192,7 +202,7 @@ def test_sample_seed_reproducibility():
 
 
 def test_sample_frequencies_within_three_sigma():
-    state = apply_op(statevector_zero(1), CircuitOp(GateSpec("H"), 0))
+    state = _apply(statevector_zero(1), CircuitOp(GateSpec("H"), 0))
     shots = 3_000_000
     hist = sample(state, shots=shots, seed=5)
     sigma = math.sqrt((1 / 3) * (2 / 3) / shots)
@@ -281,7 +291,7 @@ def test_circuit_from_json_restores_the_collector(text, enabled):
     try:
         gc.enable() if enabled else gc.disable()
         with mock.patch.object(simulator, "_circuit_of_columns", spy("_circuit_of_columns")), \
-                mock.patch.object(simulator, "_circuit_of_ops", spy("_circuit_of_ops")):
+                mock.patch.object(simulator, "_circuit_op_by_op", spy("_circuit_op_by_op")):
             try:
                 circuit_from_json(text)
             except (ParseError, ValueError):
@@ -413,7 +423,7 @@ def test_circuit_json_matches_reference(circuit):
     text = circuit_to_json(circuit)
     assert text == _reference_to_json(circuit)
     if all(math.isfinite(p) for op in circuit.ops for p in op.gate.params):
-        with mock.patch("qutritimg.simulator._circuit_of_ops", None):  # read column-wise
+        with mock.patch("qutritimg.simulator._circuit_op_by_op", None):  # read column-wise
             again = circuit_from_json(text)
         assert again == circuit
         assert circuit_to_json(again) == text  # keeps the sign of -0.0
@@ -905,6 +915,15 @@ def test_diagram_fqri(sample_gray):
     assert len(cols) == len(circuit.ops) + 1
 
 
+@pytest.mark.parametrize("width", [13, 10**30])
+def test_diagram_wider_than_the_cap_is_rejected(width):
+    """The width is checked before any cell is built: a list of 10^30
+    wire labels would not fit in memory."""
+    for draw in (diagram, diagram_columns):
+        with pytest.raises(CapacityError, match=rf"^{width} qutrits exceeds the cap of 12$"):
+            draw(Circuit(width))
+
+
 def test_diagram_empty_circuit():
     text = diagram(Circuit(2))
     lines = text.strip("\n").split("\n")
@@ -968,7 +987,7 @@ def test_run_is_bit_identical_to_per_op_kernel(circuit):
     assert run(again).amplitudes.tobytes() == expect
     folded = statevector_zero(circuit.num_qutrits)
     for op in circuit.ops:
-        folded = apply_op(folded, op)
+        folded = _apply(folded, op)
     assert folded.amplitudes.tobytes() == expect
 
 
@@ -1095,9 +1114,8 @@ def test_non_finite_params_are_rejected_before_any_state(kind, slot, value, monk
     circuit = Circuit(2, [_op("H", 0), op])
     monkeypatch.setattr("qutritimg.simulator.statevector_zero", None)  # never called
     monkeypatch.setattr("qutritimg.simulator._scratch", None)
-    for call in (lambda: run(circuit), lambda: apply_op(Statevector(2, np.eye(9)[0]), op)):
-        with pytest.raises(ValueError, match=rf"^gate {kind}02\(.*\) has a non-finite parameter$"):
-            call()
+    with pytest.raises(ValueError, match=rf"^gate {kind}02\(.*\) has a non-finite parameter$"):
+        run(circuit)
 
 
 def _random_image(codec, side, seed):
@@ -1115,7 +1133,7 @@ def test_encoder_blocks_match_their_op_view(name, side):
         for op in circuit.ops:  # plain ints, so the JSON writer never sees numpy scalars
             assert type(op.target) is int
             assert all(type(c.qutrit) is int and type(c.value) is int for c in op.controls)
-        with mock.patch("qutritimg.simulator._circuit_of_ops", None):  # read column-wise
+        with mock.patch("qutritimg.simulator._circuit_op_by_op", None):  # read column-wise
             again = circuit_from_json(circuit_to_json(circuit))
         assert again == circuit
         assert circuit_to_json(again) == circuit_to_json(circuit)
@@ -1267,3 +1285,25 @@ def test_block_rows_must_be_distinct(width):
         repeated = np.insert(rows, k, rows[rng.integers(m)], axis=0)
         with pytest.raises(ValueError, match="distinct rows of control values"):
             block(repeated)
+
+
+def test_block_keys_uint64_rows_as_int64():
+    """uint64 control values are keyed as int64 ones.  At 39 controls the
+    rows [0, ..., 0, 2] and [1, 0, ..., 0, 2] are distinct, but their
+    base-3 numbers share one float64, which uint64 @ int64 promotes to."""
+    rows = np.zeros((2, 39), dtype=np.int64)
+    rows[:, -1] = 2
+    rows[1, 0] = 1
+    ops = np.arange(2)
+
+    def block(values):
+        return Block(tuple(range(1, 40)), values, (GateSpec("H"),), ops,
+                     np.zeros_like(ops), np.zeros_like(ops))
+
+    wide, narrow = block(rows.astype(np.uint64)), block(rows)
+    assert np.array_equal(wide.values, narrow.values)
+    assert [(t, e.tolist(), g.tolist()) for t, e, g in wide.steps] == [
+        (t, e.tolist(), g.tolist()) for t, e, g in narrow.steps]
+    assert Circuit.from_blocks(40, (wide,)) == Circuit.from_blocks(40, (narrow,))
+    with pytest.raises(ValueError, match="distinct rows of control values"):
+        block(rows[[1, 1]].astype(np.uint64))
