@@ -39,7 +39,7 @@ def _write_image(codec, image, path: Path):
 def _load_counts(path: Path):
     """(qutrits, counts) of a histogram or exact-probability CSV, by header."""
     text = path.read_text()
-    header = text.splitlines()[0].strip() if text.strip() else ""
+    header = next(filter(str.strip, text.splitlines()), "").strip()
     if header == "state,probability":
         return probabilities_from_csv(text)
     hist = histogram_from_csv(text)

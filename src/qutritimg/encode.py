@@ -3,12 +3,14 @@
 All encoders share the same skeleton: Hadamards put the location (and any
 selector) qutrits into uniform superposition, then one fully
 location-controlled rotation or shift per pixel writes the pixel data.
-Each encoder emits these as two blocks (see `simulator.Block`), built with
-numpy: the Hadamards, then one uniformly controlled gate whose entries are
-the pixels (or pixel channels, or planes), with one gate object per
-distinct angle.  Each block is handed its op columns (per op: entry,
-target, gate id) in emission order; `Block.steps` derives the kernel
-schedule from them.  Conventions fixed here:
+`_register` lays out the register (the value, channel or digit/plane head
+qutrits, then the 2n location qutrits) and checks the image kind and the
+qutrit cap before any op is built; `_prepared` emits two blocks (see
+`simulator.Block`), built with numpy: the Hadamards, then one uniformly
+controlled gate whose entries are the pixels (or pixel channels, or
+planes), with one gate object per distinct angle.  Each block is handed
+its op columns (per op: entry, target, gate id) in emission order;
+`Block.steps` derives the kernel schedule from them.  Conventions fixed here:
 
 * pixel index i = y * 3^n + x (row-major), location trits MSB first;
 * angle scaling theta = v / 255 * pi/2, so v = 255 reaches pi/2 exactly;
@@ -76,14 +78,19 @@ def fqrri_angles(r: int, g: int, b: int) -> tuple[float, float]:
     return _packed_angle((g % 16) * 256 + b), _packed_angle((g // 16) * 256 + r)
 
 
-def _register(n: int, extra: int) -> int:
-    """Register width 2n + extra, checked against the cap before any op is built."""
-    q = 2 * n + extra
+def _register(img, kind: type, head: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+    """(n, layout) of the register for `img`: the `head` qutrits, then the 2n
+    location qutrits.  The image kind and the qutrit cap are checked here,
+    before any op is built."""
+    if not isinstance(img, kind):
+        raise TypeError(f"expected {kind.__name__}, got {type(img).__name__}")
+    n = img.n
+    q = 2 * n + len(head)
     if q > MAX_QUTRITS:
         raise CapacityError(
             f"{3**n}x{3**n} images need {q} qutrits, over the cap of {MAX_QUTRITS}"
         )
-    return q
+    return n, head + tuple(f"loc{t}" for t in range(2 * n))
 
 
 def _locations(n: int) -> np.ndarray:
@@ -92,17 +99,20 @@ def _locations(n: int) -> np.ndarray:
     return np.arange(9**n)[:, None] // powers % 3
 
 
-def _prepared(q: int, values: np.ndarray, gates, entries, targets, gate_ids) -> Circuit:
-    """Hadamards on the last c qutrits, then one block controlled by them
-    with rows `values` (m, c) and the given op columns; no ops leaves the
-    block out."""
+def _prepared(method: str, n: int, layout: tuple[str, ...], values: np.ndarray,
+              gates, entries, targets, gate_ids) -> EncodeResult:
+    """The `method` circuit on the len(layout) qutrits of `layout`:
+    Hadamards on the last c qutrits, then one block controlled by them with
+    rows `values` (m, c) and the given op columns; no ops leaves the block
+    out."""
+    q = len(layout)
     controls = tuple(range(q - values.shape[1], q))
     zeros = np.zeros(len(controls), dtype=np.int64)
     blocks = [Block((), np.zeros((1, 0), dtype=np.int64), (GateSpec("H"),),
                     zeros, np.array(controls), zeros)]
     if len(entries):
         blocks.append(Block(controls, values, tuple(gates), entries, targets, gate_ids))
-    return Circuit.from_blocks(q, blocks)
+    return EncodeResult(Circuit.from_blocks(q, blocks), n, method, layout)
 
 
 def _every_entry(m: int, *ops):
@@ -128,28 +138,18 @@ def _ry(pair: tuple[int, int], angle, keys):
 
 def encode_fqri(img: GrayImage) -> EncodeResult:
     """Grayscale values as one RY(0,1) angle per pixel on a value qutrit."""
-    if not isinstance(img, GrayImage):
-        raise TypeError("encode_fqri takes a grayscale image")
-    n = img.n
-    q = _register(n, 1)
+    n, layout = _register(img, GrayImage, ("value",))
     ops = _every_entry(9**n, _ry((0, 1), pixel_angle, img.pixels.reshape(-1)))
-    circuit = _prepared(q, _locations(n), *ops)
-    layout = ("value",) + tuple(f"loc{t}" for t in range(2 * n))
-    return EncodeResult(circuit, n, "FQRI", layout)
+    return _prepared("FQRI", n, layout, _locations(n), *ops)
 
 
 def encode_fqrri(img: RgbImage) -> EncodeResult:
     """RGB packed into two angles: RY(0,1) then RY(0,2) per pixel."""
-    if not isinstance(img, RgbImage):
-        raise TypeError("encode_fqrri takes an RGB image")
-    n = img.n
-    q = _register(n, 1)
+    n, layout = _register(img, RgbImage, ("value",))
     r, g, b = img.pixels.reshape(-1, 3).astype(np.int64).T
     ops = _every_entry(9**n, _ry((0, 1), _packed_angle, g % 16 * 256 + b),
                        _ry((0, 2), _packed_angle, g // 16 * 256 + r))
-    circuit = _prepared(q, _locations(n), *ops)
-    layout = ("value",) + tuple(f"loc{t}" for t in range(2 * n))
-    return EncodeResult(circuit, n, "FQRRI", layout)
+    return _prepared("FQRRI", n, layout, _locations(n), *ops)
 
 
 def _u12_params(key: int) -> tuple[float, float, float]:
@@ -163,15 +163,10 @@ def encode_fqrqci(img: RgbImage) -> EncodeResult:
     Per pixel the value qutrit ends in
     cos(tr)|0> + sin(tr)cos(tg)|1> + e^{i*tb} sin(tr)sin(tg)|2>.
     """
-    if not isinstance(img, RgbImage):
-        raise TypeError("encode_fqrqci takes an RGB image")
-    n = img.n
-    q = _register(n, 1)
+    n, layout = _register(img, RgbImage, ("value",))
     r, g, b = img.pixels.reshape(-1, 3).astype(np.int64).T
     ops = _every_entry(9**n, _ry((0, 1), pixel_angle, r), ("U", (1, 2), _u12_params, g * 256 + b))
-    circuit = _prepared(q, _locations(n), *ops)
-    layout = ("value",) + tuple(f"loc{t}" for t in range(2 * n))
-    return EncodeResult(circuit, n, "FQRQCI", layout)
+    return _prepared("FQRQCI", n, layout, _locations(n), *ops)
 
 
 def encode_mcqri(img: RgbImage) -> EncodeResult:
@@ -180,17 +175,12 @@ def encode_mcqri(img: RgbImage) -> EncodeResult:
     Register: value qutrit, channel qutrit (0=R, 1=G, 2=B), then the
     location qutrits.
     """
-    if not isinstance(img, RgbImage):
-        raise TypeError("encode_mcqri takes an RGB image")
-    n = img.n
-    q = _register(n, 2)
+    n, layout = _register(img, RgbImage, ("value", "channel"))
     # Entries run pixel-major, channel-minor: (channel, location trits).
     channels = np.tile(np.arange(3), 9**n)[:, None]
     values = np.hstack((channels, np.repeat(_locations(n), 3, axis=0)))
     ops = _every_entry(3 * 9**n, _ry((0, 1), pixel_angle, img.pixels.reshape(-1)))
-    circuit = _prepared(q, values, *ops)
-    layout = ("value", "channel") + tuple(f"loc{t}" for t in range(2 * n))
-    return EncodeResult(circuit, n, "MCQRI", layout)
+    return _prepared("MCQRI", n, layout, values, *ops)
 
 
 def encode_qrciq(img: RgbImage) -> EncodeResult:
@@ -201,10 +191,7 @@ def encode_qrciq(img: RgbImage) -> EncodeResult:
     1 and 2 become controlled [+1] / [+2] shifts, digit 0 needs no gate.
     Plane values 6..8 exist in the superposition but carry digit 000.
     """
-    if not isinstance(img, RgbImage):
-        raise TypeError("encode_qrciq takes an RGB image")
-    n = img.n
-    q = _register(n, 5)
+    n, layout = _register(img, RgbImage, ("r_digit", "g_digit", "b_digit", "plane0", "plane1"))
     area = 9**n
     # digits[b * area + i, channel]: digit b of pixel i's channel value.
     powers = 3 ** np.arange(6)[:, None, None]
@@ -217,8 +204,5 @@ def encode_qrciq(img: RgbImage) -> EncodeResult:
     digits, values = digits[keep], values[keep]
     entries, channels = np.nonzero(digits)
     gate_ids = digits[entries, channels] - 1
-    circuit = _prepared(q, values, (GateSpec("P1"), GateSpec("P2")), entries, channels, gate_ids)
-    layout = ("r_digit", "g_digit", "b_digit", "plane0", "plane1") + tuple(
-        f"loc{t}" for t in range(2 * n)
-    )
-    return EncodeResult(circuit, n, "QRCIQ", layout)
+    return _prepared("QRCIQ", n, layout, values, (GateSpec("P1"), GateSpec("P2")),
+                     entries, channels, gate_ids)

@@ -92,25 +92,16 @@ class RgbImage:
 
 _WHITESPACE = b" \t\r\n\v\f"  # what bytes.split() splits on
 _COMMENT = re.compile(rb"#[^\r\n]*")
+# Whitespace and comments, then the token: every part is optional, so the
+# match succeeds at once, and `\s` in a bytes pattern is `_WHITESPACE`.
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        ch = data[pos : pos + 1]
-        if ch == b"#":
-            while pos < n and data[pos : pos + 1] not in b"\r\n":
-                pos += 1
-        elif ch in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= n:
+    match = _TOKEN.match(data, pos)
+    if not match[1]:
         raise ParseError("unexpected end of file in header")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE + b"#":
-        pos += 1
-    return data[start:pos], pos
+    return match[1], match.end()
 
 
 def _parse_netpbm(data: bytes, magics: dict[bytes, bool], what: str):

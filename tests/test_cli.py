@@ -237,6 +237,20 @@ def test_decode_from_exact_probabilities(tmp_path, gray_path):
     assert read_pgm(out.read_bytes()) == read_pgm(gray_path.read_bytes())
 
 
+@pytest.mark.parametrize("prefix", [b"\n", b" \t\n\r\n"], ids=["blank", "whitespace"])
+def test_decode_probability_table_after_blank_lines(tmp_path, gray_path, prefix):
+    circ = tmp_path / "circ.json"
+    _run("encode", "--method", "fqri", "--input", gray_path, "--out", circ)
+    probs = tmp_path / "probs.csv"
+    _run("simulate", "--circuit", circ, "--exact", "--out", probs)
+    padded = tmp_path / "padded.csv"
+    padded.write_bytes(prefix + probs.read_bytes())
+    plain_out, padded_out = tmp_path / "plain.pgm", tmp_path / "padded.pgm"
+    assert _run("decode", "--method", "fqri", "--hist", probs, "--out", plain_out) == 0
+    assert _run("decode", "--method", "fqri", "--hist", padded, "--out", padded_out) == 0
+    assert padded_out.read_bytes() == plain_out.read_bytes()
+
+
 def _set_row(k, row):
     return lambda rows: rows[:k] + [row(rows[k])] + rows[k + 1:]
 

@@ -638,6 +638,9 @@ def test_codec_register_width_and_measurements(name, n):
     enc = codec.encode(random_gray(rng, n) if codec.gray else random_rgb(rng, n))
     q = enc.circuit.num_qutrits
     assert q == 2 * n + codec.extra_qutrits
+    assert len(enc.qutrit_layout) == q
+    assert enc.qutrit_layout[codec.extra_qutrits:] == tuple(f"loc{t}" for t in range(2 * n))
+    assert enc.method == name.upper() and enc.n == n
     assert codec.n_from_qutrits(q) == n
     for width in (q - 1, q + 1, codec.extra_qutrits):
         with pytest.raises(ShapeError):

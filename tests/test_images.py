@@ -15,7 +15,7 @@ from qutritimg import (
     write_pgm,
     write_ppm,
 )
-from qutritimg.images import _next_token, _read_samples
+from qutritimg.images import _WHITESPACE, _next_token, _read_samples
 
 
 def test_validate_side():
@@ -206,3 +206,51 @@ def test_short_plain_raster_names_the_sample_count():
 ])
 def test_plain_raster_comments_and_separators(raster, values):
     assert read_pgm(b"P2\n3 3\n255" + raster).pixels.reshape(-1).tolist() == values
+
+
+# --- the header tokenizer against the byte-at-a-time loop it replaced --------
+
+def _next_token_reference(data, pos):
+    """`_next_token` before one regex match replaced it, kept as the
+    reference: skip whitespace and `#` comments one byte at a time, then
+    read up to the next whitespace byte or `#`."""
+    n = len(data)
+    while pos < n:
+        ch = data[pos : pos + 1]
+        if ch == b"#":
+            while pos < n and data[pos : pos + 1] not in b"\r\n":
+                pos += 1
+        elif ch in _WHITESPACE:
+            pos += 1
+        else:
+            break
+    if pos >= n:
+        raise ParseError("unexpected end of file in header")
+    start = pos
+    while pos < n and data[pos : pos + 1] not in _WHITESPACE + b"#":
+        pos += 1
+    return data[start:pos], pos
+
+
+def _token_outcome(next_token, data, pos):
+    try:
+        return next_token(data, pos)
+    except ParseError as exc:
+        return str(exc)
+
+
+HEADER_BYTES = st.lists(
+    st.one_of(st.sampled_from(list(b" \t\v\f\r\n##0123456789")), st.integers(0, 255)),
+    max_size=24,
+).map(bytes)
+
+
+@settings(max_examples=300)
+@given(HEADER_BYTES)
+@example(b"")
+@example(b"# c\r12#x\n 7")
+@example(b"\x1c5\xa0 ")  # whitespace to str.split, not to bytes.split
+def test_header_tokenizer_matches_byte_loop_reference(data):
+    for pos in range(len(data) + 2):
+        expect = _token_outcome(_next_token_reference, data, pos)
+        assert _token_outcome(_next_token, data, pos) == expect
