@@ -240,7 +240,7 @@ def _token_outcome(next_token, data, pos):
 
 
 HEADER_BYTES = st.lists(
-    st.one_of(st.sampled_from(list(b" \t\v\f\r\n##0123456789")), st.integers(0, 255)),
+    st.one_of(st.sampled_from(list(b" \t\v\f\r\n#0123456789")), st.integers(0, 255)),
     max_size=24,
 ).map(bytes)
 
