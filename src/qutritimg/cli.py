@@ -38,7 +38,7 @@ def _write_image(codec, image, path: Path):
 
 def _load_counts(path: Path):
     """(qutrits, counts) of a histogram or exact-probability CSV, by header."""
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8-sig")
     header = next(filter(str.strip, text.splitlines()), "").strip()
     if header == "state,probability":
         return probabilities_from_csv(text)
@@ -57,7 +57,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    circuit = circuit_from_json(Path(args.circuit).read_text())
+    circuit = circuit_from_json(Path(args.circuit).read_text(encoding="utf-8-sig"))
     state = run(circuit)
     out = Path(args.out)
     if args.exact:
@@ -149,7 +149,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    circuit = circuit_from_json(Path(args.circuit).read_text())
+    circuit = circuit_from_json(Path(args.circuit).read_text(encoding="utf-8-sig"))
     sys.stdout.write(diagram(circuit))
     return 0
 

@@ -30,6 +30,7 @@ from .errors import HistogramInconsistencyError, ProbabilityError, ShapeError
 from .gates import GateSpec
 from .images import GrayImage, RgbImage
 from .simulator import Circuit, CircuitOp, ShotHistogram
+from .ternary import check_capacity
 
 # Below this, sin/cos prefactors are treated as zero: the encoded state
 # carries no usable information about the dependent channel.
@@ -79,7 +80,8 @@ def _value_u8(theta: np.ndarray) -> np.ndarray:
 def _as_probabilities(hist, num_qutrits: int) -> tuple[np.ndarray, int]:
     """Accept a ShotHistogram or a raw probability vector of finite entries >= 0.
 
-    A raw vector need not sum to 1, but not all of it may be 0.  Its -0.0
+    A raw vector's register is checked against the cap before 3^q is
+    computed.  It need not sum to 1, but not all of it may be 0.  Its -0.0
     entries are +0.0 in the returned copy, so the decoders need not mind
     the sign of a zero (atan2(0, -0.0) is pi).
     """
@@ -89,6 +91,7 @@ def _as_probabilities(hist, num_qutrits: int) -> tuple[np.ndarray, int]:
                 f"histogram is over {hist.num_qutrits} qutrits, expected {num_qutrits}"
             )
         return hist.to_probabilities(), hist.shots
+    check_capacity(num_qutrits)
     probs = np.asarray(hist, dtype=float)
     if probs.shape != (3**num_qutrits,):
         raise ShapeError(

@@ -139,7 +139,7 @@ SUBSPACE_KINDS = frozenset({"X", "RX", "RY", "RZ", "U"})
 
 @dataclass(frozen=True)
 class GateSpec:
-    """A named single-qutrit gate with its subspace and angle parameters."""
+    """A named single-qutrit gate with its subspace and finite angle parameters."""
 
     kind: str
     subspace: tuple[int, int] | None = None
@@ -162,19 +162,28 @@ class GateSpec:
             raise ValueError(
                 f"gate {self.kind} takes {want} parameter(s), got {len(self.params)}"
             )
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError(f"gate {self.label()} has a non-finite parameter")
 
     @classmethod
     def _of_shape(cls, kind, subspace, param_rows) -> list[GateSpec]:
         """One gate per row of `param_rows`, rows of one length: the first
         gate is checked in full, the rest share its kind and subspace and
-        are built without re-running the checks, at under a third of the
-        cost.  Params are float(p) each, as the checks make them."""
+        are built checking only that their params are finite, at under a
+        third of the cost.  Params are float(p) each, as the checks make
+        them, converted a column at a time."""
         first = cls(kind, subspace, param_rows[0])
+        columns = [list(map(float, column)) for column in zip(*param_rows[1:])]
+        rows = list(zip(*columns)) or [()] * (len(param_rows) - 1)
+        # A column's sum is finite unless one of its params is not, or the
+        # sum overflows; then each row is checked in full.
+        if not all(math.isfinite(sum(column)) for column in columns):
+            for params in rows:
+                cls(kind, subspace, params)
         gates = [first]
-        for params in param_rows[1:]:
+        for params in rows:
             gate = cls.__new__(cls)
-            gate.__dict__.update(kind=first.kind, subspace=first.subspace,
-                                 params=tuple(map(float, params)))
+            gate.__dict__.update(kind=first.kind, subspace=first.subspace, params=params)
             gates.append(gate)
         return gates
 

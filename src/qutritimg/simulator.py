@@ -34,15 +34,17 @@ differently depending on N.  The location Hadamards of every codec, the
 first step of its location-controlled block and all of the `qrciq`
 colour shifts are first touches.  `run` returns every zero amplitude as
 +0.0: OpenBLAS writes -0.0 into some columns of an all-zero input, and
-such zeros may lie outside the box.  It rejects a NaN or infinite gate
-param before any state exists, since a NaN times the zeros outside the
-box is NaN in the full product.
+such zeros may lie outside the box.  The box needs finite gate params,
+as a NaN times the zeros outside it is NaN in the full product: that
+holds by construction, since `GateSpec` rejects a NaN or infinite param.
 
 `Circuit(q, ops)` and `circuit_from_json` group a flat op list, given as
 columns, into blocks with numpy; the encoders build their columns with
-numpy too.  `Circuit.ops` is the flat op view in emission order, derived
-from the columns when first read; circuit equality follows it.  The
-circuit JSON writer expands the blocks in the same order.
+numpy too.  They and `Circuit.from_blocks` reject a register wider than
+`MAX_QUTRITS`, so every circuit can be run, written and drawn.
+`Circuit.ops` is the flat op view in emission order, derived from the
+columns when first read; circuit equality follows it.  The circuit JSON
+writer expands the blocks in the same order.
 
 `circuit_from_json` pauses the cyclic garbage collector while it parses
 and reads: `json.loads` builds tens of thousands of dicts and lists,
@@ -151,6 +153,8 @@ class Block:
     `entries`, `targets` and `gate_ids` are int columns with one item per
     op, in emission order.  Ops of different entries act on disjoint
     slices of the state and commute; each entry's ops run in column order.
+    A block has fewer than `MAX_QUTRITS` controls, as it needs a target
+    too, so a row's base-3 number fits in int64.
     """
 
     controls: tuple[int, ...]
@@ -162,15 +166,16 @@ class Block:
 
     def __post_init__(self):
         m, c = self.values.shape
-        if (any(type(q) is not int or q < 0 for q in self.controls)
+        if (c >= MAX_QUTRITS or any(type(q) is not int or q < 0 for q in self.controls)
                 or len(set(self.controls)) != c or len(self.controls) != c
                 or any(a.dtype.kind not in "iu"
                        for a in (self.values, self.entries, self.targets, self.gate_ids))
                 or not 0 < len(self.entries) == len(self.targets) == len(self.gate_ids)
                 or not ((self.values >= 0) & (self.values <= 2)).all()
                 or not np.diff(np.sort(_row_keys(self.values))).all()):
-            raise ValueError("a block needs distinct int control qutrits >= 0, distinct rows "
-                             "of control values 0, 1, 2 and int columns of at least one op")
+            raise ValueError(f"a block needs fewer than {MAX_QUTRITS} distinct int control "
+                             "qutrits >= 0, distinct rows of control values 0, 1, 2 and int "
+                             "columns of at least one op")
         if not (0 <= self.entries.min() <= self.entries.max() < m
                 and 0 <= self.gate_ids.min() <= self.gate_ids.max() < len(self.gates)
                 and self.targets.min() >= 0
@@ -229,7 +234,7 @@ def _group(num_qutrits: int, qutrits, values, counts, targets, gates):
     """
     if not targets:
         return ()
-    # No dtype for qutrits or targets: a register may be wider than int64 counts.
+    # No dtype for qutrits or targets: before the range check they may not fit int64.
     qutrits, targets, counts = np.array(qutrits), np.array(targets), np.array(counts)
     ends = np.cumsum(counts)
     starts = ends - counts
@@ -261,11 +266,8 @@ def _group(num_qutrits: int, qutrits, values, counts, targets, gates):
 
 def _row_keys(table: np.ndarray) -> np.ndarray:
     """One int per row of control values 0, 1 and 2, equal for equal rows:
-    the row as a base-3 number, while that fits in int64."""
-    c = table.shape[1]
-    if c <= 39:  # 3^40 > 2^63; uint64 @ int64 would promote to float64
-        return table.astype(np.int64, copy=False) @ 3 ** np.arange(c)
-    return np.unique(table, axis=0, return_inverse=True)[1].reshape(-1)
+    the row as a base-3 number (int64, as uint64 @ int64 gives float64)."""
+    return table.astype(np.int64, copy=False) @ 3 ** np.arange(table.shape[1])
 
 
 def _first_seen(keys: np.ndarray):
@@ -287,10 +289,12 @@ def _check_width(num_qutrits):
     _check_int(num_qutrits, "num_qutrits")
     if num_qutrits < 1:
         raise ValueError("circuit needs at least one qutrit")
+    check_capacity(num_qutrits)
 
 
 class Circuit:
-    """`num_qutrits` qutrits and the blocks applied to them, in order.
+    """`num_qutrits` qutrits, 1 to `MAX_QUTRITS`, and the blocks applied to
+    them, in order.
 
     `ops` is the same circuit as a flat op list in emission order; two
     circuits are equal when their widths and op lists are.
@@ -497,16 +501,6 @@ def _apply_block(tensor: np.ndarray, blk: Block, scratch: np.ndarray, extents: l
         view[index] = rows
 
 
-def _check_params(gates):
-    """Reject a gate with a NaN or infinite param before any state exists:
-    its matrix is NaN or cannot be built, and the support box would leave
-    the zeros that a NaN times 0 makes NaN in the full product."""
-    for gate in gates:
-        for param in gate.params:
-            if not math.isfinite(param):
-                raise ValueError(f"gate {gate.label()} has a non-finite parameter")
-
-
 def run(circuit: Circuit) -> Statevector:
     """Execute all blocks on the all-|0> state, in place in one buffer.
 
@@ -518,9 +512,9 @@ def run(circuit: Circuit) -> Statevector:
     bit-identical to applying the ops one at a time (see the module
     docstring).  Every zero amplitude is returned as +0.0: BLAS writes
     -0.0 into some columns of an all-zero input, depending on the
-    product's width.  A NaN or infinite gate param is a ValueError.
+    product's width.  Nothing is checked here: gate params are finite and
+    the register is within `MAX_QUTRITS` by construction.
     """
-    _check_params(gate for blk in circuit.blocks for gate in blk.gates)
     q = circuit.num_qutrits
     state = statevector_zero(q)
     tensor = state.amplitudes.reshape((3,) * q)
@@ -561,13 +555,6 @@ def sample(state: Statevector, shots: int, seed: int) -> ShotHistogram:
 
 # --- circuit JSON ---------------------------------------------------------
 
-def _json_float(x: float) -> str:
-    """`x` as json.dumps spells it: repr, or NaN / Infinity / -Infinity."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
 def _json_array(items: list[str], indent: str) -> str:
     """A JSON array of rendered `items`, closing at `indent`, as indent=1 lays it out."""
     if not items:
@@ -597,7 +584,7 @@ def circuit_to_json(circuit: Circuit) -> str:
                 head = heads[gate.kind, gate.subspace] = (
                     f'{{\n   "gate": {json.dumps(gate.kind)},\n   "subspace": {subspace},\n'
                     '   "params": ')
-            params = _json_array(list(map(_json_float, gate.params)), "   ")
+            params = _json_array(list(map(float.__repr__, gate.params)), "   ")
             gates.append(f'{head}{params},\n   "target": ')
         controls = [f'{{\n     "q": {q},\n     "v": %d\n    }}' for q in blk.controls]
         op = f'%s%d,\n   "controls": {_json_array(controls, "   ")}\n  }}'
@@ -679,8 +666,6 @@ def _circuit_of_columns(doc) -> Circuit:
 def _gate_column(kinds, pairs, params, flat: np.ndarray) -> list[GateSpec]:
     """The gate of each op, one GateSpec per distinct gate; each distinct
     shape, (kind, subspace, param count), is checked once."""
-    if not np.isfinite(flat).all():
-        raise ValueError("circuit JSON params must be finite numbers")
     pair_keys = [pair and tuple(pair) for pair in pairs]  # [] stays a list: no key
     keys = zip(kinds, pair_keys, map(tuple, params))
     if np.signbit(flat[flat == 0]).any():  # -0.0 == 0.0 as a key; repr tells them apart
@@ -830,6 +815,7 @@ def _check_histogram_rows(rows: list[str]):
 
 
 def probabilities_to_csv(num_qutrits: int, probs: np.ndarray) -> str:
+    check_capacity(num_qutrits)
     if len(probs) != 3**num_qutrits:
         raise ShapeError(f"expected {3**num_qutrits} probabilities, got {len(probs)}")
     return _table("state,probability", num_qutrits, np.arange(len(probs)), ".17g",
@@ -883,10 +869,8 @@ def probabilities_from_csv(text: str) -> tuple[int, np.ndarray]:
 # --- text diagrams ---------------------------------------------------------
 
 def diagram_columns(circuit: Circuit) -> list[list[str]]:
-    """Cell grid of the diagram: one header column plus one column per op.
-    A register wider than `MAX_QUTRITS` is a CapacityError, before any cell."""
+    """Cell grid of the diagram: one header column plus one column per op."""
     q = circuit.num_qutrits
-    check_capacity(q)
     cols = [[f"q{j}:" for j in range(q)]]
     for op in circuit.ops:
         cells = [""] * q

@@ -92,7 +92,7 @@ def value_from_digits(digits) -> int:
 
 @dataclass
 class Statevector:
-    """Amplitudes of a register of `num_qutrits` qutrits, index-ordered."""
+    """Amplitudes of a register of 1 to `MAX_QUTRITS` qutrits, index-ordered."""
 
     num_qutrits: int
     amplitudes: np.ndarray
@@ -100,6 +100,7 @@ class Statevector:
     def __post_init__(self):
         if self.num_qutrits < 1:
             raise ValueError("register needs at least one qutrit")
+        check_capacity(self.num_qutrits)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (3**self.num_qutrits,):
             raise ValueError(

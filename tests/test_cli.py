@@ -251,6 +251,46 @@ def test_decode_probability_table_after_blank_lines(tmp_path, gray_path, prefix)
     assert padded_out.read_bytes() == plain_out.read_bytes()
 
 
+BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark, as spreadsheet tools write it
+SIMULATE_MODES = pytest.mark.parametrize("mode", [("--exact",), ("--shots", 100)],
+                                         ids=["exact", "histogram"])
+
+
+def _with_bom(path):
+    marked = path.with_name("bom-" + path.name)
+    marked.write_bytes(BOM + path.read_bytes())
+    return marked
+
+
+@SIMULATE_MODES
+def test_decode_table_with_a_byte_order_mark(tmp_path, gray_path, mode):
+    circ = tmp_path / "circ.json"
+    _run("encode", "--method", "fqri", "--input", gray_path, "--out", circ)
+    table = tmp_path / "table.csv"
+    _run("simulate", "--circuit", circ, *mode, "--out", table)
+    plain_out, marked_out = tmp_path / "plain.pgm", tmp_path / "marked.pgm"
+    assert _run("decode", "--method", "fqri", "--hist", table, "--out", plain_out) == 0
+    assert _run("decode", "--method", "fqri", "--hist", _with_bom(table),
+                "--out", marked_out) == 0
+    assert marked_out.read_bytes() == plain_out.read_bytes()
+
+
+@SIMULATE_MODES
+def test_simulate_and_draw_circuit_json_with_a_byte_order_mark(tmp_path, capsys, gray_path,
+                                                               mode):
+    circ = tmp_path / "circ.json"
+    _run("encode", "--method", "fqri", "--input", gray_path, "--out", circ)
+    plain_out, marked_out = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    assert _run("simulate", "--circuit", circ, *mode, "--out", plain_out) == 0
+    assert _run("simulate", "--circuit", _with_bom(circ), *mode, "--out", marked_out) == 0
+    assert marked_out.read_bytes() == plain_out.read_bytes()
+    capsys.readouterr()
+    assert _run("diagram", "--circuit", circ) == 0
+    plain = capsys.readouterr()
+    assert _run("diagram", "--circuit", _with_bom(circ)) == 0
+    assert capsys.readouterr() == plain
+
+
 def _set_row(k, row):
     return lambda rows: rows[:k] + [row(rows[k])] + rows[k + 1:]
 

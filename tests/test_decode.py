@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import fqrqci_recoverable, random_gray, random_rgb
 from qutritimg import (
     CODECS,
+    CapacityError,
     DecodeReport,
     GrayImage,
     HistogramInconsistencyError,
@@ -550,6 +551,16 @@ def test_raw_negative_zero_decodes_like_positive_zero(name):
     assert all(np.signbit(table[[0, 9]]).all() for table in tables)
     if name == "fqri":
         assert report.image.pixels[0, 0] == 0
+
+
+@pytest.mark.parametrize("n", [6, 10**6])
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_raw_vector_over_the_cap_is_rejected_before_its_length(name, n):
+    """3^(2n + 1) for n = 10^6 has a million digits: the register width is
+    checked against the cap before any power of 3 is taken."""
+    codec = CODECS[name]
+    with pytest.raises(CapacityError, match=f"^{2 * n + codec.extra_qutrits} qutrits exceeds"):
+        codec.decode(*[np.ones(27)] * codec.histograms, n)
 
 
 def test_all_zero_raw_vector_is_rejected():

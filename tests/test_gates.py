@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -213,6 +213,25 @@ def test_gatespec_validation():
         GateSpec("Q")
     with pytest.raises(ValueError):
         GateSpec("X", (2, 1))
+
+
+FINITE_EDGES = st.sampled_from((0.0, -0.0, 5e-324, 1e308, -1e308, 1.7976931348623157e308, 1, -3))
+
+
+@given(st.sampled_from([("RY", (0, 1), 1), ("U", (1, 2), 3), ("X", (0, 2), 0), ("H", None, 0)])
+       .flatmap(lambda shape: st.tuples(st.just(shape), st.lists(st.lists(
+           st.one_of(FINITE_EDGES, st.floats(allow_nan=False, allow_infinity=False)),
+           min_size=shape[2], max_size=shape[2]), min_size=1, max_size=12))))
+@example((("RY", (0, 1), 1), [[0.5], [1e308], [1e308], [-0.0]]))
+def test_of_shape_matches_one_gatespec_per_row(case):
+    """`_of_shape` converts the params a column at a time and tests a
+    column's sum for finiteness: a sum that overflows on finite params
+    (1e308 + 1e308) must still build every gate, sign of zero kept."""
+    (kind, pair, _), rows = case
+    gates = GateSpec._of_shape(kind, pair, rows)
+    assert gates == [GateSpec(kind, pair, row) for row in rows]
+    assert [list(map(repr, g.params)) for g in gates] == [[repr(float(p)) for p in row]
+                                                          for row in rows]
 
 
 def test_gatespec_labels():

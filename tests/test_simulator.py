@@ -43,7 +43,7 @@ from qutritimg import (
 from qutritimg import simulator
 from qutritimg.gates import PARAM_COUNTS, SUBSPACE_KINDS
 from qutritimg.simulator import Block
-from qutritimg.ternary import check_capacity
+from qutritimg.ternary import MAX_QUTRITS, check_capacity
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -378,17 +378,14 @@ def _reference_from_json(text):
 
 
 SPECIAL_PARAMS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, math.pi)
-NONFINITE_PARAMS = (math.nan, math.inf, -math.inf)
 
 
 @st.composite
-def circuits(draw, finite=True):
+def circuits(draw):
     """Random circuits over every gate kind, up to 12 qutrits."""
     q = draw(st.integers(1, 12))
     params = st.one_of(
-        st.sampled_from(SPECIAL_PARAMS + (() if finite else NONFINITE_PARAMS)),
-        st.floats(allow_nan=not finite, allow_infinity=not finite),
-    )
+        st.sampled_from(SPECIAL_PARAMS), st.floats(allow_nan=False, allow_infinity=False))
     ops = []
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(sorted(PARAM_COUNTS)))
@@ -411,27 +408,50 @@ def _outcome(read, text):
 
 
 @settings(deadline=None)
-@given(circuits(finite=False))
+@given(circuits())
 @example(Circuit(1))
 @example(Circuit(3, (CircuitOp(GateSpec("H"), 1), CircuitOp(GateSpec("P2"), 0))))
 @example(Circuit(2, (CircuitOp(GateSpec("RZ", (0, 2), (-0.0,)), 0),)))
 @example(Circuit(2, (CircuitOp(GateSpec("RZ", (0, 2), (0.0,)), 0),
                      CircuitOp(GateSpec("RZ", (0, 2), (-0.0,)), 0))))
 @example(Circuit(1, (CircuitOp(GateSpec("X", (0, 1)), 0), CircuitOp(GateSpec("X", (1, 2)), 0))))
-@example(Circuit(1, (CircuitOp(GateSpec("U", (1, 2), (math.nan, math.inf, -math.inf)), 0),)))
 def test_circuit_json_matches_reference(circuit):
     text = circuit_to_json(circuit)
     assert text == _reference_to_json(circuit)
-    if all(math.isfinite(p) for op in circuit.ops for p in op.gate.params):
-        with mock.patch("qutritimg.simulator._circuit_op_by_op", None):  # read column-wise
-            again = circuit_from_json(text)
-        assert again == circuit
-        assert circuit_to_json(again) == text  # keeps the sign of -0.0
-        assert _reference_from_json(text) == again
-    else:
-        with pytest.raises(ParseError) as exc:
-            circuit_from_json(text)
-        assert _outcome(_reference_from_json, text) == (ParseError, str(exc.value))
+    with mock.patch("qutritimg.simulator._circuit_op_by_op", None):  # read column-wise
+        again = circuit_from_json(text)
+    assert again == circuit
+    assert circuit_to_json(again) == text  # keeps the sign of -0.0
+    assert _reference_from_json(text) == again
+
+
+@pytest.mark.parametrize("params", ["NaN, 0.5, 0.5", "0.5, Infinity, 0.5", "0.5, 0.5, -Infinity",
+                                    "NaN, Infinity, -Infinity"])
+@pytest.mark.parametrize("repeats", [1, 2])
+def test_circuit_json_non_finite_params_are_refused(params, repeats):
+    """json.loads reads NaN, Infinity and -Infinity, which no gate holds:
+    such a doc is refused with the reference reader's message, also where
+    the bad gate follows a good one of its shape."""
+    good = ('{"gate": "U", "subspace": [1, 2], "params": [0.5, 0.5, 0.5], "target": 0, '
+            '"controls": []}')
+    bad = good.replace("0.5, 0.5, 0.5", params)
+    text = '{"num_qutrits": 1, "ops": [%s]}' % ", ".join([good] * (repeats - 1) + [bad])
+    with pytest.raises(ParseError) as exc:
+        circuit_from_json(text)
+    assert _outcome(_reference_from_json, text) == (ParseError, str(exc.value))
+    assert str(exc.value).startswith("circuit JSON params must be finite numbers")
+
+
+@pytest.mark.parametrize("make", [
+    lambda width: Circuit(width),
+    lambda width: Circuit.from_blocks(width, ()),
+    lambda width: circuit_from_json(json.dumps({"num_qutrits": width, "ops": []})),
+], ids=["ops", "from_blocks", "json"])
+@pytest.mark.parametrize("width", [13, 10**30])
+def test_circuit_wider_than_the_cap_is_rejected(make, width):
+    with pytest.raises(CapacityError, match=rf"^{width} qutrits exceeds the cap of 12$"):
+        make(width)
+    make(12)
 
 
 BAD_VALUES = (True, False, None, 1.0, 2.5, -1, 3, 12, 10**30, "H", "x", [], [0, 1], [[0]],
@@ -667,6 +687,12 @@ def test_tables_wider_than_the_cap_are_rejected(width):
                  lambda: probabilities_from_csv(f"state,probability\n{state},1\n")):
         with pytest.raises(CapacityError, match=message):
             read()
+
+
+@pytest.mark.parametrize("width", [13, 10**6])
+def test_probability_csv_over_the_cap_is_rejected_before_its_length(width):
+    with pytest.raises(CapacityError, match=rf"^{width} qutrits exceeds the cap of 12$"):
+        probabilities_to_csv(width, np.ones(3))
 
 
 def test_probability_csv_round_trip():
@@ -917,8 +943,8 @@ def test_diagram_fqri(sample_gray):
 
 @pytest.mark.parametrize("width", [13, 10**30])
 def test_diagram_wider_than_the_cap_is_rejected(width):
-    """The width is checked before any cell is built: a list of 10^30
-    wire labels would not fit in memory."""
+    """No circuit wider than the cap exists to draw: a list of 10^30 wire
+    labels would not fit in memory."""
     for draw in (diagram, diagram_columns):
         with pytest.raises(CapacityError, match=rf"^{width} qutrits exceeds the cap of 12$"):
             draw(Circuit(width))
@@ -1107,15 +1133,18 @@ def test_support_box_is_bit_identical_to_per_op_kernel(name):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("kind,slot", [("RX", 0), ("RY", 0), ("RZ", 0),
                                         ("U", 0), ("U", 1), ("U", 2)])
-def test_non_finite_params_are_rejected_before_any_state(kind, slot, value, monkeypatch):
+def test_non_finite_params_are_rejected_before_any_state(kind, slot, value):
+    """No gate holds a NaN or infinite param, so no circuit `run` takes
+    does: a NaN times the zeros outside the support box would be NaN in
+    the full product.  `_of_shape` checks every row, not just the first."""
     params = [0.5] * PARAM_COUNTS[kind]
     params[slot] = value
-    op = _op(kind, 1, (0, 2), params)
-    circuit = Circuit(2, [_op("H", 0), op])
-    monkeypatch.setattr("qutritimg.simulator.statevector_zero", None)  # never called
-    monkeypatch.setattr("qutritimg.simulator._scratch", None)
-    with pytest.raises(ValueError, match=rf"^gate {kind}02\(.*\) has a non-finite parameter$"):
-        run(circuit)
+    message = rf"^gate {kind}02\(.*\) has a non-finite parameter$"
+    with pytest.raises(ValueError, match=message):
+        GateSpec(kind, (0, 2), params)
+    for rows in ([params], [[0.5] * len(params), params], [[0.5] * len(params)] * 2 + [params]):
+        with pytest.raises(ValueError, match=message):
+            GateSpec._of_shape(kind, (0, 2), rows)
 
 
 def _random_image(codec, side, seed):
@@ -1266,10 +1295,11 @@ def test_block_rejects_bad_layout(change):
         Circuit.from_blocks(1, (Block(**fields),))
 
 
-@pytest.mark.parametrize("width", [1, 4, 41])
+@pytest.mark.parametrize("width", [1, 4, 11, 41])
 def test_block_rows_must_be_distinct(width):
-    """A repeated row of control values is rejected at any width, past the
-    39 controls whose base-3 keys fit in int64 too."""
+    """A repeated row of control values is rejected at any width.  A block
+    of `MAX_QUTRITS` controls or more is rejected whatever its rows: no
+    register under the cap has room for its target."""
     rng = np.random.default_rng(width)
     rows = np.unique(rng.integers(0, 3, (20, width)), axis=0)
     rng.shuffle(rows)
@@ -1280,7 +1310,11 @@ def test_block_rows_must_be_distinct(width):
         return Block(tuple(range(1, width + 1)), values, (GateSpec("H"),), ops,
                      np.zeros_like(ops), np.zeros_like(ops))
 
-    block(rows)
+    if width < MAX_QUTRITS:
+        block(rows)
+    else:
+        with pytest.raises(ValueError, match=f"fewer than {MAX_QUTRITS} distinct"):
+            block(rows)
     for k in (0, m // 2, m):
         repeated = np.insert(rows, k, rows[rng.integers(m)], axis=0)
         with pytest.raises(ValueError, match="distinct rows of control values"):
@@ -1288,22 +1322,22 @@ def test_block_rows_must_be_distinct(width):
 
 
 def test_block_keys_uint64_rows_as_int64():
-    """uint64 control values are keyed as int64 ones.  At 39 controls the
-    rows [0, ..., 0, 2] and [1, 0, ..., 0, 2] are distinct, but their
-    base-3 numbers share one float64, which uint64 @ int64 promotes to."""
-    rows = np.zeros((2, 39), dtype=np.int64)
+    """uint64 control values are keyed as int64 ones (uint64 @ int64 would
+    give float64 keys), at the widest block a register under the cap has:
+    the rows [0, ..., 0, 2] and [1, 0, ..., 0, 2] stay distinct."""
+    rows = np.zeros((2, MAX_QUTRITS - 1), dtype=np.int64)
     rows[:, -1] = 2
     rows[1, 0] = 1
     ops = np.arange(2)
 
     def block(values):
-        return Block(tuple(range(1, 40)), values, (GateSpec("H"),), ops,
+        return Block(tuple(range(1, MAX_QUTRITS)), values, (GateSpec("H"),), ops,
                      np.zeros_like(ops), np.zeros_like(ops))
 
     wide, narrow = block(rows.astype(np.uint64)), block(rows)
     assert np.array_equal(wide.values, narrow.values)
     assert [(t, e.tolist(), g.tolist()) for t, e, g in wide.steps] == [
         (t, e.tolist(), g.tolist()) for t, e, g in narrow.steps]
-    assert Circuit.from_blocks(40, (wide,)) == Circuit.from_blocks(40, (narrow,))
+    assert simulator._row_keys(wide.values).dtype == np.int64
     with pytest.raises(ValueError, match="distinct rows of control values"):
         block(rows[[1, 1]].astype(np.uint64))

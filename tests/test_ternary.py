@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qutritimg import (
     MAX_QUTRITS,
     CapacityError,
+    Statevector,
     index_from_trits,
     statevector_zero,
     ternary_digits_u8,
@@ -108,6 +109,13 @@ def test_statevector_zero_cap():
         statevector_zero(MAX_QUTRITS + 1)
     with pytest.raises(ValueError):
         statevector_zero(0)
+
+
+@pytest.mark.parametrize("q", [MAX_QUTRITS + 1, 4 * 10**6])
+def test_statevector_over_the_cap_is_rejected_before_its_length(q):
+    with pytest.raises(CapacityError, match=f"^{q} qutrits exceeds the cap of {MAX_QUTRITS}$"):
+        Statevector(q, np.ones(3))
+    Statevector(MAX_QUTRITS, np.ones(3**MAX_QUTRITS))
 
 
 @pytest.mark.parametrize("length", [1, 2, 5, MAX_QUTRITS])
