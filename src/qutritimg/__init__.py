@@ -28,6 +28,7 @@ from .errors import (
     HistogramInconsistencyError,
     ParseError,
     ProbabilityError,
+    RegisterWidthError,
     ShapeError,
     UnsupportedDepthError,
 )

@@ -21,5 +21,9 @@ class CapacityError(ValueError):
     """Requested register exceeds the supported simulation size."""
 
 
+class RegisterWidthError(ValueError):
+    """A register width is not an int of at least 1 (a bool is not one)."""
+
+
 class HistogramInconsistencyError(ValueError):
     """Histogram encodes contradictory digit assignments for one basis slot."""

@@ -43,15 +43,21 @@ columns, into blocks with numpy; the encoders build their columns with
 numpy too.  They and `Circuit.from_blocks` reject a register wider than
 `MAX_QUTRITS`, so every circuit can be run, written and drawn.
 `Circuit.ops` is the flat op view in emission order, derived from the
-columns when first read; circuit equality follows it.  The circuit JSON
-writer expands the blocks in the same order.
+columns when first read; circuit equality follows it.
 
-`circuit_from_json` pauses the cyclic garbage collector while it parses
-and reads: `json.loads` builds tens of thousands of dicts and lists,
-enough to start collections that traverse them all and free nothing, as
-the doc is a tree that reference counting frees.  The pause is
-process-wide and best-effort: the collector comes back on when the call
-ends only if it was on when the call began.
+Circuit JSON is the text of json.dumps(doc, indent=1), ops in emission
+order.  The writer renders each block's ops once, from templates per
+block, and keeps the text on the block (`Block.json_ops`), so circuits
+that share blocks share that work.  The reader scans text in that
+layout as bytes, at fixed offsets, and accepts the circuit it finds only
+if the writer renders it back to the same text; any other text is parsed
+by `json.loads` and read op by op, which reports the first bad field.
+The reader pauses the cyclic garbage collector: `json.loads` builds tens
+of thousands of dicts and lists, enough to start collections that
+traverse them all and free nothing, as the doc is a tree that reference
+counting frees.  The pause is process-wide and best-effort: the
+collector comes back on when the call ends only if it was on when the
+call began.
 
 `sample` returns a `ShotHistogram` of two int64 arrays, the hit basis
 indices in ascending order and their counts, taken straight from a
@@ -71,12 +77,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, filterfalse, repeat
-from operator import attrgetter, getitem, itemgetter
+from operator import attrgetter, getitem
 
 import numpy as np
 
 from .errors import ParseError, ShapeError
-from .gates import GateSpec, gate_matrices
+from .gates import PARAM_COUNTS, GateSpec, gate_matrices
 from .ternary import (
     MAX_QUTRITS, Statevector, check_capacity, index_from_trits, indices_of_trit_column,
     statevector_zero, trit_column, trits_from_index,
@@ -154,7 +160,8 @@ class Block:
     op, in emission order.  Ops of different entries act on disjoint
     slices of the state and commute; each entry's ops run in column order.
     A block has fewer than `MAX_QUTRITS` controls, as it needs a target
-    too, so a row's base-3 number fits in int64.
+    too, so a row's base-3 number fits in int64.  Its gate matrices, kernel
+    schedule and JSON op text are built when first read and kept.
     """
 
     controls: tuple[int, ...]
@@ -201,6 +208,21 @@ class Block:
         return tuple(bool(single[ids].all()) for _, _, ids in self.steps)
 
     @cached_property
+    def json_ops(self) -> str:
+        """The block's ops as `circuit_to_json` writes them, one after
+        another in its "ops" array.  Per op, the text of its gate, of its
+        target and of its entry, each rendered once per block (see
+        `_gate_texts` and `_entry_texts`), joined; kept once built, so a
+        block shared by several circuits is rendered once for all."""
+        targets, at = np.unique(self.targets, return_inverse=True)
+        parts = np.empty((len(self.targets), 3), dtype=object)
+        parts[:, 0] = _gate_texts(self.gates)[self.gate_ids]
+        parts[:, 1] = np.array([f'{t},\n   "controls": ' for t in targets.tolist()],
+                               dtype=object)[at]
+        parts[:, 2] = _entry_texts(self.controls, self.values)[self.entries]
+        return "".join(parts.ravel().tolist())[:-4]  # the separator after the last op
+
+    @cached_property
     def steps(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
         """The kernel's schedule: (target, entries, gate ids) per step.
 
@@ -232,7 +254,7 @@ def _group(num_qutrits: int, qutrits, values, counts, targets, gates):
     qutrits share a block, each distinct row of control values among them
     is one of its entries, and gates are shared by identity.
     """
-    if not targets:
+    if not len(targets):
         return ()
     # No dtype for qutrits or targets: before the range check they may not fit int64.
     qutrits, targets, counts = np.array(qutrits), np.array(targets), np.array(counts)
@@ -283,13 +305,8 @@ def _first_seen(keys: np.ndarray):
 
 _qutrit = attrgetter("qutrit")
 _value = attrgetter("value")
-
-
-def _check_width(num_qutrits):
-    _check_int(num_qutrits, "num_qutrits")
-    if num_qutrits < 1:
-        raise ValueError("circuit needs at least one qutrit")
-    check_capacity(num_qutrits)
+_shape = attrgetter("kind", "subspace")
+_params = attrgetter("params")
 
 
 class Circuit:
@@ -301,7 +318,7 @@ class Circuit:
     """
 
     def __init__(self, num_qutrits: int, ops=()):
-        _check_width(num_qutrits)
+        check_capacity(num_qutrits)
         ops = tuple(ops)
         self.num_qutrits = num_qutrits
         controls = list(chain.from_iterable(op.controls for op in ops))
@@ -318,7 +335,7 @@ class Circuit:
     @classmethod
     def from_blocks(cls, num_qutrits: int, blocks) -> Circuit:
         """A circuit of ready-made blocks; `ops` is derived when first read."""
-        _check_width(num_qutrits)
+        check_capacity(num_qutrits)
         blocks = tuple(blocks)
         for blk in blocks:
             _check_range(int(blk.targets.max()), blk.controls, num_qutrits)
@@ -563,35 +580,65 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
+def _gate_texts(gates) -> np.ndarray:
+    """Per gate, the text of an op of it up to the target's value, as an
+    object array: one (kind, subspace) shape at a time, which fixes the
+    param count, from one %-template filled per gate.  The params of a
+    shape are spelled by one `float.__repr__` map over their distinct
+    values, told apart by their bits, so 0.0 and -0.0 are two values."""
+    shapes: dict = {}
+    label = np.array(list(map(shapes.setdefault, map(_shape, gates), count())))
+    texts = np.empty(len(gates), dtype=object)
+    for (kind, pair), first in shapes.items():
+        subspace = _json_array([str(j) for j in pair], "   ") if pair else "null"
+        template = (f'{{\n   "gate": {json.dumps(kind)},\n   "subspace": {subspace},\n'
+                    f'   "params": {_json_array(["%s"] * PARAM_COUNTS[kind], "   ")},\n'
+                    '   "target": ')
+        ids = np.flatnonzero(label == first)
+        params = np.array(list(map(_params, map(gates.__getitem__, ids.tolist()))),
+                          dtype=np.float64).reshape(len(ids), -1)
+        bits, at = np.unique(params.view(np.int64).ravel(), return_inverse=True)
+        reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())),
+                         dtype=object)[at].reshape(params.shape)
+        texts[ids] = list(map(template.__mod__, map(tuple, reprs.tolist())))
+    return texts
+
+
+def _entry_texts(controls: tuple[int, ...], values: np.ndarray) -> np.ndarray:
+    """Per row of `values`, the text of an op on it after its target, as an
+    object array: the control list, the op's closing brace and the
+    separator to the next op.
+    One uint8 template row per row, its value digits written in at fixed
+    offsets (the method of the CSV `_table`)."""
+    items = [f'{{\n     "q": {q},\n     "v": 0\n    }}' for q in controls]
+    row = np.frombuffer(f'{_json_array(items, "   ")}\n  }},\n  '.encode(), dtype=np.uint8)
+    rows = np.empty((len(values), len(row)), dtype=np.uint8)
+    rows[:] = row
+    rows[:, np.flatnonzero(row == ord("v")) + 4] = values + ord("0")  # '"v": 0'
+    text, size = rows.tobytes().decode("ascii"), len(row)
+    return np.array(list(map(text.__getitem__, map(slice, range(0, len(text), size),
+                                                   range(size, len(text) + size, size)))),
+                    dtype=object)
+
+
 def circuit_to_json(circuit: Circuit) -> str:
-    """The text of json.dumps(doc, indent=1), written from one template per op.
+    """The text of json.dumps(doc, indent=1): the blocks' `json_ops` in order.
 
     json.dumps with an indent runs the pure-Python encoder, so the fixed
-    layout is rendered here, op by op in emission order.  Each gate head
-    (kind and subspace) is rendered once per call and each gate's params
-    once per block, and the rest of an op is one %-format template per
-    block, filled in with the op's gate text, target and control values.
+    layout is rendered by `Block.json_ops`, once per block: circuits that
+    share blocks, as the three `fqrqci` circuits share their preparation,
+    render them once between them.
     """
-    heads: dict = {}
-    ops = []
-    for blk in circuit.blocks:
-        gates = []
-        for gate in blk.gates:
-            head = heads.get((gate.kind, gate.subspace))
-            if head is None:
-                pair = gate.subspace
-                subspace = _json_array([str(j) for j in pair], "   ") if pair else "null"
-                head = heads[gate.kind, gate.subspace] = (
-                    f'{{\n   "gate": {json.dumps(gate.kind)},\n   "subspace": {subspace},\n'
-                    '   "params": ')
-            params = _json_array(list(map(float.__repr__, gate.params)), "   ")
-            gates.append(f'{head}{params},\n   "target": ')
-        controls = [f'{{\n     "q": {q},\n     "v": %d\n    }}' for q in blk.controls]
-        op = f'%s%d,\n   "controls": {_json_array(controls, "   ")}\n  }}'
-        values = blk.values[blk.entries].T.tolist()  # per control, its value in each op
-        ops += map(op.__mod__, zip(map(gates.__getitem__, blk.gate_ids.tolist()),
-                                   blk.targets.tolist(), *values))
-    return f'{{\n "num_qutrits": {circuit.num_qutrits},\n "ops": {_json_array(ops, " ")}\n}}'
+    return _text(circuit)
+
+
+def _text(circuit: Circuit) -> str:
+    """`circuit_to_json`, called by the reader's proof under this name, so
+    a profiler or tracer that wraps the public function counts the proof
+    as part of the read."""
+    ops = ",\n  ".join(blk.json_ops for blk in circuit.blocks)
+    ops = f"[\n  {ops}\n ]" if ops else "[]"
+    return f'{{\n "num_qutrits": {circuit.num_qutrits},\n "ops": {ops}\n}}'
 
 
 def _json(value, kind: type, field: str):
@@ -604,12 +651,14 @@ def _json(value, kind: type, field: str):
 def circuit_from_json(text: str) -> Circuit:
     """Parse circuit JSON, checking the type of every field of every op.
 
-    The ops are read a field at a time across all of them: types are
-    checked per column, each distinct gate is built once and shared by the
-    ops that repeat it, each gate shape is checked once, and the ops go
-    straight into blocks; `ops` is derived when read.  If any check fails,
-    the doc is read again op by op, in the order of building each
-    CircuitOp and then the Circuit, so the first bad field is the one
+    Text in the writer's own layout is read by a byte scan (`_scan`), and
+    the circuit it gives is accepted only if `circuit_to_json` renders it
+    back to `text`.  `circuit_from_json(circuit_to_json(c)) == c` holds for
+    every circuit and `repr` round-trips every float, -0.0 too, so an
+    accepted circuit is the one the op-by-op read of the doc returns.  Any
+    other text, in another layout or bad, goes through `json.loads` and
+    `_circuit_op_by_op`, which checks each field in the order of building
+    each CircuitOp and then the Circuit, so the first bad field is the one
     reported.
 
     The cyclic garbage collector is off for the call, whether it returns or
@@ -622,64 +671,89 @@ def circuit_from_json(text: str) -> Circuit:
     gc.disable()
     try:
         try:
+            circuit = _scan(text)
+        except (ValueError, IndexError):  # not the writer's layout, or a bad circuit
+            circuit = None
+        if circuit is not None and _text(circuit) == text:
+            return circuit
+        try:
             doc = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"invalid circuit JSON: {exc}") from exc
-        try:
-            return _circuit_of_columns(doc)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            return _circuit_op_by_op(doc)
+        return _circuit_op_by_op(doc)
     finally:
         if enabled:
             gc.enable()
 
 
-_OP_FIELDS = itemgetter("subspace", "params", "gate", "controls", "target")
-_Q, _V = itemgetter("q"), itemgetter("v")
+def _small_ints(codes: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The int of the one or two decimal digits from `first` to `last` of
+    `codes`, per item: 0 to 99, as every qutrit and control value of a
+    circuit is."""
+    ones = codes[last].astype(np.int64) - ord("0")
+    return np.where(last > first, 10 * (codes[first].astype(np.int64) - ord("0")), 0) + ones
 
 
-def _circuit_of_columns(doc) -> Circuit:
-    """The circuit of a doc whose every field checks, read column-wise.
-    Any bad field raises, though not always the error `_circuit_op_by_op`
-    reports for it."""
-    ops, num_qutrits = _json(doc["ops"], list, "ops"), doc["num_qutrits"]
-    _check_width(num_qutrits)
-    if not ops:
-        return Circuit.from_blocks(num_qutrits, ())
-    pairs, params, kinds, controls, targets = zip(*map(_OP_FIELDS, ops))
-    # true and 1.0 hash and compare like 1, and a string iterates like a
-    # list, so the types of every field are checked before any key is made.
-    if (not set(map(type, pairs)) <= {type(None), list} or set(map(type, params)) != {list}
-            or set(map(type, controls)) != {list}):
-        raise TypeError("a field of an op has the wrong type")
-    flat = list(chain.from_iterable(controls))
-    qutrits, values = list(map(_Q, flat)), list(map(_V, flat))
-    params_flat = list(chain.from_iterable(params))
-    ints = chain(targets, qutrits, values, chain.from_iterable(filter(None, pairs)))
-    if set(map(type, ints)) != {int} or not set(map(type, params_flat)) <= {int, float}:
-        raise TypeError("a field of an op has the wrong type")
-    gates = _gate_column(kinds, pairs, params, np.array(params_flat, dtype=float))
-    blocks = _group(num_qutrits, qutrits, values, list(map(len, controls)), targets, gates)
+def _scan(text: str) -> Circuit:
+    """The circuit of `text` if it is in the writer's layout.
+
+    Past line 1, a line's kind is one byte at a fixed column: the first
+    letter of a "gate", "params" or "target" key at column 4, of a "q" or
+    "v" key at column 6.  The digits of each target, "q" and "v" are read
+    at fixed offsets, and an op's control count is the number of "q" lines
+    after its "target" line.  Each op's gate text, from its "gate" line to
+    its "target" line, is a dict key; each distinct gate is built once, a
+    (kind, subspace, param count) shape at a time by `GateSpec._of_shape`,
+    from its param lines, all read by one `float` map.  Text in another
+    layout gives some other circuit, or raises ValueError or IndexError.
+    """
+    codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    ends = np.append(np.flatnonzero(codes == ord("\n")), len(codes))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    num_qutrits = int(text[starts[1] + 16:ends[1] - 1])  # ' "num_qutrits": 3,'
+    check_capacity(num_qutrits)
+    at = np.minimum(starts[2:], len(codes) - 7)
+    fourth, sixth = codes[at + 4], codes[at + 6]
+    gate_at, params_at, target_at = (np.flatnonzero(fourth == ord(c)) + 2 for c in "gpt")
+    q_at, v_at = (np.flatnonzero(sixth == ord(c)) + 2 for c in "qv")
+    if not len(gate_at) == len(params_at) == len(target_at) or len(q_at) != len(v_at):
+        raise ValueError("not the writer's layout")
+    # '   "target": 1,' and '     "q": 1,' end in a comma, '     "v": 1' does not.
+    targets = _small_ints(codes, starts[target_at] + 13, ends[target_at] - 2)
+    qutrits = _small_ints(codes, starts[q_at] + 10, ends[q_at] - 2)
+    values = codes[starts[v_at] + 10].astype(np.int64) - ord("0")
+    bounds = np.searchsorted(q_at, target_at)
+    counts = np.diff(np.concatenate(([0], bounds[1:], [len(q_at)])))
+    first: dict = {}
+    firsts = list(map(first.setdefault, _slices(text, starts[gate_at], starts[target_at]),
+                      count()))
+    op = np.fromiter(first.values(), np.intp, len(first))  # the first op of each gate
+    head, params, target = gate_at[op], params_at[op], target_at[op]
+    # '   "params": [],' or '   "params": [', one line per param, '   ],'
+    k = np.maximum(target - params - 2, 0)
+    offsets = np.cumsum(k) - k
+    lines = np.repeat(params + 1 - offsets, k) + np.arange(k.sum())
+    comma = codes[ends[lines] - 1] == ord(",")
+    floats = np.array(list(map(float, _slices(text, starts[lines], ends[lines] - comma))))
+    shapes: dict = {}
+    shape = np.array(list(map(shapes.setdefault, zip(
+        _slices(text, starts[head], starts[params]), k.tolist()), count())), dtype=np.intp)
+    built: dict = {}
+    for (lines, n), i in shapes.items():
+        # '   "gate": "RY",', then '   "subspace": null,' or its four lines
+        kind, subspace, *pair = lines.split("\n")[:4]
+        pair = None if subspace.endswith("null,") else (int(pair[0][:-1]), int(pair[1]))
+        ids = np.flatnonzero(shape == i)
+        rows = floats[offsets[ids, None] + np.arange(n)].tolist()
+        built.update(zip(op[ids].tolist(), GateSpec._of_shape(kind[12:-2], pair, rows)))
+    gates = list(map(built.__getitem__, firsts))
+    blocks = _group(num_qutrits, qutrits, values, counts, targets, gates)
     return Circuit.from_blocks(num_qutrits, blocks)
 
 
-def _gate_column(kinds, pairs, params, flat: np.ndarray) -> list[GateSpec]:
-    """The gate of each op, one GateSpec per distinct gate; each distinct
-    shape, (kind, subspace, param count), is checked once."""
-    pair_keys = [pair and tuple(pair) for pair in pairs]  # [] stays a list: no key
-    keys = zip(kinds, pair_keys, map(tuple, params))
-    if np.signbit(flat[flat == 0]).any():  # -0.0 == 0.0 as a key; repr tells them apart
-        keys = zip(kinds, pair_keys, map(repr, params))
-    first: dict = {}
-    firsts = list(map(first.setdefault, keys, count()))
-    shapes: dict = {}
-    for i in first.values():
-        shape = (type(kinds[i]), kinds[i], pair_keys[i], len(params[i]))
-        shapes.setdefault(shape, []).append(i)
-    built: dict = {}
-    for (_, kind, pair, _), ops in shapes.items():
-        built.update(zip(ops, GateSpec._of_shape(kind, pair, [params[i] for i in ops])))
-    return list(map(built.__getitem__, firsts))
+def _slices(text: str, starts: np.ndarray, stops: np.ndarray):
+    """The substrings of `text` from each of `starts` to its stop."""
+    return map(text.__getitem__, map(slice, starts.tolist(), stops.tolist()))
 
 
 def _circuit_op_by_op(doc) -> Circuit:

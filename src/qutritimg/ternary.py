@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, RegisterWidthError
 
 # 3**12 complex128 amplitudes is ~8.5 MB; the largest register any codec
 # here needs is qrciq's 2n+5 = 11 qutrits (27x27 images).
@@ -98,8 +98,6 @@ class Statevector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.num_qutrits < 1:
-            raise ValueError("register needs at least one qutrit")
         check_capacity(self.num_qutrits)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (3**self.num_qutrits,):
@@ -113,8 +111,14 @@ class Statevector:
 
 
 def check_capacity(num_qutrits: int):
-    """Reject a register wider than `MAX_QUTRITS`, before anything of size
-    3^num_qutrits is computed or allocated."""
+    """Reject a register width that is not an int from 1 to `MAX_QUTRITS`,
+    before anything of size 3^num_qutrits is computed or allocated: a
+    width that is not an int (a bool included) or is below 1 is a
+    `RegisterWidthError`, one past the cap a `CapacityError`."""
+    if type(num_qutrits) is not int or num_qutrits < 1:
+        raise RegisterWidthError(
+            f"register width must be an int of at least 1, got {num_qutrits!r}"
+        )
     if num_qutrits > MAX_QUTRITS:
         raise CapacityError(
             f"{num_qutrits} qutrits exceeds the cap of {MAX_QUTRITS}"
@@ -123,8 +127,6 @@ def check_capacity(num_qutrits: int):
 
 def statevector_zero(num_qutrits: int) -> Statevector:
     """The all-|0> state of a `num_qutrits` register."""
-    if num_qutrits < 1:
-        raise ValueError("register needs at least one qutrit")
     check_capacity(num_qutrits)
     amps = np.zeros(3**num_qutrits, dtype=np.complex128)
     amps[0] = 1.0

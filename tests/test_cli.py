@@ -1,11 +1,13 @@
 import contextlib
 import copy
+import functools
 import hashlib
 import io
 import json
 import math
 import pathlib
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from qutritimg import (
 )
 from qutritimg import cli
 from qutritimg.cli import main
+from qutritimg.simulator import Block
 
 
 def _run(*argv):
@@ -84,6 +87,20 @@ def test_encode_circuit_json_golden_bytes(tmp_path, gray_path, rgb_path, method)
     paths = [out, tmp_path / "circ.m2.json", tmp_path / "circ.m3.json"]
     digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths if p.exists()]
     assert digests == GOLDEN_CIRCUIT_SHA256[method]
+
+
+def test_encode_fqrqci_renders_each_shared_block_once(tmp_path, rgb_path):
+    """The three fqrqci circuits share their preparation blocks, so encode
+    renders four blocks' op text: the Hadamards, the pixel rotations and
+    the basis change of each of the second and third circuits."""
+    rendered = []
+    render = Block.json_ops.func
+    spy = functools.cached_property(lambda blk: rendered.append(blk) or render(blk))
+    spy.__set_name__(Block, "json_ops")
+    with mock.patch.object(Block, "json_ops", spy):
+        assert _run("encode", "--method", "fqrqci", "--input", rgb_path,
+                    "--out", tmp_path / "circ.json") == 0
+    assert len(rendered) == len(set(map(id, rendered))) == 4
 
 
 def test_encode_kind_mismatch_fails(tmp_path, gray_path, capsys):

@@ -11,6 +11,7 @@ from oracles import fqrqci_recoverable, random_gray, random_rgb
 from qutritimg import (
     CODECS,
     CapacityError,
+    RegisterWidthError,
     DecodeReport,
     GrayImage,
     HistogramInconsistencyError,
@@ -561,6 +562,14 @@ def test_raw_vector_over_the_cap_is_rejected_before_its_length(name, n):
     codec = CODECS[name]
     with pytest.raises(CapacityError, match=f"^{2 * n + codec.extra_qutrits} qutrits exceeds"):
         codec.decode(*[np.ones(27)] * codec.histograms, n)
+
+
+def test_raw_vector_width_below_one_is_rejected():
+    """n = -1 gives a register of 2n + 1 = -1 qutrits: rejected as a width,
+    not measured against the 3^-1 probabilities it would expect."""
+    with pytest.raises(RegisterWidthError,
+                       match=r"^register width must be an int of at least 1, got -1$"):
+        decode_fqri(np.ones(3), -1)
 
 
 def test_all_zero_raw_vector_is_rejected():

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import pathlib
 import re
 
@@ -55,3 +56,22 @@ def test_output_manifest_prints_one_line_per_artifact(capsys):
     assert sum(n.endswith("/decode-few.json") for n in names) == 2 * len(CODECS)
     assert sorted(n for n in names if n.startswith("qrciq-27x27/")) == [
         "qrciq-27x27/roundtrip.json", "qrciq-27x27/roundtrip.ppm"]
+
+
+def test_layer_ab_times_a_tree_against_itself(capsys):
+    spec = importlib.util.spec_from_file_location("layer_ab", SCRIPTS / "layer_ab.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    root = str(SCRIPTS.parent)
+    assert script.main([root, root, "--repeats", "2"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    labels = ["fqri-27", "fqrri-27", "fqrqci-27.m1", "fqrqci-27.m2", "fqrqci-27.m3",
+              "fqrqci-27.all", "mcqri-27", "qrciq-9"]
+    assert list(result) == ["repeats", "seed", *labels]
+    for label in labels:
+        for call in ("write", "read"):
+            sides = result[label][call]
+            assert list(sides) == ["parent", "change", "parent_copy"]
+            assert all(side["median"] > 0 and 0 <= side["wins_vs_parent"] <= 2
+                       for side in sides.values())
+            assert sides["parent"]["ratio_to_parent"] == 1.0

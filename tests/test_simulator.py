@@ -20,6 +20,7 @@ from qutritimg import (
     GateSpec,
     GrayImage,
     ParseError,
+    RegisterWidthError,
     ShapeError,
     RgbImage,
     ShotHistogram,
@@ -264,33 +265,35 @@ def test_circuit_json_errors():
         circuit_from_json('{"num_qutrits": 2}')
 
 
-_BOTH_PASSES_FAIL = [  # each fails the column pass and then the op-by-op pass
+_SCAN_THEN_OP_BY_OP = [  # each fails the scan's proof, then is read op by op
+    '{"num_qutrits": 2, "ops": [{"gate": "H", "subspace": null, "params": [], '
+    '"target": 1, "controls": [{"q": 0, "v": 2}]}]}',
     '{"num_qutrits": 2, "ops": [{"gate": "H", "subspace": null, "params": [], '
     '"target": "0", "controls": []}]}',
     '{"num_qutrits": 2, "ops": [{"gate": "H", "subspace": null, "params": [], '
     '"target": 5, "controls": []}]}',
 ]
+_WRITTEN = circuit_to_json(Circuit(2, (CircuitOp(GateSpec("H"), 1, (ControlSpec(0, 2),)),)))
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("text", [
-    '{"num_qutrits": 2, "ops": [{"gate": "H", "subspace": null, "params": [], '
-    '"target": 1, "controls": [{"q": 0, "v": 2}]}]}',
-    "not json", *_BOTH_PASSES_FAIL,
-], ids=["valid", "invalid-json", "bad-target-type", "target-out-of-range"])
+    _SCAN_THEN_OP_BY_OP[0], "not json", *_SCAN_THEN_OP_BY_OP[1:], _WRITTEN,
+], ids=["valid", "invalid-json", "bad-target-type", "target-out-of-range", "written"])
 def test_circuit_from_json_restores_the_collector(text, enabled):
-    """The read pauses the cyclic collector and leaves it as it found it,
-    whether the read returns or raises."""
+    """The read pauses the cyclic collector for the scan and the op-by-op
+    pass, and leaves it as it found it, whether the read returns or
+    raises; the writer's text is read by the scan alone."""
     seen = []
 
     def spy(name):
         real = getattr(simulator, name)
-        return lambda doc: seen.append(gc.isenabled()) or real(doc)
+        return lambda arg: seen.append((name, gc.isenabled())) or real(arg)
 
     was = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
-        with mock.patch.object(simulator, "_circuit_of_columns", spy("_circuit_of_columns")), \
+        with mock.patch.object(simulator, "_scan", spy("_scan")), \
                 mock.patch.object(simulator, "_circuit_op_by_op", spy("_circuit_op_by_op")):
             try:
                 circuit_from_json(text)
@@ -299,7 +302,8 @@ def test_circuit_from_json_restores_the_collector(text, enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was else gc.disable()
-    assert seen == ([] if text == "not json" else [False] * (1 + (text in _BOTH_PASSES_FAIL)))
+    passes = ["_scan", "_circuit_op_by_op"] if text in _SCAN_THEN_OP_BY_OP else ["_scan"]
+    assert seen == [(name, False) for name in passes]
 
 
 @pytest.mark.parametrize("name", sorted(CODECS))
@@ -407,6 +411,13 @@ def _outcome(read, text):
         return type(exc), str(exc)
 
 
+def _read_by_scan(text):
+    """`circuit_from_json(text)`, failing if the text is parsed as JSON:
+    the writer's own text is read by the byte scan alone."""
+    with mock.patch.object(simulator.json, "loads", side_effect=AssertionError("json.loads")):
+        return circuit_from_json(text)
+
+
 @settings(deadline=None)
 @given(circuits())
 @example(Circuit(1))
@@ -418,8 +429,7 @@ def _outcome(read, text):
 def test_circuit_json_matches_reference(circuit):
     text = circuit_to_json(circuit)
     assert text == _reference_to_json(circuit)
-    with mock.patch("qutritimg.simulator._circuit_op_by_op", None):  # read column-wise
-        again = circuit_from_json(text)
+    again = _read_by_scan(text)
     assert again == circuit
     assert circuit_to_json(again) == text  # keeps the sign of -0.0
     assert _reference_from_json(text) == again
@@ -529,6 +539,37 @@ def test_circuit_json_reader_fails_where_reference_fails(text):
     assert outcome == expect
     if isinstance(outcome, Circuit):  # and keeps the sign of every zero param
         assert circuit_to_json(outcome) == circuit_to_json(expect)
+
+
+def _op_by_op(text):
+    """`_circuit_op_by_op(json.loads(text))`, a JSON syntax error reported
+    as the reader reports it."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid circuit JSON: {exc}") from exc
+    return simulator._circuit_op_by_op(doc)
+
+
+@pytest.mark.parametrize("name,k", [("fqri", 0), ("fqrqci", 1)])
+def test_circuit_json_single_byte_mutations_read_as_op_by_op(name, k):
+    """At every position of the writer's text of a 3x3 codec circuit, the
+    byte replaced by a digit or a space, or deleted, in turn: the reader
+    gives what the op-by-op pass gives, the circuit (with the sign of every
+    zero param) or the exception type and message."""
+    codec = CODECS[name]
+    text = circuit_to_json(codec.measure(codec.encode(_random_image(codec, 3, 3)))[k])
+    accepted = 0
+    for i, byte in enumerate(text):
+        new = ("2" if byte == "1" else "1", " ", "")[i % 3]
+        mutated = text[:i] + new + text[i + 1:]
+        outcome = _outcome(circuit_from_json, mutated)
+        expect = _outcome(_op_by_op, mutated)
+        assert outcome == expect, (i, new)
+        if isinstance(outcome, Circuit):
+            assert circuit_to_json(outcome) == circuit_to_json(expect), (i, new)
+            accepted += circuit_to_json(outcome) == mutated
+    assert accepted > 0  # some mutants are the writer's text of another circuit
 
 
 INT64_MAX = 2**63 - 1
@@ -693,6 +734,13 @@ def test_tables_wider_than_the_cap_are_rejected(width):
 def test_probability_csv_over_the_cap_is_rejected_before_its_length(width):
     with pytest.raises(CapacityError, match=rf"^{width} qutrits exceeds the cap of 12$"):
         probabilities_to_csv(width, np.ones(3))
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_probability_csv_width_below_one_is_rejected(width):
+    with pytest.raises(RegisterWidthError,
+                       match=rf"^register width must be an int of at least 1, got {width}$"):
+        probabilities_to_csv(width, np.ones(1))
 
 
 def test_probability_csv_round_trip():
@@ -1162,8 +1210,7 @@ def test_encoder_blocks_match_their_op_view(name, side):
         for op in circuit.ops:  # plain ints, so the JSON writer never sees numpy scalars
             assert type(op.target) is int
             assert all(type(c.qutrit) is int and type(c.value) is int for c in op.controls)
-        with mock.patch("qutritimg.simulator._circuit_op_by_op", None):  # read column-wise
-            again = circuit_from_json(circuit_to_json(circuit))
+        again = _read_by_scan(circuit_to_json(circuit))
         assert again == circuit
         assert circuit_to_json(again) == circuit_to_json(circuit)
         if side < 27:

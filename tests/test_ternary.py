@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qutritimg import (
     MAX_QUTRITS,
     CapacityError,
+    RegisterWidthError,
     Statevector,
     index_from_trits,
     statevector_zero,
@@ -116,6 +117,13 @@ def test_statevector_over_the_cap_is_rejected_before_its_length(q):
     with pytest.raises(CapacityError, match=f"^{q} qutrits exceeds the cap of {MAX_QUTRITS}$"):
         Statevector(q, np.ones(3))
     Statevector(MAX_QUTRITS, np.ones(3**MAX_QUTRITS))
+
+
+@pytest.mark.parametrize("width", [2.0, True], ids=["float", "bool"])
+def test_statevector_width_must_be_an_int(width):
+    with pytest.raises(RegisterWidthError,
+                       match=rf"^register width must be an int of at least 1, got {width!r}$"):
+        Statevector(width, np.ones(3**int(width)))
 
 
 @pytest.mark.parametrize("length", [1, 2, 5, MAX_QUTRITS])
