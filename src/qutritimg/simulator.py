@@ -739,9 +739,9 @@ def _scan(text: str) -> Circuit:
     shape = np.array(list(map(shapes.setdefault, zip(
         _slices(text, starts[head], starts[params]), k.tolist()), count())), dtype=np.intp)
     built: dict = {}
-    for (lines, n), i in shapes.items():
+    for (head_text, n), i in shapes.items():
         # '   "gate": "RY",', then '   "subspace": null,' or its four lines
-        kind, subspace, *pair = lines.split("\n")[:4]
+        kind, subspace, *pair = head_text.split("\n")[:4]
         pair = None if subspace.endswith("null,") else (int(pair[0][:-1]), int(pair[1]))
         ids = np.flatnonzero(shape == i)
         rows = floats[offsets[ids, None] + np.arange(n)].tolist()
