@@ -1,6 +1,6 @@
 """Time the circuit JSON writer and reader of two source trees call by call.
 
-    python3 scripts/layer_ab.py PARENT_DIR CHANGE_DIR [--repeats N] [--seed S]
+    python3 scripts/layer_ab.py PARENT_DIR CHANGE_DIR [--repeats N]
 
 Each directory is the root of a checkout of this repository.  Its package
 `src/qutritimg` is imported under a name of its own, so both trees run in
@@ -10,10 +10,11 @@ the method.  A drift in the host's speed hits every side alike.
 
 The circuits are the staged ones of the `staged-cli-27` workload: `fqri`,
 `fqrri`, the three `fqrqci` circuits (`.m1` to `.m3`) and `mcqri` at
-27x27, and `qrciq` at 9x9, each from one seeded uniform-noise image per
-codec.  `fqrqci-27.all` writes the three `fqrqci` circuits one after the
-other, as `encode` does.  Every write renders blocks that no write has
-rendered before: a copy of each block is made outside the timed call.
+27x27, and `qrciq` at 9x9, each from one uniform-noise image per codec,
+drawn with seed `SEED`.  `fqrqci-27.all` writes the three `fqrqci`
+circuits one after the other, as `encode` does.  Every write renders
+blocks that no write has rendered before: a copy of each block is made
+outside the timed call.
 Each iteration times one call per side, process CPU time, in an order
 that rotates by one side per iteration.  Every side must write the same
 text, which every side then reads.
@@ -37,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+SEED = 17
 STAGED = (("fqri", 27), ("fqrri", 27), ("fqrqci", 27), ("mcqri", 27), ("qrciq", 9))
 
 
@@ -51,12 +53,12 @@ def load(root: Path, name: str):
     return module
 
 
-def staged_circuits(pkg, seed: int) -> dict:
+def staged_circuits(pkg) -> dict:
     """Label -> tuple of circuits written together, of package `pkg`."""
     out = {}
     for name, side in STAGED:
         codec = pkg.CODECS[name]
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(SEED)
         image = (pkg.GrayImage(rng.integers(0, 256, (side, side))) if codec.gray
                  else pkg.RgbImage(rng.integers(0, 256, (side, side, 3))))
         circuits = codec.measure(codec.encode(image))
@@ -97,11 +99,10 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--repeats", type=int, default=60, help="iterations per call")
-    parser.add_argument("--seed", type=int, default=17, help="image seed")
     args = parser.parse_args(argv)
     sides = {"parent": load(args.parent, "ab_parent"), "change": load(args.change, "ab_change"),
              "parent_copy": load(args.parent, "ab_parent_copy")}
-    circuits = {side: staged_circuits(pkg, args.seed) for side, pkg in sides.items()}
+    circuits = {side: staged_circuits(pkg) for side, pkg in sides.items()}
     texts = {}
     for label, written in circuits["parent"].items():
         texts[label] = [sides["parent"].circuit_to_json(c) for c in written]
@@ -110,7 +111,7 @@ def main(argv=None) -> int:
                     != texts[label]:
                 raise SystemExit(f"{side} writes other text for {label}")
     names = list(sides)
-    result = {"repeats": args.repeats, "seed": args.seed}
+    result = {"repeats": args.repeats}
     for label in circuits["parent"]:
         writes = {side: [] for side in names}
         reads = {side: [] for side in names}

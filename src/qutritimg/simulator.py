@@ -209,18 +209,10 @@ class Block:
 
     @cached_property
     def json_ops(self) -> str:
-        """The block's ops as `circuit_to_json` writes them, one after
-        another in its "ops" array.  Per op, the text of its gate, of its
-        target and of its entry, each rendered once per block (see
-        `_gate_texts` and `_entry_texts`), joined; kept once built, so a
-        block shared by several circuits is rendered once for all."""
-        targets, at = np.unique(self.targets, return_inverse=True)
-        parts = np.empty((len(self.targets), 3), dtype=object)
-        parts[:, 0] = _gate_texts(self.gates)[self.gate_ids]
-        parts[:, 1] = np.array([f'{t},\n   "controls": ' for t in targets.tolist()],
-                               dtype=object)[at]
-        parts[:, 2] = _entry_texts(self.controls, self.values)[self.entries]
-        return "".join(parts.ravel().tolist())[:-4]  # the separator after the last op
+        """The block's ops as `circuit_to_json` writes them (`_ops_text`),
+        kept once built, so a block shared by several circuits is rendered
+        once for all."""
+        return _ops_text(self)
 
     @cached_property
     def steps(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
@@ -621,6 +613,19 @@ def _entry_texts(controls: tuple[int, ...], values: np.ndarray) -> np.ndarray:
                     dtype=object)
 
 
+def _ops_text(blk: Block) -> str:
+    """The ops of `blk`, one after another in an "ops" array.  Per op, the
+    text of its gate, of its target and of its entry, each rendered once
+    per block (see `_gate_texts` and `_entry_texts`), joined."""
+    targets, at = np.unique(blk.targets, return_inverse=True)
+    parts = np.empty((len(blk.targets), 3), dtype=object)
+    parts[:, 0] = _gate_texts(blk.gates)[blk.gate_ids]
+    parts[:, 1] = np.array([f'{t},\n   "controls": ' for t in targets.tolist()],
+                           dtype=object)[at]
+    parts[:, 2] = _entry_texts(blk.controls, blk.values)[blk.entries]
+    return "".join(parts.ravel().tolist())[:-4]  # the separator after the last op
+
+
 def circuit_to_json(circuit: Circuit) -> str:
     """The text of json.dumps(doc, indent=1): the blocks' `json_ops` in order.
 
@@ -629,16 +634,15 @@ def circuit_to_json(circuit: Circuit) -> str:
     share blocks, as the three `fqrqci` circuits share their preparation,
     render them once between them.
     """
-    return _text(circuit)
+    return _document(circuit.num_qutrits, [blk.json_ops for blk in circuit.blocks])
 
 
-def _text(circuit: Circuit) -> str:
-    """`circuit_to_json`, called by the reader's proof under this name, so
-    a profiler or tracer that wraps the public function counts the proof
-    as part of the read."""
-    ops = ",\n  ".join(blk.json_ops for blk in circuit.blocks)
+def _document(num_qutrits: int, ops: list[str]) -> str:
+    """The circuit JSON of a `num_qutrits` register and the texts of its
+    blocks' ops."""
+    ops = ",\n  ".join(ops)
     ops = f"[\n  {ops}\n ]" if ops else "[]"
-    return f'{{\n "num_qutrits": {circuit.num_qutrits},\n "ops": {ops}\n}}'
+    return f'{{\n "num_qutrits": {num_qutrits},\n "ops": {ops}\n}}'
 
 
 def _json(value, kind: type, field: str):
@@ -652,14 +656,15 @@ def circuit_from_json(text: str) -> Circuit:
     """Parse circuit JSON, checking the type of every field of every op.
 
     Text in the writer's own layout is read by a byte scan (`_scan`), and
-    the circuit it gives is accepted only if `circuit_to_json` renders it
-    back to `text`.  `circuit_from_json(circuit_to_json(c)) == c` holds for
+    the circuit it gives is accepted only if the writer renders it back to
+    `text`.  `circuit_from_json(circuit_to_json(c)) == c` holds for
     every circuit and `repr` round-trips every float, -0.0 too, so an
     accepted circuit is the one the op-by-op read of the doc returns.  Any
     other text, in another layout or bad, goes through `json.loads` and
     `_circuit_op_by_op`, which checks each field in the order of building
     each CircuitOp and then the Circuit, so the first bad field is the one
-    reported.
+    reported.  So does `bytes` or `bytearray` input, which `json.loads`
+    takes too.
 
     The cyclic garbage collector is off for the call, whether it returns or
     raises, and back on after it only if it was on before: the parsed doc
@@ -671,10 +676,13 @@ def circuit_from_json(text: str) -> Circuit:
     gc.disable()
     try:
         try:
-            circuit = _scan(text)
+            circuit = _scan(text) if isinstance(text, str) else None
         except (ValueError, IndexError):  # not the writer's layout, or a bad circuit
             circuit = None
-        if circuit is not None and _text(circuit) == text:
+        # The proof renders without keeping the text on the blocks: a read
+        # circuit is run, not written again.
+        if circuit is not None and _document(
+                circuit.num_qutrits, list(map(_ops_text, circuit.blocks))) == text:
             return circuit
         try:
             doc = json.loads(text)
@@ -878,7 +886,8 @@ def _check_histogram_rows(rows: list[str]):
     if shots < 1:
         raise ValueError(f"a histogram needs at least 1 shot, got {shots}")
     q = len(next(iter(counts)))
-    check_capacity(q)
+    if q:  # an empty state is a bad row, named below
+        check_capacity(q)
     for ln, (state, count) in zip(rows, counts.items()):
         if len(state) != q:
             raise ParseError(f"state {state!r} is not {q} trits long")
@@ -902,7 +911,8 @@ def probabilities_from_csv(text: str) -> tuple[int, np.ndarray]:
     if not rows:
         raise ParseError("probability table has no rows")
     length = len(rows[0].split(",")[0])
-    check_capacity(length)
+    if length:  # an empty state is a bad row, named below
+        check_capacity(length)
     if len(rows) != 3**length:
         raise ParseError(
             f"probability table must list all 3^{length} states, got {len(rows)} rows"

@@ -67,7 +67,7 @@ def test_layer_ab_times_a_tree_against_itself(capsys):
     result = json.loads(capsys.readouterr().out)
     labels = ["fqri-27", "fqrri-27", "fqrqci-27.m1", "fqrqci-27.m2", "fqrqci-27.m3",
               "fqrqci-27.all", "mcqri-27", "qrciq-9"]
-    assert list(result) == ["repeats", "seed", *labels]
+    assert list(result) == ["repeats", *labels]
     for label in labels:
         for call in ("write", "read"):
             sides = result[label][call]

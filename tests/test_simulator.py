@@ -44,7 +44,7 @@ from qutritimg import (
 from qutritimg import simulator
 from qutritimg.gates import PARAM_COUNTS, SUBSPACE_KINDS
 from qutritimg.simulator import Block
-from qutritimg.ternary import MAX_QUTRITS, check_capacity
+from qutritimg.ternary import MAX_QUTRITS
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -263,6 +263,26 @@ def test_circuit_json_errors():
         circuit_from_json("not json")
     with pytest.raises(ParseError):
         circuit_from_json('{"num_qutrits": 2}')
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray])
+def test_circuit_json_reads_bytes_as_json_loads_does(kind):
+    """`json.loads` takes bytes, so the reader does: past the scan, which
+    reads str only."""
+    circuit = Circuit(2, (CircuitOp(GateSpec("H"), 1, (ControlSpec(0, 2),)),))
+    assert circuit_from_json(kind(circuit_to_json(circuit).encode())) == circuit
+    with pytest.raises(ParseError, match="^invalid circuit JSON: "):
+        circuit_from_json(kind(b"{broken"))
+
+
+def test_read_circuit_keeps_no_json_text(sample_gray):
+    """The reader's proof renders the read circuit's blocks without keeping
+    their text, which a written circuit keeps."""
+    circuit = encode_fqri(sample_gray).circuit
+    again = circuit_from_json(circuit_to_json(circuit))
+    assert all("json_ops" in vars(blk) for blk in circuit.blocks)
+    assert not any("json_ops" in vars(blk) for blk in again.blocks)
+    assert circuit_to_json(again) == circuit_to_json(circuit)
 
 
 _SCAN_THEN_OP_BY_OP = [  # each fails the scan's proof, then is read op by op
@@ -763,6 +783,13 @@ def _reference_histogram_to_csv(hist):
     return "\n".join(lines) + "\n"
 
 
+def _reference_cap(q):
+    """The per-row readers' cap check, spelled out: an empty state, of
+    width 0, is left to the row checks, which name its row."""
+    if q > MAX_QUTRITS:
+        raise CapacityError(f"{q} qutrits exceeds the cap of {MAX_QUTRITS}")
+
+
 def _reference_histogram_from_csv(text):
     """The per-row reader the array reader replaced, whose checks of
     `ShotHistogram(q, counts, shots)` are spelled out in their order, with
@@ -786,7 +813,7 @@ def _reference_histogram_from_csv(text):
     q, shots = len(next(iter(counts))), sum(counts.values())
     if shots < 1:
         raise ValueError(f"a histogram needs at least 1 shot, got {shots}")
-    check_capacity(q)
+    _reference_cap(q)
     for state, count in counts.items():
         if len(state) != q:
             raise ParseError(f"state {state!r} is not {q} trits long")
@@ -815,7 +842,7 @@ def _reference_probabilities_from_csv(text):
     if not rows:
         raise ParseError("probability table has no rows")
     length = len(rows[0].split(",")[0])
-    check_capacity(length)
+    _reference_cap(length)
     if len(rows) != 3**length:
         raise ParseError(
             f"probability table must list all 3^{length} states, got {len(rows)} rows"
@@ -967,6 +994,17 @@ def test_histogram_csv_errors_name_the_row():
         with pytest.raises(ParseError) as exc:
             histogram_from_csv(text)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (histogram_from_csv, "state,count\n,3\n", "bad histogram row ',3'"),
+    (probabilities_from_csv, "state,probability\n,3\n", "bad probability row ',3'"),
+], ids=["histogram", "probabilities"])
+def test_csv_readers_name_a_row_with_an_empty_state(read, text, message):
+    """An empty state is a bad row, not a register of width 0."""
+    with pytest.raises(ParseError) as exc:
+        read(text)
+    assert str(exc.value) == message
 
 
 def test_diagram_single_h():
