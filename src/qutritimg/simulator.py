@@ -50,8 +50,9 @@ order.  The writer renders each block's ops once, from templates per
 block, and keeps the text on the block (`Block.json_ops`), so circuits
 that share blocks share that work.  The reader scans text in that
 layout as bytes, at fixed offsets, and accepts the circuit it finds only
-if the writer renders it back to the same text; any other text is parsed
-by `json.loads` and read op by op, which reports the first bad field.
+if the writer renders it back to the same text, which it does not keep;
+any other text is parsed by `json.loads` and read op by op, which
+reports the first bad field.
 The reader pauses the cyclic garbage collector: `json.loads` builds tens
 of thousands of dicts and lists, enough to start collections that
 traverse them all and free nothing, as the doc is a tree that reference
