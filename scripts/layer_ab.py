@@ -1,4 +1,4 @@
-"""Time the circuit JSON writer and reader of two source trees call by call.
+"""Time the circuit JSON writer and reader and the op view of two source trees call by call.
 
     python3 scripts/layer_ab.py PARENT_DIR CHANGE_DIR [--repeats N]
 
@@ -10,14 +10,21 @@ the method.  A drift in the host's speed hits every side alike.
 
 The circuits are the staged ones of the `staged-cli-27` workload: `fqri`,
 `fqrri`, the three `fqrqci` circuits (`.m1` to `.m3`) and `mcqri` at
-27x27, and `qrciq` at 9x9, each from one uniform-noise image per codec,
-drawn with seed `SEED`.  `fqrqci-27.all` writes the three `fqrqci`
-circuits one after the other, as `encode` does.  Every write renders
-blocks that no write has rendered before: a copy of each block is made
-outside the timed call.
-Each iteration times one call per side, process CPU time, in an order
-that rotates by one side per iteration.  Every side must write the same
-text, which every side then reads.
+27x27, and `qrciq` at 9x9; and `qrciq` at 27x27, the circuit of the
+`roundtrip-qrciq-27` workload.  Each is drawn from one uniform-noise
+image per codec with seed `SEED`.  `fqrqci-27.all` takes the three
+`fqrqci` circuits one after the other, as `encode` writes them.
+Three calls are timed per circuit: `write`, `circuit_to_json`; `read`,
+`circuit_from_json` of the written text; and `ops`, the flat op view
+`Circuit.ops`.  Every write renders blocks that no write has rendered
+before and every `ops` builds a view that no call has built before: a
+copy of each circuit, and for a write of each block, is made outside the
+timed call.
+Each iteration times each call once per side, process CPU time, in an
+order of sides that rotates by one per iteration; each side's calls
+start from a full collection, so no side pays for garbage that another
+left.  Every side must write the same text, which every side then reads,
+and give the same op view.
 
 Prints one JSON object: per circuit and call, per side, the ms per call as
 {median, q1, q3} over the iterations, `ratio_to_parent` the median of the
@@ -39,7 +46,8 @@ from pathlib import Path
 import numpy as np
 
 SEED = 17
-STAGED = (("fqri", 27), ("fqrri", 27), ("fqrqci", 27), ("mcqri", 27), ("qrciq", 9))
+CIRCUITS = (("fqri", 27), ("fqrri", 27), ("fqrqci", 27), ("mcqri", 27), ("qrciq", 9),
+            ("qrciq", 27))
 
 
 def load(root: Path, name: str):
@@ -53,10 +61,10 @@ def load(root: Path, name: str):
     return module
 
 
-def staged_circuits(pkg) -> dict:
+def circuits_of(pkg) -> dict:
     """Label -> tuple of circuits written together, of package `pkg`."""
     out = {}
-    for name, side in STAGED:
+    for name, side in CIRCUITS:
         codec = pkg.CODECS[name]
         rng = np.random.default_rng(SEED)
         image = (pkg.GrayImage(rng.integers(0, 256, (side, side))) if codec.gray
@@ -102,33 +110,41 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": load(args.parent, "ab_parent"), "change": load(args.change, "ab_change"),
              "parent_copy": load(args.parent, "ab_parent_copy")}
-    circuits = {side: staged_circuits(pkg) for side, pkg in sides.items()}
+    circuits = {side: circuits_of(pkg) for side, pkg in sides.items()}
     texts = {}
     for label, written in circuits["parent"].items():
         texts[label] = [sides["parent"].circuit_to_json(c) for c in written]
+        views = [repr(c.ops) for c in written]
         for side, pkg in sides.items():
             if [pkg.circuit_to_json(c) for c in unrendered(pkg, circuits[side][label])] \
                     != texts[label]:
                 raise SystemExit(f"{side} writes other text for {label}")
+            if [repr(c.ops) for c in circuits[side][label]] != views:
+                raise SystemExit(f"{side} gives another op view for {label}")
     names = list(sides)
     result = {"repeats": args.repeats}
     for label in circuits["parent"]:
-        writes = {side: [] for side in names}
-        reads = {side: [] for side in names}
+        times = {call: {side: [] for side in names} for call in ("write", "read", "ops")}
         for i in range(args.repeats):
             for side in names[i % len(names):] + names[:i % len(names)]:
+                gc.collect()
                 pkg = sides[side]
                 fresh = unrendered(pkg, circuits[side][label])
                 start = time.process_time_ns()
                 for circuit in fresh:
                     pkg.circuit_to_json(circuit)
-                writes[side].append(time.process_time_ns() - start)
+                times["write"][side].append(time.process_time_ns() - start)
                 start = time.process_time_ns()
                 for text in texts[label]:
                     pkg.circuit_from_json(text)
-                reads[side].append(time.process_time_ns() - start)
-            gc.collect()
-        result[label] = {"write": summary(writes), "read": summary(reads)}
+                times["read"][side].append(time.process_time_ns() - start)
+                fresh = [pkg.Circuit.from_blocks(c.num_qutrits, c.blocks)
+                         for c in circuits[side][label]]
+                start = time.process_time_ns()
+                for circuit in fresh:
+                    circuit.ops
+                times["ops"][side].append(time.process_time_ns() - start)
+        result[label] = {call: summary(ns) for call, ns in times.items()}
     print(json.dumps(result, indent=1))
     return 0
 

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages
+quote raw input."""
+
+QUOTE_LIMIT = 64
+
+
+def quoted(raw) -> str:
+    """`repr(raw)`, or, past `QUOTE_LIMIT` characters or bytes, the repr of
+    its first `QUOTE_LIMIT` and its full length: a message that quotes a
+    reader's input stays one short line however long the bad text is."""
+    if len(raw) <= QUOTE_LIMIT:
+        return repr(raw)
+    return f"{raw[:QUOTE_LIMIT]!r}... ({QUOTE_LIMIT} of {len(raw)} shown)"
 
 
 class ShapeError(ValueError):

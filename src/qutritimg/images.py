@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ShapeError, UnsupportedDepthError
+from .errors import ParseError, ShapeError, UnsupportedDepthError, quoted
 
 
 def validate_side(side: int) -> int:
@@ -120,7 +120,7 @@ def _parse_netpbm(data: bytes, magics: dict[bytes, bool], what: str):
         try:
             header.append(int(token))
         except ValueError as exc:
-            raise ParseError(f"bad header token {token!r}") from exc
+            raise ParseError(f"bad header token {quoted(token)}") from exc
     width, height, maxval = header
     if maxval != 255:
         raise UnsupportedDepthError(f"only maxval 255 is supported, got {maxval}")
@@ -153,7 +153,7 @@ def _read_samples(data: bytes, pos: int, count: int, binary: bool) -> np.ndarray
             try:
                 int(token)
             except ValueError as exc:
-                raise ParseError(f"bad sample {token!r}") from exc
+                raise ParseError(f"bad sample {quoted(token)}") from exc
     if len(values) < count:
         raise ParseError(f"raster truncated: expected {count} samples, got {len(values)}")
     # Range-checked as Python ints: a sample past int64 is out of range too.

@@ -42,8 +42,12 @@ holds by construction, since `GateSpec` rejects a NaN or infinite param.
 columns, into blocks with numpy; the encoders build their columns with
 numpy too.  They and `Circuit.from_blocks` reject a register wider than
 `MAX_QUTRITS`, so every circuit can be run, written and drawn.
-`Circuit.ops` is the flat op view in emission order, derived from the
-columns when first read; circuit equality follows it.
+`Circuit.ops` is the flat op view in emission order, built from the
+columns when first read with no Python-level call per op: per block each
+entry's control tuple once (the three `ControlSpec`s of each control
+qutrit gathered by the value rows and zipped), then the op tuples by
+C-level maps over the gate, target and entry columns.  Equality, hash,
+repr and `diagram` follow it.
 
 Circuit JSON is the text of json.dumps(doc, indent=1), ops in emission
 order.  The writer renders each block's ops once, from templates per
@@ -53,12 +57,12 @@ layout as bytes, at fixed offsets, and accepts the circuit it finds only
 if the writer renders it back to the same text, which it does not keep;
 any other text is parsed by `json.loads` and read op by op, which
 reports the first bad field.
-The reader pauses the cyclic garbage collector: `json.loads` builds tens
-of thousands of dicts and lists, enough to start collections that
-traverse them all and free nothing, as the doc is a tree that reference
-counting frees.  The pause is process-wide and best-effort: the
-collector comes back on when the call ends only if it was on when the
-call began.
+The reader and the `ops` view pause the cyclic garbage collector
+(`_collector_paused`): `json.loads` builds tens of thousands of dicts and
+lists, and the view as many tuples, enough to start collections that
+traverse them all and free nothing, as neither has cycles.  The pause is
+process-wide and best-effort: the collector comes back on when the call
+ends only if it was on when the call began.
 
 `sample` returns a `ShotHistogram` of two int64 arrays, the hit basis
 indices in ascending order and their counts, taken straight from a
@@ -75,6 +79,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, filterfalse, repeat
@@ -82,7 +87,7 @@ from operator import attrgetter, getitem
 
 import numpy as np
 
-from .errors import ParseError, ShapeError
+from .errors import ParseError, ShapeError, quoted
 from .gates import PARAM_COUNTS, GateSpec, gate_matrices
 from .ternary import (
     MAX_QUTRITS, Statevector, check_capacity, index_from_trits, indices_of_trit_column,
@@ -112,24 +117,33 @@ class ControlSpec:
             raise ValueError(f"control value must be 0, 1 or 2, got {self.value}")
 
 
-@dataclass(frozen=True)
-class CircuitOp:
-    gate: GateSpec
-    target: int
-    controls: tuple[ControlSpec, ...] = ()
+class CircuitOp(namedtuple("CircuitOp", "gate target controls")):
+    """An immutable (gate, target, controls) record: an op equals only an op."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "controls", tuple(self.controls))
-        _check_int(self.target, "target")
-        _check_op(self.target, [c.qutrit for c in self.controls])
+    __slots__ = ()
+
+    def __new__(cls, gate: GateSpec, target: int, controls=()):
+        controls = tuple(controls)
+        if not isinstance(gate, GateSpec):
+            raise TypeError(f"op gate must be a GateSpec, got {type(gate).__name__}")
+        _check_int(target, "target")
+        for c in controls:
+            if not isinstance(c, ControlSpec):
+                raise TypeError(f"op control must be a ControlSpec, got {type(c).__name__}")
+        _check_op(target, [c.qutrit for c in controls])
+        return tuple.__new__(cls, (gate, target, controls))
+
+    def __eq__(self, other):
+        if not isinstance(other, CircuitOp):  # a plain tuple would compare item by item
+            return False if isinstance(other, tuple) else NotImplemented
+        return tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's
+    __hash__ = tuple.__hash__
 
     @classmethod
-    def _of_block(cls, gate: GateSpec, target: int, controls: tuple) -> CircuitOp:
-        """An op of a Block, which has checked its fields: built without
-        re-checking them, at a fifth of the cost."""
-        op = cls.__new__(cls)
-        op.__dict__.update(gate=gate, target=target, controls=controls)
-        return op
+    def _make(cls, fields):  # and so `_replace`: checked, as the constructor is
+        return cls(*fields)
 
 
 def _check_op(target: int, positions: list[int]):
@@ -296,6 +310,34 @@ def _first_seen(keys: np.ndarray):
     return first[order], place[inverse]
 
 
+def _collector_paused(build, *args):
+    """`build(*args)` with the cyclic garbage collector off, back on after
+    it only if it was on before.  It comes back once `build` has returned
+    and freed its temporaries, so the collection the pause put off does
+    not traverse them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return build(*args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _flat_ops(blocks) -> tuple[CircuitOp, ...]:
+    """The ops of `blocks` in emission order, built as the module docstring
+    says from blocks that have checked every field."""
+    ops = []
+    for blk in blocks:
+        columns = [map([ControlSpec(q, v) for v in range(3)].__getitem__, values)
+                   for q, values in zip(blk.controls, blk.values.T.tolist())]
+        controls = list(zip(*columns)) if columns else [()] * len(blk.values)
+        ops += map(tuple.__new__, repeat(CircuitOp), zip(
+            map(blk.gates.__getitem__, blk.gate_ids.tolist()), blk.targets.tolist(),
+            map(controls.__getitem__, blk.entries.tolist())))
+    return tuple(ops)
+
+
 _qutrit = attrgetter("qutrit")
 _value = attrgetter("value")
 _shape = attrgetter("kind", "subspace")
@@ -313,16 +355,14 @@ class Circuit:
     def __init__(self, num_qutrits: int, ops=()):
         check_capacity(num_qutrits)
         ops = tuple(ops)
+        for i, op in enumerate(ops):
+            if not isinstance(op, CircuitOp):
+                raise TypeError(f"circuit op {i} must be a CircuitOp, got {type(op).__name__}")
         self.num_qutrits = num_qutrits
-        controls = list(chain.from_iterable(op.controls for op in ops))
-        self.blocks = _group(
-            num_qutrits,
-            list(map(_qutrit, controls)),
-            list(map(_value, controls)),
-            [len(op.controls) for op in ops],
-            [op.target for op in ops],
-            [op.gate for op in ops],
-        )
+        gates, targets, per_op = zip(*ops) if ops else ((), (), ())
+        controls = list(chain.from_iterable(per_op))
+        self.blocks = _group(num_qutrits, list(map(_qutrit, controls)),
+                             list(map(_value, controls)), list(map(len, per_op)), targets, gates)
         self.ops = ops
 
     @classmethod
@@ -338,14 +378,7 @@ class Circuit:
 
     @cached_property
     def ops(self) -> tuple[CircuitOp, ...]:
-        ops = []
-        for blk in self.blocks:
-            specs = [[ControlSpec(q, v) for v in range(3)] for q in blk.controls]
-            controls = [tuple([per_value[v] for per_value, v in zip(specs, row)])
-                        for row in blk.values.tolist()]
-            ops += [CircuitOp._of_block(blk.gates[g], t, controls[e]) for e, t, g in zip(
-                blk.entries.tolist(), blk.targets.tolist(), blk.gate_ids.tolist())]
-        return tuple(ops)
+        return _collector_paused(_flat_ops, self.blocks)  # thousands of tuples, no cycles
 
     def __eq__(self, other):
         if not isinstance(other, Circuit):
@@ -673,26 +706,25 @@ def circuit_from_json(text: str) -> Circuit:
     collection during the read would traverse it to free nothing.  The
     switch is process-wide, so another thread may see it off meanwhile.
     """
-    enabled = gc.isenabled()
-    gc.disable()
+    return _collector_paused(_read_circuit, text)
+
+
+def _read_circuit(text) -> Circuit:
+    """The scan if it proves, else `json.loads` and the op-by-op pass."""
     try:
-        try:
-            circuit = _scan(text) if isinstance(text, str) else None
-        except (ValueError, IndexError):  # not the writer's layout, or a bad circuit
-            circuit = None
-        # The proof renders without keeping the text on the blocks: a read
-        # circuit is run, not written again.
-        if circuit is not None and _document(
-                circuit.num_qutrits, list(map(_ops_text, circuit.blocks))) == text:
-            return circuit
-        try:
-            doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"invalid circuit JSON: {exc}") from exc
-        return _circuit_op_by_op(doc)
-    finally:
-        if enabled:
-            gc.enable()
+        circuit = _scan(text) if isinstance(text, str) else None
+    except (ValueError, IndexError):  # not the writer's layout, or a bad circuit
+        circuit = None
+    # The proof renders without keeping the text on the blocks: a read
+    # circuit is run, not written again.
+    if circuit is not None and _document(
+            circuit.num_qutrits, list(map(_ops_text, circuit.blocks))) == text:
+        return circuit
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"invalid circuit JSON: {exc}") from exc
+    return _circuit_op_by_op(doc)
 
 
 def _small_ints(codes: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -877,9 +909,9 @@ def _check_histogram_rows(rows: list[str]):
             state, raw = ln.split(",")
             count = int(raw)
         except ValueError as exc:
-            raise ParseError(f"bad histogram row {ln!r}") from exc
+            raise ParseError(f"bad histogram row {quoted(ln)}") from exc
         if state in counts:
-            raise ParseError(f"duplicate state {state!r}")
+            raise ParseError(f"duplicate state {quoted(state)}")
         counts[state] = count
     if not rows:
         raise ParseError("histogram has no rows")
@@ -891,11 +923,11 @@ def _check_histogram_rows(rows: list[str]):
         check_capacity(q)
     for ln, (state, count) in zip(rows, counts.items()):
         if len(state) != q:
-            raise ParseError(f"state {state!r} is not {q} trits long")
+            raise ParseError(f"state {quoted(state)} is not {q} trits long")
         if not _is_trits(state):
-            raise ParseError(f"bad histogram row {ln!r}")
+            raise ParseError(f"bad histogram row {quoted(ln)}")
         if count < 0:
-            raise ParseError(f"negative count in histogram row {ln!r}")
+            raise ParseError(f"negative count in histogram row {quoted(ln)}")
 
 
 def probabilities_to_csv(num_qutrits: int, probs: np.ndarray) -> str:
@@ -933,15 +965,15 @@ def probabilities_from_csv(text: str) -> tuple[int, np.ndarray]:
                 state, raw = ln.split(",")
                 p = float(raw)
             except ValueError as exc:
-                raise ParseError(f"bad probability row {ln!r}") from exc
+                raise ParseError(f"bad probability row {quoted(ln)}") from exc
             if not _is_trits(state):
-                raise ParseError(f"bad probability row {ln!r}")
+                raise ParseError(f"bad probability row {quoted(ln)}")
             if len(state) != length:
-                raise ParseError(f"state {state!r} is not {length} trits long")
+                raise ParseError(f"state {quoted(state)} is not {length} trits long")
             if state in seen:
-                raise ParseError(f"duplicate state {state!r}")
+                raise ParseError(f"duplicate state {quoted(state)}")
             if not 0.0 <= p <= 1.0:
-                raise ParseError(f"probability {raw.strip()!r} is not a number in [0, 1]")
+                raise ParseError(f"probability {quoted(raw.strip())} is not a number in [0, 1]")
             seen.add(state)
     table = np.zeros(len(rows))
     table[indices] = probs

@@ -152,6 +152,28 @@ def test_encode_sample_past_int64_fails_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, name, data, quote", [
+    ("encode", "big.pgm", b"P2\n" + b"1" * 1_000_000 + b" 3\n255\n0\n",
+     "bad header token b'" + "1" * 64 + "'... (64 of 1000000 shown)"),
+    ("encode", "big.pgm", b"P2\n3 3\n255\n1 2 3 4 5 6 7 8 9" + b"9" * 999_999 + b"x\n",
+     "bad sample b'" + "9" * 64 + "'... (64 of 1000001 shown)"),
+    ("decode", "hist.csv", b"state,count\n01," + b"7" * 1_000_000 + b"x\n",
+     "bad histogram row '01," + "7" * 61 + "'... (64 of 1000004 shown)"),
+    ("decode", "probs.csv", b"state,probability\n0,1\n1," + b"5" * 1_000_000 + b"\n2,0\n",
+     "probability '" + "5" * 64 + "'... (64 of 1000000 shown) is not a number in [0, 1]"),
+], ids=["header-token", "sample", "histogram-row", "probability"])
+def test_errors_quote_a_bounded_prefix_of_long_input(tmp_path, capsys, command, name, data,
+                                                     quote):
+    source = tmp_path / name
+    source.write_bytes(data)
+    if command == "encode":
+        argv = ("encode", "--method", "fqri", "--input", source, "--out", tmp_path / "c.json")
+    else:
+        argv = ("decode", "--method", "qrciq", "--hist", source, "--out", tmp_path / "i.ppm")
+    assert _run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {quote}\n"
+
+
 def test_simulate_exact_probability_table(tmp_path, gray_path):
     circ = tmp_path / "circ.json"
     _run("encode", "--method", "fqri", "--input", gray_path, "--out", circ)

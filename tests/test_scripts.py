@@ -66,10 +66,11 @@ def test_layer_ab_times_a_tree_against_itself(capsys):
     assert script.main([root, root, "--repeats", "2"]) == 0
     result = json.loads(capsys.readouterr().out)
     labels = ["fqri-27", "fqrri-27", "fqrqci-27.m1", "fqrqci-27.m2", "fqrqci-27.m3",
-              "fqrqci-27.all", "mcqri-27", "qrciq-9"]
+              "fqrqci-27.all", "mcqri-27", "qrciq-9", "qrciq-27"]
     assert list(result) == ["repeats", *labels]
     for label in labels:
-        for call in ("write", "read"):
+        assert list(result[label]) == ["write", "read", "ops"]
+        for call in ("write", "read", "ops"):
             sides = result[label][call]
             assert list(sides) == ["parent", "change", "parent_copy"]
             assert all(side["median"] > 0 and 0 <= side["wins_vs_parent"] <= 2

@@ -1,7 +1,9 @@
+import copy
 import gc
 import itertools
 import json
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -131,6 +133,40 @@ def test_op_validation():
         CircuitOp(GateSpec("H"), 0, (ControlSpec(0, 1),))
     with pytest.raises(ValueError):
         CircuitOp(GateSpec("H"), 1, (ControlSpec(0, 1), ControlSpec(0, 2)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CircuitOp("H", 0), "op gate must be a GateSpec, got str"),
+    (lambda: CircuitOp(GateSpec("H"), 0, [(1, 2)]), "op control must be a ControlSpec, got tuple"),
+    (lambda: Circuit(2, [CircuitOp(GateSpec("H"), 0), (GateSpec("H"), 1, ())]),
+     "circuit op 1 must be a CircuitOp, got tuple"),
+], ids=["op-gate", "op-control", "circuit-op"])
+def test_op_constructors_reject_wrong_types(build, message):
+    with pytest.raises(TypeError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_circuit_op_is_an_immutable_record():
+    op = CircuitOp(GateSpec("H"), 1, [ControlSpec(0, 2)])
+    same = CircuitOp(GateSpec("H"), 1, (ControlSpec(0, 2),))
+    assert op == same and not op != same and hash(op) == hash(same)
+    assert op != CircuitOp(GateSpec("H"), 1) and op != CircuitOp(GateSpec("P1"), 1, same.controls)
+    fields = (GateSpec("H"), 1, (ControlSpec(0, 2),))
+    assert op != fields and fields != op and not op == fields and not fields == op
+    assert op == mock.ANY and mock.ANY == op  # others still decide equality with an op
+    assert (op.gate, op.target, op.controls) == fields
+    for name in ("gate", "target", "controls", "other"):
+        with pytest.raises(AttributeError):
+            setattr(op, name, None)
+    assert repr(op) == ("CircuitOp(gate=GateSpec(kind='H', subspace=None, params=()), "
+                        "target=1, controls=(ControlSpec(qutrit=0, value=2),))")
+    for again in (copy.copy(op), copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
+        assert type(again) is CircuitOp and again == op and repr(again) == repr(op)
+    with pytest.raises(ValueError, match="also appears as a control"):
+        op._replace(target=0)
+    with pytest.raises(TypeError, match="op gate must be a GateSpec"):
+        CircuitOp._make(("H", 1, ()))
 
 
 def test_run_empty_circuit():
@@ -1255,6 +1291,55 @@ def test_encoder_blocks_match_their_op_view(name, side):
             expect = _per_op_amplitudes(circuit).tobytes()
             assert run(circuit).amplitudes.tobytes() == expect
             assert run(again).amplitudes.tobytes() == expect
+
+
+def _reference_ops(circuit):
+    """The op view as it was built one op at a time: a checked CircuitOp
+    per op from each block's columns."""
+    ops = []
+    for blk in circuit.blocks:
+        for e, t, g in zip(blk.entries.tolist(), blk.targets.tolist(), blk.gate_ids.tolist()):
+            controls = [ControlSpec(q, v) for q, v in zip(blk.controls, blk.values[e].tolist())]
+            ops.append(CircuitOp(blk.gates[g], t, controls))
+    return tuple(ops)
+
+
+def _assert_view_matches_reference(circuit):
+    """The view of a fresh copy of `circuit` on its blocks equals the
+    reference op by op, field types and gate identity too, and so does the
+    circuit's own `ops`."""
+    view = Circuit.from_blocks(circuit.num_qutrits, circuit.blocks).ops
+    expect = _reference_ops(circuit)
+    assert type(view) is tuple and view == expect and repr(view) == repr(expect)
+    for op, ref in zip(view, expect):
+        assert type(op) is CircuitOp and type(op.target) is int and type(op.controls) is tuple
+        assert op.gate is ref.gate
+    assert circuit.ops == expect
+
+
+@pytest.mark.parametrize("side", [3, 9])
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_op_view_matches_reference(name, side):
+    codec = CODECS[name]
+    circuits = codec.measure(codec.encode(_random_image(codec, side, side)))
+    assert len(circuits) == (3 if name == "fqrqci" else 1)
+    for circuit in circuits:
+        _assert_view_matches_reference(circuit)
+        text = circuit_to_json(circuit)
+        for read in (_read_by_scan, _op_by_op):
+            _assert_view_matches_reference(read(text))
+        _assert_view_matches_reference(Circuit(circuit.num_qutrits, circuit.ops))
+
+
+@settings(deadline=None)
+@given(circuits())
+@example(Circuit(1))
+@example(Circuit(3, (CircuitOp(GateSpec("H"), 1, (ControlSpec(0, 1), ControlSpec(2, 0))),
+                     CircuitOp(GateSpec("H"), 1, (ControlSpec(0, 2), ControlSpec(2, 0))),
+                     CircuitOp(GateSpec("P1"), 0))))
+def test_op_view_of_random_circuits_matches_reference(circuit):
+    _assert_view_matches_reference(circuit)
+    _assert_view_matches_reference(circuit_from_json(circuit_to_json(circuit)))
 
 
 @pytest.mark.parametrize("side", [3, 9, 27])
