@@ -1,4 +1,4 @@
-"""Time the circuit JSON writer and reader and the op view of two source trees call by call.
+"""Time the circuit JSON writer and reader, the op view and `run` of two source trees call by call.
 
     python3 scripts/layer_ab.py PARENT_DIR CHANGE_DIR [--repeats N]
 
@@ -14,22 +14,25 @@ The circuits are the staged ones of the `staged-cli-27` workload: `fqri`,
 `roundtrip-qrciq-27` workload.  Each is drawn from one uniform-noise
 image per codec with seed `SEED`.  `fqrqci-27.all` takes the three
 `fqrqci` circuits one after the other, as `encode` writes them.
-Three calls are timed per circuit: `write`, `circuit_to_json`; `read`,
-`circuit_from_json` of the written text; and `ops`, the flat op view
-`Circuit.ops`.  Every write renders blocks that no write has rendered
-before and every `ops` builds a view that no call has built before: a
-copy of each circuit, and for a write of each block, is made outside the
-timed call.
+Four calls are timed per circuit: `write`, `circuit_to_json`; `read`,
+`circuit_from_json` of the written text; `ops`, the flat op view
+`Circuit.ops`; and `run`, the statevector of each circuit.  Every write
+renders blocks that no write has rendered before and every `ops` builds
+a view that no call has built before: a copy of each circuit, and for a
+write of each block, is made outside the timed call.
 Each iteration times each call once per side, process CPU time, in an
-order of sides that rotates by one per iteration; each side's calls
-start from a full collection, so no side pays for garbage that another
-left.  Every side must write the same text, which every side then reads,
-and give the same op view.
+order of sides that rotates by one per iteration, and counts the minor
+page faults of the process during the call (`ru_minflt` of
+`getrusage(RUSAGE_SELF)`); each side's calls start from a full
+collection, so no side pays for garbage that another left.  Every side
+must write the same text, which every side then reads, give the same op
+view and run to the same amplitude bytes.
 
 Prints one JSON object: per circuit and call, per side, the ms per call as
 {median, q1, q3} over the iterations, `ratio_to_parent` the median of the
-per-iteration ratio to the parent's time, and `wins_vs_parent` the
-iterations in which that side was faster than the parent.
+per-iteration ratio to the parent's time, `wins_vs_parent` the
+iterations in which that side was faster than the parent, and
+`minor_faults` the median minor page faults per call.
 """
 
 from __future__ import annotations
@@ -39,8 +42,10 @@ import dataclasses
 import gc
 import importlib.util
 import json
+import resource
 import sys
 import time
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -89,16 +94,29 @@ def unrendered(pkg, circuits) -> tuple:
         for c in circuits)
 
 
+def timed(call, items) -> tuple[int, int]:
+    """Process CPU ns and minor page faults of this process during
+    `call(item)` for each of `items`, each result dropped at once."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.process_time_ns()
+    for item in items:
+        call(item)
+    ns = time.process_time_ns() - start
+    return ns, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+
+
 def summary(times: dict) -> dict:
-    """Per side, ms per call and the per-iteration comparison with the parent."""
-    base = np.array(times["parent"])
+    """Per side, ms and faults per call and the per-iteration comparison
+    with the parent."""
+    base = np.array(times["parent"])[:, 0]
     out = {}
-    for side, ns in times.items():
-        ns = np.array(ns)
+    for side, pairs in times.items():
+        ns, faults = np.array(pairs).T
         q1, median, q3 = np.percentile(ns / 1e6, [25, 50, 75])
         out[side] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
                      "ratio_to_parent": round(float(np.median(ns / base)), 4),
-                     "wins_vs_parent": int((ns < base).sum())}
+                     "wins_vs_parent": int((ns < base).sum()),
+                     "minor_faults": float(np.median(faults))}
     return out
 
 
@@ -115,35 +133,31 @@ def main(argv=None) -> int:
     for label, written in circuits["parent"].items():
         texts[label] = [sides["parent"].circuit_to_json(c) for c in written]
         views = [repr(c.ops) for c in written]
+        states = [sides["parent"].run(c).amplitudes.tobytes() for c in written]
         for side, pkg in sides.items():
             if [pkg.circuit_to_json(c) for c in unrendered(pkg, circuits[side][label])] \
                     != texts[label]:
                 raise SystemExit(f"{side} writes other text for {label}")
             if [repr(c.ops) for c in circuits[side][label]] != views:
                 raise SystemExit(f"{side} gives another op view for {label}")
+            if [pkg.run(c).amplitudes.tobytes() for c in circuits[side][label]] != states:
+                raise SystemExit(f"{side} runs to other amplitudes for {label}")
     names = list(sides)
     result = {"repeats": args.repeats}
     for label in circuits["parent"]:
-        times = {call: {side: [] for side in names} for call in ("write", "read", "ops")}
+        calls = ("write", "read", "ops", "run")
+        times = {call: {side: [] for side in names} for call in calls}
         for i in range(args.repeats):
             for side in names[i % len(names):] + names[:i % len(names)]:
                 gc.collect()
                 pkg = sides[side]
                 fresh = unrendered(pkg, circuits[side][label])
-                start = time.process_time_ns()
-                for circuit in fresh:
-                    pkg.circuit_to_json(circuit)
-                times["write"][side].append(time.process_time_ns() - start)
-                start = time.process_time_ns()
-                for text in texts[label]:
-                    pkg.circuit_from_json(text)
-                times["read"][side].append(time.process_time_ns() - start)
+                times["write"][side].append(timed(pkg.circuit_to_json, fresh))
+                times["read"][side].append(timed(pkg.circuit_from_json, texts[label]))
                 fresh = [pkg.Circuit.from_blocks(c.num_qutrits, c.blocks)
                          for c in circuits[side][label]]
-                start = time.process_time_ns()
-                for circuit in fresh:
-                    circuit.ops
-                times["ops"][side].append(time.process_time_ns() - start)
+                times["ops"][side].append(timed(attrgetter("ops"), fresh))
+                times["run"][side].append(timed(pkg.run, circuits[side][label]))
         result[label] = {call: summary(ns) for call, ns in times.items()}
     print(json.dumps(result, indent=1))
     return 0

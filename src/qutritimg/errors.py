@@ -6,11 +6,15 @@ QUOTE_LIMIT = 64
 
 def quoted(raw) -> str:
     """`repr(raw)`, or, past `QUOTE_LIMIT` characters or bytes, the repr of
-    its first `QUOTE_LIMIT` and its full length: a message that quotes a
-    reader's input stays one short line however long the bad text is."""
-    if len(raw) <= QUOTE_LIMIT:
+    the first `QUOTE_LIMIT` of a str or bytes, or the first `QUOTE_LIMIT`
+    characters of the repr of any other value, and that full length: a
+    message that quotes a reader's input or a parsed value stays one short
+    line however long it is."""
+    text = raw if isinstance(raw, (str, bytes)) else repr(raw)
+    if len(text) <= QUOTE_LIMIT:
         return repr(raw)
-    return f"{raw[:QUOTE_LIMIT]!r}... ({QUOTE_LIMIT} of {len(raw)} shown)"
+    head = repr(text[:QUOTE_LIMIT]) if text is raw else text[:QUOTE_LIMIT]
+    return f"{head}... ({QUOTE_LIMIT} of {len(text)} shown)"
 
 
 class ShapeError(ValueError):

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import quoted
+
 SUBSPACE_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 OMEGA = cmath.exp(2j * math.pi / 3)
@@ -147,7 +149,7 @@ class GateSpec:
 
     def __post_init__(self):
         if self.kind not in PARAM_COUNTS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+            raise ValueError(f"unknown gate kind {quoted(self.kind)}")
         if self.subspace is not None:
             object.__setattr__(self, "subspace", tuple(int(x) for x in self.subspace))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))

@@ -123,11 +123,11 @@ def _parse_netpbm(data: bytes, magics: dict[bytes, bool], what: str):
             raise ParseError(f"bad header token {quoted(token)}") from exc
     width, height, maxval = header
     if maxval != 255:
-        raise UnsupportedDepthError(f"only maxval 255 is supported, got {maxval}")
+        raise UnsupportedDepthError(f"only maxval 255 is supported, got {quoted(maxval)}")
     if width < 1 or height < 1:
-        raise ParseError(f"bad dimensions {width}x{height}")
+        raise ParseError(f"bad dimensions {quoted(width)}x{quoted(height)}")
     if width != height:
-        raise ShapeError(f"{what} image must be square, got {width}x{height}")
+        raise ShapeError(f"{what} image must be square, got {quoted(width)}x{quoted(height)}")
     validate_side(width)
     return width, binary, pos
 

@@ -161,7 +161,14 @@ def test_encode_sample_past_int64_fails_cleanly(tmp_path, capsys):
      "bad histogram row '01," + "7" * 61 + "'... (64 of 1000004 shown)"),
     ("decode", "probs.csv", b"state,probability\n0,1\n1," + b"5" * 1_000_000 + b"\n2,0\n",
      "probability '" + "5" * 64 + "'... (64 of 1000000 shown) is not a number in [0, 1]"),
-], ids=["header-token", "sample", "histogram-row", "probability"])
+    ("encode", "big.pgm", b"P2\n" + b"9" * 4_000 + b" 3\n255\n0\n",
+     "PGM image must be square, got " + "9" * 64 + "... (64 of 4000 shown)x3"),
+    ("encode", "big.pgm", b"P2\n3 3\n" + b"9" * 4_000 + b"\n0\n",
+     "only maxval 255 is supported, got " + "9" * 64 + "... (64 of 4000 shown)"),
+    ("encode", "big.pgm", b"P2\n-" + b"9" * 4_000 + b" 3\n255\n0\n",
+     "bad dimensions -" + "9" * 63 + "... (64 of 4001 shown)x3"),
+], ids=["header-token", "sample", "histogram-row", "probability", "width", "maxval",
+        "negative-width"])
 def test_errors_quote_a_bounded_prefix_of_long_input(tmp_path, capsys, command, name, data,
                                                      quote):
     source = tmp_path / name
@@ -192,6 +199,15 @@ def test_simulate_zero_shots_fails(tmp_path, gray_path, capsys):
     assert _run("simulate", "--circuit", circ, "--shots", 0,
                 "--out", tmp_path / "h.csv") == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_needs_shots_or_exact(tmp_path, gray_path, capsys):
+    circ = tmp_path / "circ.json"
+    _run("encode", "--method", "fqri", "--input", gray_path, "--out", circ)
+    out = tmp_path / "h.csv"
+    assert _run("simulate", "--circuit", circ, "--out", out) == 1
+    assert capsys.readouterr().err == "error: --shots is required unless --exact is given\n"
+    assert not out.exists()
 
 
 def test_simulate_same_seed_same_file(tmp_path, gray_path):
@@ -245,6 +261,30 @@ def test_simulate_rejects_malformed_input(tmp_path, capsys, doc, shots, message)
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"num_qutrits": 2, "ops": {f"k{i}": i for i in range(50_000)}},
+     "circuit JSON 'ops' must be list, got {'k0': 0, "),
+    ({"num_qutrits": list(range(50_000)), "ops": []},
+     "circuit JSON 'num_qutrits' must be int, got [0, 1, "),
+    ({"num_qutrits": 2,
+      "ops": [_op(controls=[{"q": 1, "v": 1}] * 30_000 + [{"q": 1.5, "v": 1}])]},
+     "circuit JSON controls need int q and v: [{'q': 1, 'v': 1}, "),
+    ({"num_qutrits": 2, "ops": [_op(params=[1.0] * 50_000 + ["x"])]},
+     "circuit JSON params must be finite numbers: [1.0, 1.0, "),
+    ({"num_qutrits": 2, "ops": [_op(gate="Q" * 100_000)]}, "unknown gate kind 'QQQ"),
+    ({"num_qutrits": 2, "ops": [_op(target="7" * 100_000)]},
+     "circuit JSON 'target' must be int, got '777"),
+], ids=["ops-object", "num-qutrits-list", "controls-list", "params-list", "gate-kind",
+        "target"])
+def test_circuit_json_errors_quote_a_bounded_prefix(tmp_path, capsys, doc, message):
+    circ = tmp_path / "circ.json"
+    circ.write_text(json.dumps(doc))
+    assert _run("simulate", "--circuit", circ, "--shots", 10, "--out", tmp_path / "h.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert len(err.encode()) <= 200 and err.endswith(" shown)\n")
 
 
 def test_decode_qrciq_complete_histogram(tmp_path, rgb_path):

@@ -75,6 +75,8 @@ def test_fqrri_angles_packing():
     assert gb == pytest.approx((15 * 256) / 4095 * HALF_PI)
     assert gr == pytest.approx((15 * 256) / 4095 * HALF_PI)
     assert fqrri_angles(0, 0, 0) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="^8-bit value out of range: 256$"):
+        fqrri_angles(0, 256, 0)
     # gate arguments (2*theta) for the first two sample pixels
     gb, gr = fqrri_angles(37, 192, 178)
     assert 2 * gb == pytest.approx(0.14, abs=0.005)

@@ -37,6 +37,8 @@ def test_image_shape_validation():
         RgbImage(np.zeros((3, 3), dtype=np.uint8))
     with pytest.raises(ValueError):
         GrayImage(np.full((3, 3), 300))
+    with pytest.raises(ValueError, match="^grayscale pixels must be integers$"):
+        GrayImage(np.full((3, 3), 1.0))
 
 
 def test_fixture_pixels(sample_gray, sample_rgb):
@@ -111,6 +113,8 @@ def test_malformed_inputs():
         read_pgm(b"P2\n3 3\n255\n0 0 0")  # truncated raster
     with pytest.raises(ParseError):
         read_pgm(b"P5\n3 3\n255\n" + b"\x00" * 5)  # truncated binary raster
+    with pytest.raises(ParseError, match="^missing whitespace before binary raster$"):
+        read_pgm(b"P5\n3 3\n255#x\n" + b"\x00" * 9)  # a comment right after maxval
     with pytest.raises(ParseError):
         read_pgm(b"P2\n3 3\n255\n" + b"0 " * 8 + b"999 ")
 

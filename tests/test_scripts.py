@@ -69,10 +69,10 @@ def test_layer_ab_times_a_tree_against_itself(capsys):
               "fqrqci-27.all", "mcqri-27", "qrciq-9", "qrciq-27"]
     assert list(result) == ["repeats", *labels]
     for label in labels:
-        assert list(result[label]) == ["write", "read", "ops"]
-        for call in ("write", "read", "ops"):
+        assert list(result[label]) == ["write", "read", "ops", "run"]
+        for call in ("write", "read", "ops", "run"):
             sides = result[label][call]
             assert list(sides) == ["parent", "change", "parent_copy"]
             assert all(side["median"] > 0 and 0 <= side["wins_vs_parent"] <= 2
-                       for side in sides.values())
+                       and side["minor_faults"] >= 0 for side in sides.values())
             assert sides["parent"]["ratio_to_parent"] == 1.0

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import itertools
 import json
@@ -44,6 +45,7 @@ from qutritimg import (
     trits_from_index,
 )
 from qutritimg import simulator
+from qutritimg.errors import quoted
 from qutritimg.gates import PARAM_COUNTS, SUBSPACE_KINDS
 from qutritimg.simulator import Block
 from qutritimg.ternary import MAX_QUTRITS
@@ -80,7 +82,7 @@ def _apply(state, op):
     q = state.num_qutrits
     blk, = Circuit(q, (op,)).blocks
     out = state.amplitudes.copy()
-    simulator._apply_block(out.reshape((3,) * q), blk, simulator._scratch(q), [3] * q)
+    simulator._apply_block(out.reshape((3,) * q), blk, [3] * q)
     return Statevector(q, out + 0.0)
 
 
@@ -268,6 +270,18 @@ def test_histogram_validation():
         ShotHistogram(2, {"012": 5}, 5)
     with pytest.raises(ValueError):
         ShotHistogram(2, {"01": 5}, 6)
+    with pytest.raises(ValueError, match="^a histogram needs at least 1 shot, got 0$"):
+        ShotHistogram(1, {"0": 0}, 0)
+    with pytest.raises(ValueError, match="^negative count for state '1'$"):
+        ShotHistogram(1, {"0": 6, "1": -1}, 5)
+
+
+def test_histogram_equality_and_repr():
+    hist = ShotHistogram(1, {"2": 1, "0": 3}, 4)
+    assert hist == ShotHistogram(1, {"0": 3, "2": 1}, 4)
+    assert hist != ShotHistogram(1, {"0": 3, "2": 1, "1": 0}, 4)
+    assert hist != {"0": 3, "2": 1} and not hist == hist.counts and hist == mock.ANY
+    assert repr(hist) == "ShotHistogram(num_qutrits=1, counts={'0': 3, '2': 1}, shots=4)"
 
 
 def test_circuit_json_round_trip(sample_gray):
@@ -402,7 +416,7 @@ def _reference_to_json(circuit):
 
 def _exact(value, kind, field):
     if type(value) is not kind:
-        raise ParseError(f"circuit JSON {field!r} must be {kind.__name__}, got {value!r}")
+        raise ParseError(f"circuit JSON {field!r} must be {kind.__name__}, got {quoted(value)}")
     return value
 
 
@@ -420,7 +434,7 @@ def _reference_from_json(text):
                 pair = [_exact(j, int, "subspace") for j in _exact(pair, list, "subspace")]
             params = _exact(entry["params"], list, "params")
             if not all(type(p) in (int, float) and math.isfinite(p) for p in params):
-                raise ParseError(f"circuit JSON params must be finite numbers: {params}")
+                raise ParseError(f"circuit JSON params must be finite numbers: {quoted(params)}")
             gate = GateSpec(entry["gate"], pair, params)
             # ControlSpec rejects a non-int field itself, so such a control is
             # not built; it is reported after the range checks of the others.
@@ -430,7 +444,8 @@ def _reference_from_json(text):
                 for c in raw if type(c["q"]) is int and type(c["v"]) is int
             )
             if len(controls) != len(raw):
-                raise ParseError(f"circuit JSON controls need int q and v: {entry['controls']}")
+                raise ParseError(f"circuit JSON controls need int q and v: "
+                                 f"{quoted(entry['controls'])}")
             ops.append(CircuitOp(gate, _exact(entry["target"], int, "target"), controls))
         return Circuit(_exact(doc["num_qutrits"], int, "num_qutrits"), tuple(ops))
     except (KeyError, TypeError, OverflowError) as exc:
@@ -799,6 +814,11 @@ def test_probability_csv_width_below_one_is_rejected(width):
         probabilities_to_csv(width, np.ones(1))
 
 
+def test_probability_csv_of_the_wrong_length_is_rejected():
+    with pytest.raises(ShapeError, match="^expected 9 probabilities, got 3$"):
+        probabilities_to_csv(2, np.ones(3) / 3)
+
+
 def test_probability_csv_round_trip():
     probs = np.zeros(9)
     probs[0] = 0.25
@@ -1139,10 +1159,10 @@ def test_run_is_bit_identical_to_per_op_kernel(circuit):
     assert folded.amplitudes.tobytes() == expect
 
 
-def test_scratch_buffer_carries_nothing_between_steps():
-    """Blocks whose steps shrink, grow and change axis share one scratch
-    buffer per `run`: a full-state block, 27 entries with partial steps,
-    2 entries on other targets, then the full state again."""
+def test_steps_that_shrink_grow_and_change_axis():
+    """Blocks whose steps shrink, grow and change axis run as their ops one
+    at a time, on every call: a full-state block, 27 entries with partial
+    steps, 2 entries on other targets, then the full state again."""
     rng = np.random.default_rng(10)
 
     def gate():
@@ -1329,6 +1349,34 @@ def test_op_view_matches_reference(name, side):
         for read in (_read_by_scan, _op_by_op):
             _assert_view_matches_reference(read(text))
         _assert_view_matches_reference(Circuit(circuit.num_qutrits, circuit.ops))
+
+
+def _halves(blk):
+    """`blk` cut into two blocks at its middle op, or itself if it has one op."""
+    cut = len(blk.targets) // 2
+    if not cut:
+        return [blk]
+    return [dataclasses.replace(blk, entries=blk.entries[part], targets=blk.targets[part],
+                                gate_ids=blk.gate_ids[part])
+            for part in (slice(cut), slice(cut, None))]
+
+
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_equal_circuits_hash_equal(name):
+    """One circuit built by `Circuit(q, ops)`, as a `from_blocks` copy whose
+    blocks are cut at other ops, and by a JSON read: all equal, one hash."""
+    codec = CODECS[name]
+    circuit = codec.measure(codec.encode(_random_image(codec, 3, 5)))[-1]
+    built = Circuit(circuit.num_qutrits, circuit.ops)
+    cut = Circuit.from_blocks(circuit.num_qutrits,
+                              [half for blk in circuit.blocks for half in _halves(blk)])
+    read = circuit_from_json(circuit_to_json(circuit))
+    assert len(cut.blocks) > len(built.blocks)
+    assert built == cut == read and hash(built) == hash(cut) == hash(read)
+    assert len({built, cut, read}) == 1
+    other = Circuit(circuit.num_qutrits, circuit.ops[:-1])
+    assert built != other and built != circuit.ops and not built == circuit.ops
+    assert built == mock.ANY
 
 
 @settings(deadline=None)

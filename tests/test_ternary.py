@@ -17,6 +17,11 @@ from qutritimg import (
 from qutritimg.ternary import indices_of_trit_column, trit_column
 
 
+def test_statevector_of_the_wrong_shape_is_rejected():
+    with pytest.raises(ValueError, match=r"^expected 9 amplitudes, got shape \(3, 3\)$"):
+        Statevector(2, np.zeros((3, 3)))
+
+
 def test_trits_from_index_zero():
     assert trits_from_index(0, 3) == "000"
 
