@@ -26,7 +26,10 @@ page faults of the process during the call (`ru_minflt` of
 `getrusage(RUSAGE_SELF)`); each side's calls start from a full
 collection, so no side pays for garbage that another left.  Every side
 must write the same text, which every side then reads, give the same op
-view and run to the same amplitude bytes.
+view and run to the same amplitude bytes.  All sides share one heap, so
+a change in what a call allocates, which alters the heap's history and so
+the page faults of later calls, shows only when each side runs in a
+process of its own.
 
 Prints one JSON object: per circuit and call, per side, the ms per call as
 {median, q1, q3} over the iterations, `ratio_to_parent` the median of the

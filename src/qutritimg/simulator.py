@@ -14,7 +14,9 @@ level while their targets rise, and a step is one (level, target), so
 each entry keeps its own op order and the (3, 3) @ (3, 3^(q-c-1)) BLAS
 product of a single controlled op, and statevectors are bit-identical to
 applying the ops one at a time.  The full 3^q x 3^q operator is never
-built.
+built.  `run` allocates one scratch buffer of 2 x 3^q amplitudes per
+call; every step writes its product there, and its gathered input when
+it needs one, so no step allocates a state-sized array.
 
 `run` starts from |0...0> and keeps one extent per qutrit: 1 while no
 step has targeted it, 3 after.  The state is zero outside the support box
@@ -476,7 +478,13 @@ class ShotHistogram:
                 f"counts={self.counts!r}, shots={self.shots!r})")
 
 
-def _apply_block(tensor: np.ndarray, blk: Block, extents: list):
+def _scratch(num_qutrits: int) -> np.ndarray:
+    """The kernel's work buffer: room for a step's input and its product,
+    each at most the 3^q amplitudes of the state."""
+    return np.empty(2 * 3**num_qutrits, dtype=np.complex128)
+
+
+def _apply_block(tensor: np.ndarray, blk: Block, scratch: np.ndarray, extents: list):
     """Apply every op of `blk` to a (3,)*q amplitude tensor, in place.
 
     One gather of the selected rows, one pass per step, one scatter.
@@ -486,10 +494,11 @@ def _apply_block(tensor: np.ndarray, blk: Block, extents: list):
     the box of the first `extents[j]` values of every non-control axis j:
     output i on the target is M[i, 0] times the target-0 amplitude, since
     the state is zero outside the box and at target values 1 and 2.  Every
-    other step is one batched matmul on a contiguous copy of its full rows,
-    whose 3x3 products have the shape a single controlled op would give
-    np.dot, (3, 3) @ (3, 3^(q-c-1)), so BLAS rounds alike; on a strided
-    operand numpy's matmul may skip BLAS and round differently.
+    other step is one batched matmul on its full rows, whose 3x3 products
+    have the shape a single controlled op would give np.dot,
+    (3, 3) @ (3, 3^(q-c-1)), so BLAS rounds alike.  Either way a step
+    writes its product into `scratch`, and its gathered input when it
+    needs one, so it allocates no temporaries the size of its rows.
     """
     c = len(blk.controls)
     view = np.moveaxis(tensor, blk.controls, range(c))
@@ -507,17 +516,30 @@ def _apply_block(tensor: np.ndarray, blk: Block, extents: list):
         if first:
             box = rows[(slice(None), *(slice(extents[j]) for j in free))]
             x = box[(slice(None),) * axis + (slice(1),)]  # target at 0, kept as an axis
+            n = k * (x.size // len(x))
+            if not full:
+                x = np.take(x, entries, axis=0, mode="clip",
+                            out=scratch[:n].reshape((k,) + x.shape[1:]))
             column = blk.matrices[gate_ids, :, 0].reshape(
                 (k,) + (1,) * (axis - 1) + (3,) + (1,) * (box.ndim - axis - 1))
-            box[... if full else entries] = column * (x if full else x[entries])
+            out = scratch[n:4 * n].reshape((k,) + box.shape[1:])
+            box[... if full else entries] = np.multiply(column, x, out=out)
             continue
-        moved = np.moveaxis(rows if full else rows[entries], axis, 1)
-        out = (blk.matrices[gate_ids] @ np.ascontiguousarray(moved).reshape(k, 3, -1)
-               ).reshape(moved.shape)
+        size = k * (rows.size // len(rows))
+        src = scratch[:size].reshape(k, 3, -1)
+        out = scratch[size:2 * size].reshape(src.shape)
+        # A partial step gathers its rows into `out`, which the product
+        # overwrites once they are copied; mode="clip" (entries are in
+        # range) lets np.take write there unbuffered.
+        part = rows if full else np.take(rows, entries, axis=0, mode="clip",
+                                          out=out.reshape((k,) + rows.shape[1:]))
+        moved = np.moveaxis(part, axis, 1)
+        np.copyto(src.reshape(moved.shape), moved)
+        np.matmul(blk.matrices[gate_ids], src, out=out)
         if full:
-            moved[...] = out
+            moved[...] = out.reshape(moved.shape)
         else:
-            rows[entries] = np.moveaxis(out, 1, axis)
+            rows[entries] = np.moveaxis(out.reshape(moved.shape), 1, axis)
     if c:
         view[index] = rows
 
@@ -525,6 +547,7 @@ def _apply_block(tensor: np.ndarray, blk: Block, extents: list):
 def run(circuit: Circuit) -> Statevector:
     """Execute all blocks on the all-|0> state, in place in one buffer.
 
+    Every step of every block works in one scratch buffer allocated here.
     A first touch of a qutrit by gates whose column 0 entries are each
     purely real or purely imaginary is an outer product on the support box
     of the qutrits touched so far, in blocks with and without controls;
@@ -538,9 +561,10 @@ def run(circuit: Circuit) -> Statevector:
     q = circuit.num_qutrits
     state = statevector_zero(q)
     tensor = state.amplitudes.reshape((3,) * q)
+    scratch = _scratch(q)
     extents = [1] * q
     for blk in circuit.blocks:
-        _apply_block(tensor, blk, extents)
+        _apply_block(tensor, blk, scratch, extents)
     np.add(state.amplitudes, 0.0, out=state.amplitudes)  # -0.0 -> +0.0
     return state
 

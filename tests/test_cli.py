@@ -152,6 +152,23 @@ def test_encode_sample_past_int64_fails_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+def _circuit_text(num_qutrits=2, **fields):
+    """Circuit JSON of one H op on qutrit 0 with `fields` changed, as bytes."""
+    op = {"gate": "H", "subspace": None, "params": [], "target": 0, "controls": []} | fields
+    return json.dumps({"num_qutrits": num_qutrits, "ops": [op]}).encode()
+
+
+def _repr_head(value):
+    text = repr(value)
+    return f"{text[:64]}... (64 of {len(text)} shown)"
+
+
+_KEYS = {f"k{i}": i for i in range(50_000)}
+_WIDTHS = list(range(50_000))
+_CONTROLS = [{"q": 1, "v": 1}] * 30_000 + [{"q": 1.5, "v": 1}]
+_PARAMS = [1.0] * 50_000 + ["x"]
+
+
 @pytest.mark.parametrize("command, name, data, quote", [
     ("encode", "big.pgm", b"P2\n" + b"1" * 1_000_000 + b" 3\n255\n0\n",
      "bad header token b'" + "1" * 64 + "'... (64 of 1000000 shown)"),
@@ -167,18 +184,34 @@ def test_encode_sample_past_int64_fails_cleanly(tmp_path, capsys):
      "only maxval 255 is supported, got " + "9" * 64 + "... (64 of 4000 shown)"),
     ("encode", "big.pgm", b"P2\n-" + b"9" * 4_000 + b" 3\n255\n0\n",
      "bad dimensions -" + "9" * 63 + "... (64 of 4001 shown)x3"),
+    ("simulate", "circ.json", json.dumps({"num_qutrits": 2, "ops": _KEYS}).encode(),
+     "circuit JSON 'ops' must be list, got " + _repr_head(_KEYS)),
+    ("simulate", "circ.json", _circuit_text(num_qutrits=_WIDTHS),
+     "circuit JSON 'num_qutrits' must be int, got " + _repr_head(_WIDTHS)),
+    ("simulate", "circ.json", _circuit_text(controls=_CONTROLS),
+     "circuit JSON controls need int q and v: " + _repr_head(_CONTROLS)),
+    ("simulate", "circ.json", _circuit_text(params=_PARAMS),
+     "circuit JSON params must be finite numbers: " + _repr_head(_PARAMS)),
+    ("simulate", "circ.json", _circuit_text(gate="Q" * 100_000),
+     "unknown gate kind '" + "Q" * 64 + "'... (64 of 100000 shown)"),
+    ("simulate", "circ.json", _circuit_text(target="7" * 100_000),
+     "circuit JSON 'target' must be int, got '" + "7" * 64 + "'... (64 of 100000 shown)"),
 ], ids=["header-token", "sample", "histogram-row", "probability", "width", "maxval",
-        "negative-width"])
+        "negative-width", "ops-object", "num-qutrits-list", "controls-list", "params-list",
+        "gate-kind", "target"])
 def test_errors_quote_a_bounded_prefix_of_long_input(tmp_path, capsys, command, name, data,
                                                      quote):
     source = tmp_path / name
     source.write_bytes(data)
     if command == "encode":
         argv = ("encode", "--method", "fqri", "--input", source, "--out", tmp_path / "c.json")
-    else:
+    elif command == "decode":
         argv = ("decode", "--method", "qrciq", "--hist", source, "--out", tmp_path / "i.ppm")
+    else:
+        argv = ("simulate", "--circuit", source, "--shots", 10, "--out", tmp_path / "h.csv")
     assert _run(*argv) == 1
-    assert capsys.readouterr().err == f"error: {quote}\n"
+    err = capsys.readouterr().err
+    assert err == f"error: {quote}\n" and len(err.encode()) <= 200
 
 
 def test_simulate_exact_probability_table(tmp_path, gray_path):
@@ -261,30 +294,6 @@ def test_simulate_rejects_malformed_input(tmp_path, capsys, doc, shots, message)
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("doc, message", [
-    ({"num_qutrits": 2, "ops": {f"k{i}": i for i in range(50_000)}},
-     "circuit JSON 'ops' must be list, got {'k0': 0, "),
-    ({"num_qutrits": list(range(50_000)), "ops": []},
-     "circuit JSON 'num_qutrits' must be int, got [0, 1, "),
-    ({"num_qutrits": 2,
-      "ops": [_op(controls=[{"q": 1, "v": 1}] * 30_000 + [{"q": 1.5, "v": 1}])]},
-     "circuit JSON controls need int q and v: [{'q': 1, 'v': 1}, "),
-    ({"num_qutrits": 2, "ops": [_op(params=[1.0] * 50_000 + ["x"])]},
-     "circuit JSON params must be finite numbers: [1.0, 1.0, "),
-    ({"num_qutrits": 2, "ops": [_op(gate="Q" * 100_000)]}, "unknown gate kind 'QQQ"),
-    ({"num_qutrits": 2, "ops": [_op(target="7" * 100_000)]},
-     "circuit JSON 'target' must be int, got '777"),
-], ids=["ops-object", "num-qutrits-list", "controls-list", "params-list", "gate-kind",
-        "target"])
-def test_circuit_json_errors_quote_a_bounded_prefix(tmp_path, capsys, doc, message):
-    circ = tmp_path / "circ.json"
-    circ.write_text(json.dumps(doc))
-    assert _run("simulate", "--circuit", circ, "--shots", 10, "--out", tmp_path / "h.csv") == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
-    assert len(err.encode()) <= 200 and err.endswith(" shown)\n")
 
 
 def test_decode_qrciq_complete_histogram(tmp_path, rgb_path):

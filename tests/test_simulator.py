@@ -82,7 +82,7 @@ def _apply(state, op):
     q = state.num_qutrits
     blk, = Circuit(q, (op,)).blocks
     out = state.amplitudes.copy()
-    simulator._apply_block(out.reshape((3,) * q), blk, [3] * q)
+    simulator._apply_block(out.reshape((3,) * q), blk, simulator._scratch(q), [3] * q)
     return Statevector(q, out + 0.0)
 
 
@@ -1159,10 +1159,10 @@ def test_run_is_bit_identical_to_per_op_kernel(circuit):
     assert folded.amplitudes.tobytes() == expect
 
 
-def test_steps_that_shrink_grow_and_change_axis():
-    """Blocks whose steps shrink, grow and change axis run as their ops one
-    at a time, on every call: a full-state block, 27 entries with partial
-    steps, 2 entries on other targets, then the full state again."""
+def test_scratch_buffer_carries_nothing_between_steps():
+    """Blocks whose steps shrink, grow and change axis share one scratch
+    buffer per `run`: a full-state block, 27 entries with partial steps,
+    2 entries on other targets, then the full state again."""
     rng = np.random.default_rng(10)
 
     def gate():
