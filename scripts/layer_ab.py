@@ -1,4 +1,4 @@
-"""Time the circuit JSON writer and reader, the op view and `run` of two source trees call by call.
+"""Time circuit JSON, op view, gate matrix, `run` and image calls of two source trees call by call.
 
     python3 scripts/layer_ab.py PARENT_DIR CHANGE_DIR [--repeats N]
 
@@ -14,22 +14,27 @@ The circuits are the staged ones of the `staged-cli-27` workload: `fqri`,
 `roundtrip-qrciq-27` workload.  Each is drawn from one uniform-noise
 image per codec with seed `SEED`.  `fqrqci-27.all` takes the three
 `fqrqci` circuits one after the other, as `encode` writes them.
-Four calls are timed per circuit: `write`, `circuit_to_json`; `read`,
+Five calls are timed per circuit: `write`, `circuit_to_json`; `read`,
 `circuit_from_json` of the written text; `ops`, the flat op view
-`Circuit.ops`; and `run`, the statevector of each circuit.  Every write
-renders blocks that no write has rendered before and every `ops` builds
-a view that no call has built before: a copy of each circuit, and for a
-write of each block, is made outside the timed call.
+`Circuit.ops`; `matrices`, `gate_matrices` of each block's gates; and
+`run`, the statevector of each circuit.  Every write renders blocks that
+no write has rendered before and every `ops` builds a view that no call
+has built before: a copy of each circuit, and for a write of each block,
+is made outside the timed call.  The label `images` times three calls on
+one 27x27 RGB image of seed `SEED` and its first channel as a gray image:
+`write`, `write_ppm` and `write_pgm`; `read`, `read_ppm` and `read_pgm`
+of the written bytes; and `construct`, `RgbImage` and `GrayImage` of the
+uint8 pixels, as every decoder builds its image.
 Each iteration times each call once per side, process CPU time, in an
 order of sides that rotates by one per iteration, and counts the minor
 page faults of the process during the call (`ru_minflt` of
 `getrusage(RUSAGE_SELF)`); each side's calls start from a full
 collection, so no side pays for garbage that another left.  Every side
 must write the same text, which every side then reads, give the same op
-view and run to the same amplitude bytes.  All sides share one heap, so
-a change in what a call allocates, which alters the heap's history and so
-the page faults of later calls, shows only when each side runs in a
-process of its own.
+view, matrix bytes and amplitude bytes, and write, read and build the
+same images.  All sides share one heap, so a change in what a call
+allocates, which alters the heap's history and so the page faults of
+later calls, shows only when each side runs in a process of its own.
 
 Prints one JSON object: per circuit and call, per side, the ms per call as
 {median, q1, q3} over the iterations, `ratio_to_parent` the median of the
@@ -97,6 +102,33 @@ def unrendered(pkg, circuits) -> tuple:
         for c in circuits)
 
 
+def image_calls(pkg) -> dict:
+    """Call -> (function, argument) pairs of the `images` label, of package `pkg`."""
+    rgb = np.random.default_rng(SEED).integers(0, 256, (27, 27, 3)).astype(np.uint8)
+    gray = rgb[:, :, 0].copy()
+    images = pkg.RgbImage(rgb), pkg.GrayImage(gray)
+    return {"write": ((pkg.write_ppm, images[0]), (pkg.write_pgm, images[1])),
+            "read": ((pkg.read_ppm, pkg.write_ppm(images[0])),
+                     (pkg.read_pgm, pkg.write_pgm(images[1]))),
+            "construct": ((pkg.RgbImage, rgb), (pkg.GrayImage, gray))}
+
+
+def apply(job):
+    """`function(argument)` of a (function, argument) pair."""
+    function, argument = job
+    return function(argument)
+
+
+def image_outputs(calls: dict) -> dict:
+    """Per call, what its jobs return: bytes, or an image's kind and pixel bytes."""
+    return {call: [out if isinstance(out, bytes) else (type(out).__name__, out.pixels.tobytes())
+                   for out in map(apply, jobs)] for call, jobs in calls.items()}
+
+
+def matrix_bytes(pkg, circuit) -> list[bytes]:
+    return [pkg.gates.gate_matrices(blk.gates).tobytes() for blk in circuit.blocks]
+
+
 def timed(call, items) -> tuple[int, int]:
     """Process CPU ns and minor page faults of this process during
     `call(item)` for each of `items`, each result dropped at once."""
@@ -136,6 +168,7 @@ def main(argv=None) -> int:
     for label, written in circuits["parent"].items():
         texts[label] = [sides["parent"].circuit_to_json(c) for c in written]
         views = [repr(c.ops) for c in written]
+        matrices = [matrix_bytes(sides["parent"], c) for c in written]
         states = [sides["parent"].run(c).amplitudes.tobytes() for c in written]
         for side, pkg in sides.items():
             if [pkg.circuit_to_json(c) for c in unrendered(pkg, circuits[side][label])] \
@@ -143,12 +176,20 @@ def main(argv=None) -> int:
                 raise SystemExit(f"{side} writes other text for {label}")
             if [repr(c.ops) for c in circuits[side][label]] != views:
                 raise SystemExit(f"{side} gives another op view for {label}")
+            if [matrix_bytes(pkg, c) for c in circuits[side][label]] != matrices:
+                raise SystemExit(f"{side} gives other gate matrices for {label}")
             if [pkg.run(c).amplitudes.tobytes() for c in circuits[side][label]] != states:
                 raise SystemExit(f"{side} runs to other amplitudes for {label}")
+    images = {side: image_calls(pkg) for side, pkg in sides.items()}
+    outputs = image_outputs(images["parent"])
+    for side in sides:
+        if image_outputs(images[side]) != outputs:
+            raise SystemExit(f"{side} writes, reads or builds other images")
     names = list(sides)
     result = {"repeats": args.repeats}
     for label in circuits["parent"]:
-        times = {call: {side: [] for side in names} for call in ("write", "read", "ops", "run")}
+        times = {call: {side: [] for side in names}
+                 for call in ("write", "read", "ops", "matrices", "run")}
         for i in range(args.repeats):
             for side in names[i % len(names):] + names[:i % len(names)]:
                 gc.collect()
@@ -159,8 +200,17 @@ def main(argv=None) -> int:
                 fresh = [pkg.Circuit.from_blocks(c.num_qutrits, c.blocks)
                          for c in circuits[side][label]]
                 times["ops"][side].append(timed(attrgetter("ops"), fresh))
+                gate_lists = [blk.gates for c in circuits[side][label] for blk in c.blocks]
+                times["matrices"][side].append(timed(pkg.gates.gate_matrices, gate_lists))
                 times["run"][side].append(timed(pkg.run, circuits[side][label]))
         result[label] = {call: summary(ns) for call, ns in times.items()}
+    times = {call: {side: [] for side in names} for call in outputs}
+    for i in range(args.repeats):
+        for side in names[i % len(names):] + names[:i % len(names)]:
+            gc.collect()
+            for call, jobs in images[side].items():
+                times[call][side].append(timed(apply, jobs))
+    result["images"] = {call: summary(ns) for call, ns in times.items()}
     print(json.dumps(result, indent=1))
     return 0
 

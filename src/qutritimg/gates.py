@@ -3,7 +3,8 @@
 Every gate is a 3x3 unitary.  Subspace gates act as a 2x2 qubit gate on an
 ordered basis pair (j, k) with j < k and leave the third level alone.  The
 shift gates [+1] and [+2] cycle the whole basis, and the ternary Hadamard
-is the 3-point Fourier matrix built from omega = exp(2*pi*i/3).
+is the 3-point Fourier matrix built from omega = exp(2*pi*i/3).  Each gate
+kind of the circuit layer is defined once, in `_KINDS`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ OMEGA = cmath.exp(2j * math.pi / 3)
 
 def _check_pair(j: int, k: int):
     if (j, k) not in SUBSPACE_PAIRS:
-        raise ValueError(f"subspace pair must be one of {SUBSPACE_PAIRS}, got ({j}, {k})")
+        raise ValueError(f"subspace pair must be one of {SUBSPACE_PAIRS}, got {quoted((j, k))}")
 
 
 def x_gate(j: int, k: int) -> np.ndarray:
@@ -59,8 +60,8 @@ def _embedded(j: int, k: int, count: int) -> np.ndarray:
     return m
 
 
-def _rotations(axis: str, j: int, k: int, thetas) -> np.ndarray:
-    """(len(thetas), 3, 3) stack of `rotation(axis, j, k, theta)` per angle.
+def _rotations(axis: str, j: int, k: int, params) -> np.ndarray:
+    """(len(params), 3, 3) stack of `rotation(axis, j, k, theta)` per (theta,).
 
     Entries come from scalar `math`/`cmath` calls, one angle at a time:
     numpy's vectorised trig can differ from them in the last bit.
@@ -68,13 +69,13 @@ def _rotations(axis: str, j: int, k: int, thetas) -> np.ndarray:
     _check_pair(j, k)
     if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
-    m = _embedded(j, k, len(thetas))
+    m = _embedded(j, k, len(params))
     if axis == "z":
-        m[:, j, j] = [cmath.exp(-1j * theta / 2) for theta in thetas]
-        m[:, k, k] = [cmath.exp(1j * theta / 2) for theta in thetas]
+        m[:, j, j] = [cmath.exp(-1j * theta / 2) for theta, in params]
+        m[:, k, k] = [cmath.exp(1j * theta / 2) for theta, in params]
         return m
-    c = [math.cos(theta / 2) for theta in thetas]
-    s = [math.sin(theta / 2) for theta in thetas]
+    c = [math.cos(theta / 2) for theta, in params]
+    s = [math.sin(theta / 2) for theta, in params]
     m[:, j, j] = m[:, k, k] = c
     if axis == "x":
         m[:, j, k] = m[:, k, j] = [-1j * v for v in s]
@@ -91,7 +92,7 @@ def rotation(axis: str, j: int, k: int, theta: float) -> np.ndarray:
     sigma_z = |j><j| - |k><k|, sigma_x = |j><k| + |k><j|,
     sigma_y = -i|j><k| + i|k><j|.  Closed forms are used for exactness.
     """
-    return _rotations(axis, j, k, (theta,))[0]
+    return _rotations(axis, j, k, ((theta,),))[0]
 
 
 def _u_subspaces(j: int, k: int, params) -> np.ndarray:
@@ -130,13 +131,22 @@ def is_unitary(m: np.ndarray, tol: float) -> bool:
     return bool(np.max(np.abs(m @ m.conj().T - np.eye(3))) <= tol)
 
 
-# Gate kinds understood by the circuit layer.  X and the rotations carry a
-# subspace pair; P1/P2/H/I act on the full qutrit.
-PARAM_COUNTS = {
-    "X": 0, "P1": 0, "P2": 0, "H": 0, "I": 0,
-    "RX": 1, "RY": 1, "RZ": 1, "U": 3,
+# Per gate kind: its param count, whether it takes a subspace pair, and the
+# matrices of a group of its gates on one pair (None if it takes none) from
+# their params: one (3, 3) matrix for all, or a stack.
+_KINDS = {
+    "X": (0, True, lambda pair, params: x_gate(*pair)),
+    "P1": (0, False, lambda pair, params: shift_gate(1)),
+    "P2": (0, False, lambda pair, params: shift_gate(2)),
+    "H": (0, False, lambda pair, params: hadamard3()),
+    "I": (0, False, lambda pair, params: identity3()),
+    "RX": (1, True, lambda pair, params: _rotations("x", *pair, params)),
+    "RY": (1, True, lambda pair, params: _rotations("y", *pair, params)),
+    "RZ": (1, True, lambda pair, params: _rotations("z", *pair, params)),
+    "U": (3, True, lambda pair, params: _u_subspaces(*pair, params)),
 }
-SUBSPACE_KINDS = frozenset({"X", "RX", "RY", "RZ", "U"})
+PARAM_COUNTS = {kind: count for kind, (count, _, _) in _KINDS.items()}
+SUBSPACE_KINDS = frozenset(kind for kind, (_, paired, _) in _KINDS.items() if paired)
 
 
 @dataclass(frozen=True)
@@ -190,20 +200,7 @@ class GateSpec:
         return gates
 
     def matrix(self) -> np.ndarray:
-        if self.kind == "X":
-            return x_gate(*self.subspace)
-        if self.kind == "P1":
-            return shift_gate(1)
-        if self.kind == "P2":
-            return shift_gate(2)
-        if self.kind == "H":
-            return hadamard3()
-        if self.kind == "I":
-            return identity3()
-        if self.kind == "U":
-            return u_subspace(*self.subspace, *self.params)
-        axis = self.kind[1].lower()
-        return rotation(axis, *self.subspace, self.params[0])
+        return gate_matrices((self,))[0]
 
     def label(self) -> str:
         """Short text used in circuit diagrams, params to 2 decimals."""
@@ -220,18 +217,14 @@ class GateSpec:
 
 
 def gate_matrices(gates) -> np.ndarray:
-    """(len(gates), 3, 3) stack of the gates' matrices, byte for byte
-    `np.array([g.matrix() for g in gates])`, built a (kind, subspace) group
-    at a time: one stack per rotation or U group, one matrix per other kind."""
+    """(len(gates), 3, 3) stack of the gates' matrices, built a (kind, subspace)
+    group at a time by the kind's builder in `_KINDS`: one stack per rotation
+    or U group, one matrix per group of any other kind."""
     groups: dict = {}
     for i, gate in enumerate(gates):
         groups.setdefault((gate.kind, gate.subspace), []).append(i)
     out = np.empty((len(gates), 3, 3), dtype=np.complex128)
     for (kind, pair), idx in groups.items():
-        if kind == "U":
-            out[idx] = _u_subspaces(*pair, [gates[i].params for i in idx])
-        elif kind in ("RX", "RY", "RZ"):
-            out[idx] = _rotations(kind[1].lower(), *pair, [gates[i].params[0] for i in idx])
-        else:
-            out[idx] = gates[idx[0]].matrix()
+        count, _, build = _KINDS[kind]
+        out[idx] = build(pair, [gates[i].params for i in idx] if count else ())
     return out

@@ -1,11 +1,14 @@
 """8-bit images on a 3^n x 3^n grid, with PGM/PPM readers and writers.
 
-Supported variants: P2/P5 grayscale, P3/P6 RGB, maxval 255 only.
+Supported variants: P2/P5 grayscale, P3/P6 RGB, maxval 255 only.  Each image
+kind is defined once, by the class attributes of its `_Image` subclass.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,69 +26,56 @@ def validate_side(side: int) -> int:
         value *= 3
         n += 1
     if value != side:
-        raise ShapeError(f"side {side} is not a power of 3")
+        raise ShapeError(f"side {quoted(int(side))} is not a power of 3")
     return n
 
 
-def _as_u8(pixels, shape_desc: str) -> np.ndarray:
-    arr = np.asarray(pixels)
-    if arr.dtype == np.uint8:  # in range by its type; the decoders' output
-        return arr.copy()
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"{shape_desc} pixels must be integers")
-    if arr.size and (arr.min() < 0 or arr.max() > 255):
-        raise ValueError(f"{shape_desc} pixels must lie in [0, 255]")
-    return arr.astype(np.uint8)
+@dataclass(eq=False, init=False)
+class _Image:
+    """An image kind: uint8 `pixels` of shape (side, side) + `_CHANNELS`, side
+    3^n, named `_NAME` in errors and stored as netpbm `_FORMAT` (`_MAGICS`)."""
+
+    pixels: np.ndarray
+
+    def __init__(self, pixels: np.ndarray):
+        arr = np.asarray(pixels)
+        if arr.dtype == np.uint8:  # in range by its type; the decoders' output
+            arr = arr.copy()
+        elif not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"{self._NAME} pixels must be integers")
+        elif arr.size and (arr.min() < 0 or arr.max() > 255):
+            raise ValueError(f"{self._NAME} pixels must lie in [0, 255]")
+        else:
+            arr = arr.astype(np.uint8)
+        if len(shape := arr.shape) < 2 or shape[0] != shape[1] or shape[2:] != self._CHANNELS:
+            raise ShapeError(f"{self._SHAPE_RULE}, got {shape}")
+        validate_side(arr.shape[0])
+        self.pixels = arr
+
+    @property
+    def side(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def n(self) -> int:
+        return validate_side(self.side)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and np.array_equal(self.pixels, other.pixels)
 
 
-@dataclass(eq=False)
-class GrayImage:
+class GrayImage(_Image):
     """Row-major (y, x) grid of 8-bit gray values."""
 
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_u8(self.pixels, "grayscale")
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ShapeError(f"grayscale image must be square, got {arr.shape}")
-        validate_side(arr.shape[0])
-        self.pixels = arr
-
-    @property
-    def side(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def n(self) -> int:
-        return validate_side(self.side)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GrayImage) and np.array_equal(self.pixels, other.pixels)
+    _NAME, _CHANNELS, _SHAPE_RULE = "grayscale", (), "grayscale image must be square"
+    _FORMAT, _MAGICS = "PGM", (b"P2", b"P5")
 
 
-@dataclass(eq=False)
-class RgbImage:
+class RgbImage(_Image):
     """Row-major (y, x, channel) grid of 8-bit RGB triples."""
 
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_u8(self.pixels, "RGB")
-        if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 3:
-            raise ShapeError(f"RGB image must be square with 3 channels, got {arr.shape}")
-        validate_side(arr.shape[0])
-        self.pixels = arr
-
-    @property
-    def side(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def n(self) -> int:
-        return validate_side(self.side)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RgbImage) and np.array_equal(self.pixels, other.pixels)
+    _NAME, _CHANNELS, _SHAPE_RULE = "RGB", (3,), "RGB image must be square with 3 channels"
+    _FORMAT, _MAGICS = "PPM", (b"P3", b"P6")
 
 
 # --- netpbm parsing --------------------------------------------------------
@@ -104,15 +94,15 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return match[1], match.end()
 
 
-def _parse_netpbm(data: bytes, magics: dict[bytes, bool], what: str):
-    """(side, binary, raster offset) of a header, checked to be square and
-    3^n on a side before any sample is read."""
+def _read(data: bytes, kind: type[_Image]) -> _Image:
+    """An image of `kind` from its netpbm bytes, the header checked to be
+    square and 3^n on a side before any sample is read."""
+    what = kind._FORMAT
     if len(data) < 2:
         raise ParseError(f"not a {what} file: too short")
     magic = bytes(data[:2])
-    if magic not in magics:
+    if magic not in kind._MAGICS:
         raise ParseError(f"not a {what} file: magic {magic!r}")
-    binary = magics[magic]
     pos = 2
     header = []
     for _ in range(3):
@@ -129,7 +119,11 @@ def _parse_netpbm(data: bytes, magics: dict[bytes, bool], what: str):
     if width != height:
         raise ShapeError(f"{what} image must be square, got {quoted(width)}x{quoted(height)}")
     validate_side(width)
-    return width, binary, pos
+    if width > sys.maxsize:  # no file holds its samples, whose count may not even format
+        raise ParseError(f"raster truncated: side {quoted(width)} in {len(data) - pos} bytes")
+    shape = (width, width) + kind._CHANNELS
+    binary = magic == kind._MAGICS[1]
+    return kind(_read_samples(data, pos, math.prod(shape), binary).reshape(shape))
 
 
 def _read_samples(data: bytes, pos: int, count: int, binary: bool) -> np.ndarray:
@@ -162,27 +156,25 @@ def _read_samples(data: bytes, pos: int, count: int, binary: bool) -> np.ndarray
     return np.array(values, dtype=np.int64)
 
 
+def _write(img: _Image, kind: type[_Image], binary: bool) -> bytes:
+    header = f"{kind._MAGICS[bool(binary)].decode()}\n{img.side} {img.side}\n255\n"
+    if binary:
+        return header.encode() + img.pixels.tobytes()
+    rows = "\n".join(" ".join(map(str, row)) for row in img.pixels.reshape(img.side, -1).tolist())
+    return f"{header}{rows}\n".encode()
+
+
 def read_pgm(data: bytes) -> GrayImage:
-    side, binary, pos = _parse_netpbm(data, {b"P2": False, b"P5": True}, "PGM")
-    return GrayImage(_read_samples(data, pos, side * side, binary).reshape(side, side))
+    return _read(data, GrayImage)
 
 
 def read_ppm(data: bytes) -> RgbImage:
-    side, binary, pos = _parse_netpbm(data, {b"P3": False, b"P6": True}, "PPM")
-    return RgbImage(_read_samples(data, pos, side * side * 3, binary).reshape(side, side, 3))
+    return _read(data, RgbImage)
 
 
 def write_pgm(img: GrayImage, binary: bool = False) -> bytes:
-    side = img.side
-    if binary:
-        return f"P5\n{side} {side}\n255\n".encode() + img.pixels.tobytes()
-    rows = "\n".join(" ".join(map(str, row)) for row in img.pixels.tolist())
-    return f"P2\n{side} {side}\n255\n{rows}\n".encode()
+    return _write(img, GrayImage, binary)
 
 
 def write_ppm(img: RgbImage, binary: bool = False) -> bytes:
-    side = img.side
-    if binary:
-        return f"P6\n{side} {side}\n255\n".encode() + img.pixels.tobytes()
-    rows = "\n".join(" ".join(map(str, row)) for row in img.pixels.reshape(side, -1).tolist())
-    return f"P3\n{side} {side}\n255\n{rows}\n".encode()
+    return _write(img, RgbImage, binary)

@@ -115,9 +115,9 @@ class ControlSpec:
         _check_int(self.qutrit, "control qutrit")
         _check_int(self.value, "control value")
         if self.qutrit < 0:
-            raise ValueError(f"control qutrit must be >= 0, got {self.qutrit}")
+            raise ValueError(f"control qutrit must be >= 0, got {quoted(self.qutrit)}")
         if self.value not in (0, 1, 2):
-            raise ValueError(f"control value must be 0, 1 or 2, got {self.value}")
+            raise ValueError(f"control value must be 0, 1 or 2, got {quoted(self.value)}")
 
 
 class CircuitOp(namedtuple("CircuitOp", "gate target controls")):
@@ -152,20 +152,20 @@ class CircuitOp(namedtuple("CircuitOp", "gate target controls")):
 def _check_op(target: int, positions: list[int]):
     """The checks of one op that need no register width."""
     if target < 0:
-        raise ValueError(f"target must be >= 0, got {target}")
+        raise ValueError(f"target must be >= 0, got {quoted(target)}")
     if target in positions:
-        raise ValueError(f"target {target} also appears as a control")
+        raise ValueError(f"target {quoted(target)} also appears as a control")
     if len(set(positions)) != len(positions):
-        raise ValueError(f"duplicate control qutrits in {positions}")
+        raise ValueError(f"duplicate control qutrits in {quoted(positions)}")
 
 
 def _check_range(target: int, positions, num_qutrits: int):
     """Reject an op that does not fit a register of `num_qutrits` qutrits."""
     if target >= num_qutrits:
-        raise ValueError(f"target {target} out of range for {num_qutrits} qutrits")
+        raise ValueError(f"target {quoted(target)} out of range for {num_qutrits} qutrits")
     for q in positions:
         if q >= num_qutrits:
-            raise ValueError(f"control qutrit {q} out of range for {num_qutrits} qutrits")
+            raise ValueError(f"control qutrit {quoted(q)} out of range for {num_qutrits} qutrits")
 
 
 @dataclass(frozen=True, eq=False)

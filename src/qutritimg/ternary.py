@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, RegisterWidthError
+from .errors import CapacityError, RegisterWidthError, quoted
 
 # 3**12 complex128 amplitudes is ~8.5 MB; the largest register any codec
 # here needs is qrciq's 2n+5 = 11 qutrits (27x27 images).
@@ -117,11 +117,11 @@ def check_capacity(num_qutrits: int):
     `RegisterWidthError`, one past the cap a `CapacityError`."""
     if type(num_qutrits) is not int or num_qutrits < 1:
         raise RegisterWidthError(
-            f"register width must be an int of at least 1, got {num_qutrits!r}"
+            f"register width must be an int of at least 1, got {quoted(num_qutrits)}"
         )
     if num_qutrits > MAX_QUTRITS:
         raise CapacityError(
-            f"{num_qutrits} qutrits exceeds the cap of {MAX_QUTRITS}"
+            f"{quoted(num_qutrits)} qutrits exceeds the cap of {MAX_QUTRITS}"
         )
 
 

@@ -167,6 +167,10 @@ _KEYS = {f"k{i}": i for i in range(50_000)}
 _WIDTHS = list(range(50_000))
 _CONTROLS = [{"q": 1, "v": 1}] * 30_000 + [{"q": 1.5, "v": 1}]
 _PARAMS = [1.0] * 50_000 + ["x"]
+_BIG = int("7" * 4_000)
+_BIG_HEAD = "7" * 64 + "... (64 of 4000 shown)"
+_SIDE = b"1" + b"0" * 3_998 + b"1"  # 4,000 digits, not a power of 3
+_POWER_SIDE = b"%d" % 3**8_383  # 4,000 digits: its square has 8,000, past int formatting
 
 
 @pytest.mark.parametrize("command, name, data, quote", [
@@ -196,9 +200,28 @@ _PARAMS = [1.0] * 50_000 + ["x"]
      "unknown gate kind '" + "Q" * 64 + "'... (64 of 100000 shown)"),
     ("simulate", "circ.json", _circuit_text(target="7" * 100_000),
      "circuit JSON 'target' must be int, got '" + "7" * 64 + "'... (64 of 100000 shown)"),
+    ("simulate", "circ.json", _circuit_text(target=_BIG),
+     f"target {_BIG_HEAD} out of range for 2 qutrits"),
+    ("simulate", "circ.json", _circuit_text(target=-_BIG),
+     "target must be >= 0, got -" + "7" * 63 + "... (64 of 4001 shown)"),
+    ("simulate", "circ.json", _circuit_text(controls=[{"q": _BIG, "v": 1}]),
+     f"control qutrit {_BIG_HEAD} out of range for 2 qutrits"),
+    ("simulate", "circ.json", _circuit_text(controls=[{"q": 1, "v": _BIG}]),
+     f"control value must be 0, 1 or 2, got {_BIG_HEAD}"),
+    ("simulate", "circ.json", _circuit_text(gate="X", subspace=[0, _BIG]),
+     "subspace pair must be one of ((0, 1), (0, 2), (1, 2)), got (0, " + "7" * 60
+     + "... (64 of 4005 shown)"),
+    ("simulate", "circ.json", _circuit_text(num_qutrits=_BIG),
+     f"{_BIG_HEAD} qutrits exceeds the cap of 12"),
+    ("encode", "big.pgm", b"P2\n" + _SIDE + b" " + _SIDE + b"\n255\n0\n",
+     "side 1" + "0" * 63 + "... (64 of 4000 shown) is not a power of 3"),
+    ("encode", "big.pgm", b"P2\n" + _POWER_SIDE + b" " + _POWER_SIDE + b"\n255\n0\n",
+     f"raster truncated: side {_POWER_SIDE[:64].decode()}... (64 of 4000 shown) in 3 bytes"),
 ], ids=["header-token", "sample", "histogram-row", "probability", "width", "maxval",
         "negative-width", "ops-object", "num-qutrits-list", "controls-list", "params-list",
-        "gate-kind", "target"])
+        "gate-kind", "target", "big-target", "big-negative-target", "big-control-q",
+        "big-control-v", "big-subspace-item", "big-num-qutrits", "big-side",
+        "big-power-of-3-side"])
 def test_errors_quote_a_bounded_prefix_of_long_input(tmp_path, capsys, command, name, data,
                                                      quote):
     source = tmp_path / name

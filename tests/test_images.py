@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,10 +33,16 @@ def test_validate_side():
 def test_image_shape_validation():
     with pytest.raises(ShapeError):
         GrayImage(np.zeros((4, 4), dtype=np.uint8))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"^grayscale image must be square, got \(3, 9\)$"):
         GrayImage(np.zeros((3, 9), dtype=np.uint8))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError,
+                       match=r"^RGB image must be square with 3 channels, got \(3, 3\)$"):
         RgbImage(np.zeros((3, 3), dtype=np.uint8))
+    with pytest.raises(ShapeError, match=r"^grayscale image must be square, got \(3, 3, 3\)$"):
+        GrayImage(np.zeros((3, 3, 3), dtype=np.uint8))
+    with pytest.raises(ShapeError,
+                       match=r"^RGB image must be square with 3 channels, got \(3, 3, 4\)$"):
+        RgbImage(np.zeros((3, 3, 4), dtype=np.uint8))
     with pytest.raises(ValueError):
         GrayImage(np.full((3, 3), 300))
     with pytest.raises(ValueError, match="^grayscale pixels must be integers$"):
@@ -52,6 +60,21 @@ def test_fixture_pixels(sample_gray, sample_rgb):
     assert tuple(sample_rgb.pixels[2, 1]) == (133, 134, 252)
     assert tuple(sample_rgb.pixels[2, 2]) == (79, 25, 234)
     np.testing.assert_array_equal(sample_rgb.pixels[:, :, 0], sample_gray.pixels)
+
+
+def test_image_kinds_are_unhashable_dataclasses_equal_only_to_their_kind(sample_gray,
+                                                                          sample_rgb):
+    gray = GrayImage(sample_rgb.pixels[:, :, 0])
+    assert gray == sample_gray and RgbImage(sample_rgb.pixels) == sample_rgb
+    zeros = np.zeros((3, 3, 3), dtype=np.uint8)
+    for a, b in ((GrayImage(zeros[:, :, 0]), RgbImage(zeros)), (gray, sample_rgb)):
+        assert a != b and b != a
+    assert repr(gray).startswith("GrayImage(pixels=array([[")
+    assert repr(sample_rgb).startswith("RgbImage(pixels=array([[[")
+    for img in (gray, sample_rgb):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(img)
+        assert tuple(f.name for f in dataclasses.fields(img)) == ("pixels",)
 
 
 @pytest.mark.parametrize("binary", [False, True])

@@ -67,10 +67,12 @@ def test_layer_ab_times_a_tree_against_itself(capsys):
     result = json.loads(capsys.readouterr().out)
     labels = ["fqri-27", "fqrri-27", "fqrqci-27.m1", "fqrqci-27.m2", "fqrqci-27.m3",
               "fqrqci-27.all", "mcqri-27", "qrciq-9", "qrciq-27"]
-    assert list(result) == ["repeats", *labels]
-    for label in labels:
-        assert list(result[label]) == ["write", "read", "ops", "run"]
-        for call in ("write", "read", "ops", "run"):
+    assert list(result) == ["repeats", *labels, "images"]
+    calls = {label: ["write", "read", "ops", "matrices", "run"] for label in labels}
+    calls["images"] = ["write", "read", "construct"]
+    for label, names in calls.items():
+        assert list(result[label]) == names
+        for call in names:
             sides = result[label][call]
             assert list(sides) == ["parent", "change", "parent_copy"]
             assert all(side["median"] > 0 and 0 <= side["wins_vs_parent"] <= 2
