@@ -218,8 +218,8 @@ class GateSpec:
 
 def gate_matrices(gates) -> np.ndarray:
     """(len(gates), 3, 3) stack of the gates' matrices, built a (kind, subspace)
-    group at a time by the kind's builder in `_KINDS`: one stack per rotation
-    or U group, one matrix per group of any other kind."""
+    group at a time by the kind's matrix function in `_KINDS`: one stack per
+    rotation or U group, one matrix per group of any other kind."""
     groups: dict = {}
     for i, gate in enumerate(gates):
         groups.setdefault((gate.kind, gate.subspace), []).append(i)

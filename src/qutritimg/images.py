@@ -32,8 +32,8 @@ def validate_side(side: int) -> int:
 
 @dataclass(eq=False, init=False)
 class _Image:
-    """An image kind: uint8 `pixels` of shape (side, side) + `_CHANNELS`, side
-    3^n, named `_NAME` in errors and stored as netpbm `_FORMAT` (`_MAGICS`)."""
+    """Uint8 `pixels` of shape (side, side) + `_CHANNELS`, side 3^n, checked and
+    stored once by `__init__`; a kind's names and netpbm magics are class attributes."""
 
     pixels: np.ndarray
 

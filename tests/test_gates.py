@@ -302,7 +302,7 @@ def gate_lists(draw):
 
 
 def _matrix_reference(gate):
-    """`GateSpec.matrix()` as the per-kind chain of public builders it was
+    """`GateSpec.matrix()` as the per-kind chain of public gate functions it was
     before one table defined the kinds, kept as the reference."""
     if gate.kind == "X":
         return x_gate(*gate.subspace)

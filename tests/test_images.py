@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -69,6 +70,8 @@ def test_image_kinds_are_unhashable_dataclasses_equal_only_to_their_kind(sample_
     zeros = np.zeros((3, 3, 3), dtype=np.uint8)
     for a, b in ((GrayImage(zeros[:, :, 0]), RgbImage(zeros)), (gray, sample_rgb)):
         assert a != b and b != a
+    assert gray != types.SimpleNamespace(pixels=gray.pixels)
+    assert dataclasses.replace(gray, pixels=sample_rgb.pixels[:, :, 0]) == gray
     assert repr(gray).startswith("GrayImage(pixels=array([[")
     assert repr(sample_rgb).startswith("RgbImage(pixels=array([[[")
     for img in (gray, sample_rgb):
