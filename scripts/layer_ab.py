@@ -1,4 +1,4 @@
-"""Time circuit JSON, op view, gate matrix, `run` and image calls of two source trees call by call.
+"""Time circuit JSON, op view, gate matrix, `run`, image and decode calls of two source trees call by call.
 
     python3 scripts/layer_ab.py PARENT_DIR CHANGE_DIR [--repeats N]
 
@@ -24,17 +24,22 @@ is made outside the timed call.  The label `images` times three calls on
 one 27x27 RGB image of seed `SEED` and its first channel as a gray image:
 `write`, `write_ppm` and `write_pgm`; `read`, `read_ppm` and `read_pgm`
 of the written bytes; and `construct`, `RgbImage` and `GrayImage` of the
-uint8 pixels, as every decoder builds its image.
+uint8 pixels, as every decoder builds its image.  The label `decode` times
+one call per codec and size, named by its circuit label (`fqrqci-27` for
+the three `fqrqci` circuits): the codec's decode of histograms of
+`SHOTS` shots of its circuits, seeds `SEED`, `SEED` + 1 and `SEED` + 2,
+drawn outside the timed call.
 Each iteration times each call once per side, process CPU time, in an
 order of sides that rotates by one per iteration, and counts the minor
 page faults of the process during the call (`ru_minflt` of
 `getrusage(RUSAGE_SELF)`); each side's calls start from a full
 collection, so no side pays for garbage that another left.  Every side
 must write the same text, which every side then reads, give the same op
-view, matrix bytes and amplitude bytes, and write, read and build the
-same images.  All sides share one heap, so a change in what a call
-allocates, which alters the heap's history and so the page faults of
-later calls, shows only when each side runs in a process of its own.
+view, matrix bytes and amplitude bytes, write, read and build the same
+images and decode the same reports.  All sides share one heap, so a
+change in what a call allocates, which alters the heap's history and so
+the page faults of later calls, shows only when each side runs in a
+process of its own.
 
 Prints one JSON object: per circuit and call, per side, the ms per call as
 {median, q1, q3} over the iterations, `ratio_to_parent` the median of the
@@ -59,6 +64,7 @@ from pathlib import Path
 import numpy as np
 
 SEED = 17
+SHOTS = 200_000
 CIRCUITS = (("fqri", 27), ("fqrri", 27), ("fqrqci", 27), ("mcqri", 27), ("qrciq", 9),
             ("qrciq", 27))
 
@@ -123,6 +129,32 @@ def image_outputs(calls: dict) -> dict:
     """Per call, what its jobs return: bytes, or an image's kind and pixel bytes."""
     return {call: [out if isinstance(out, bytes) else (type(out).__name__, out.pixels.tobytes())
                    for out in map(apply, jobs)] for call, jobs in calls.items()}
+
+
+def decode_jobs(pkg, circuits: dict) -> dict:
+    """Call -> (decode, histograms, n) of the `decode` label, of package
+    `pkg` and its `circuits_of`."""
+    jobs = {}
+    for name, side in CIRCUITS:
+        label = f"{name}-{side}"
+        written = circuits.get(label) or circuits[f"{label}.all"]
+        codec = pkg.CODECS[name]
+        hists = tuple(pkg.sample(pkg.run(c), SHOTS, SEED + k) for k, c in enumerate(written))
+        jobs[label] = codec.decode, hists, codec.n_from_qutrits(written[0].num_qutrits)
+    return jobs
+
+
+def decode(job):
+    """The report of a (decode, histograms, n) job."""
+    function, hists, n = job
+    return function(*hists, n)
+
+
+def report_outputs(jobs: dict) -> dict:
+    """Per call, its report: the image's kind and pixel bytes, and the other fields."""
+    return {call: (type(report.image).__name__, report.image.pixels.tobytes(),
+                   report.clip_events, report.missing_states, report.shots_used)
+            for call, report in zip(jobs, map(decode, jobs.values()))}
 
 
 def matrix_bytes(pkg, circuit) -> list[bytes]:
@@ -211,6 +243,18 @@ def main(argv=None) -> int:
             for call, jobs in images[side].items():
                 times[call][side].append(timed(apply, jobs))
     result["images"] = {call: summary(ns) for call, ns in times.items()}
+    jobs = {side: decode_jobs(pkg, circuits[side]) for side, pkg in sides.items()}
+    reports = report_outputs(jobs["parent"])
+    for side in sides:
+        if report_outputs(jobs[side]) != reports:
+            raise SystemExit(f"{side} decodes other reports")
+    times = {call: {side: [] for side in names} for call in reports}
+    for i in range(args.repeats):
+        for side in names[i % len(names):] + names[:i % len(names)]:
+            gc.collect()
+            for call, job in jobs[side].items():
+                times[call][side].append(timed(decode, (job,)))
+    result["decode"] = {call: summary(ns) for call, ns in times.items()}
     print(json.dumps(result, indent=1))
     return 0
 

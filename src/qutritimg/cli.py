@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import resource
 import sys
 import time
 from functools import cache
@@ -107,11 +108,14 @@ def cmd_roundtrip(args) -> int:
     codec = CODECS[args.method]
     image = _read_image(codec, Path(args.input))
     timings = dict.fromkeys(("encode", "run", "sample", "decode"), 0.0)
+    faults = dict.fromkeys(timings, 0)
 
     def timed(stage, func, *func_args):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         result = func(*func_args)
         timings[stage] += (time.perf_counter() - start) * 1e3
+        faults[stage] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         return result
 
     enc = timed("encode", codec.encode, image)
@@ -139,6 +143,7 @@ def cmd_roundtrip(args) -> int:
         doc.update(
             {
                 "timings_ms": timings,
+                "minor_faults": faults,
                 "ops": sum(len(blk.entries) for c in circuits for blk in c.blocks),
                 "qutrits": state.num_qutrits,
                 "state_bytes": state.amplitudes.nbytes,
@@ -199,8 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rt.add_argument("--report", required=True, help="report JSON path")
     rt.add_argument("--out", help="decoded image path (default: next to report)")
     rt.add_argument("--diagnostics", action="store_true",
-                    help="add stage timings (timings_ms) and the register size "
-                         "(ops, qutrits, state_bytes) to the report")
+                    help="add stage timings (timings_ms), the minor page faults of "
+                         "each stage (minor_faults) and the register size (ops, "
+                         "qutrits, state_bytes) to the report")
     rt.set_defaults(func=cmd_roundtrip)
 
     dia = sub.add_parser("diagram", help="print a text diagram of a circuit")

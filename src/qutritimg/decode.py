@@ -77,6 +77,11 @@ def _value_u8(theta: np.ndarray) -> np.ndarray:
     return (theta / HALF_PI * 255 + 0.5).astype(np.uint8)
 
 
+def _check_width(hist: ShotHistogram, num_qutrits: int):
+    if hist.num_qutrits != num_qutrits:
+        raise ShapeError(f"histogram is over {hist.num_qutrits} qutrits, expected {num_qutrits}")
+
+
 def _as_probabilities(hist, num_qutrits: int) -> tuple[np.ndarray, int]:
     """Accept a ShotHistogram or a raw probability vector of finite entries >= 0.
 
@@ -86,10 +91,7 @@ def _as_probabilities(hist, num_qutrits: int) -> tuple[np.ndarray, int]:
     the sign of a zero (atan2(0, -0.0) is pi).
     """
     if isinstance(hist, ShotHistogram):
-        if hist.num_qutrits != num_qutrits:
-            raise ShapeError(
-                f"histogram is over {hist.num_qutrits} qutrits, expected {num_qutrits}"
-            )
+        _check_width(hist, num_qutrits)
         return hist.to_probabilities(), hist.shots
     check_capacity(num_qutrits)
     probs = np.asarray(hist, dtype=float)
@@ -219,6 +221,21 @@ def decode_mcqri(hist, n: int) -> DecodeReport:
     return DecodeReport(RgbImage(pixels), events, (), shots)
 
 
+# Row k: the (R, G, B) digits of the packed code k = R*9 + G*3 + B.
+_DIGITS = np.arange(27)[:, None] // (9, 3, 1) % 3
+
+
+def _support(hist, num_qutrits: int) -> tuple[np.ndarray, int]:
+    """The ascending basis indices of probability above 1e-15, and the
+    shots (0 for a raw vector).  A histogram is read from its arrays, by
+    the same division as its `to_probabilities`."""
+    if isinstance(hist, ShotHistogram):
+        _check_width(hist, num_qutrits)
+        return hist.indices[hist.frequencies() > 1e-15], hist.shots
+    probs, shots = _as_probabilities(hist, num_qutrits)
+    return np.flatnonzero(probs > 1e-15), shots
+
+
 def decode_qrciq(hist, n: int) -> DecodeReport:
     """Ternary-plane RGB: presence of a basis state is the whole message.
 
@@ -227,36 +244,46 @@ def decode_qrciq(hist, n: int) -> DecodeReport:
     are discarded.  A (plane <= 5, pixel) slot that was never observed
     contributes digit 0 and is listed in `missing_states` as
     (plane, pixel, channel) triples.  Counts beyond presence are ignored,
-    so the result depends only on the histogram support.
+    so the result depends only on the histogram support, which a
+    `ShotHistogram` gives without a dense vector: its listed indices whose
+    count / shots exceeds 1e-15, the rule a raw vector's entries follow.
     """
-    probs, shots = _as_probabilities(hist, 2 * n + 5)
+    hits, shots = _support(hist, 2 * n + 5)
     area = 9**n
     # basis index = (R*9 + G*3 + B) * 9^(n+1) + slot, slot = plane * area + pixel
-    packed, slot = np.divmod(np.flatnonzero(probs > 1e-15), 9 * area)
+    packed, slot = np.divmod(hits, 9 * area)
     kept = slot < 6 * area
-    digits, slot = packed[kept, None] // (9, 3, 1) % 3, slot[kept]
-    # indices ascend, so a slot's first occurrence carries its smallest digits
-    slots, first = np.unique(slot, return_index=True)
-    table = np.full((6 * area, 3), -1)
-    table[slots] = digits[first]
-    clash = np.flatnonzero((table[slot] != digits).any(axis=1))
-    if clash.size:
-        k = clash[0]
-        plane, pixel = divmod(int(slot[k]), area)
-        raise HistogramInconsistencyError(
-            f"plane {plane}, pixel {pixel} observed with digits "
-            f"{tuple(table[slot[k]].tolist())} and {tuple(digits[k].tolist())}"
-        )
-    absent = np.flatnonzero(table[:, 0] < 0).tolist()
-    missing = [(*divmod(s, area), ch) for s in absent for ch in "RGB"]
-    planes = np.maximum(table, 0).reshape(6, area, 3)
-    values = np.tensordot(3 ** np.arange(6), planes, axes=1)
+    packed, slot = packed[kept], slot[kept]
+    table = np.full(6 * area, -1)
+    table[slot] = packed
+    # Hits are distinct, so two in one slot carry two codes, one of them lost here.
+    if (table[slot] != packed).any():
+        raise _clash(packed, slot, area)
+    absent = np.flatnonzero(table < 0)
+    table[absent] = 0
+    missing = [(*divmod(s, area), ch) for s in absent.tolist() for ch in "RGB"]
+    values = np.tensordot(3 ** np.arange(6), _DIGITS[table].reshape(6, area, 3), axes=1)
     if values.max() > 255:
         raise HistogramInconsistencyError(
             "decoded channel value exceeds 255; histogram is not a valid encoding"
         )
     pixels = values.reshape(3**n, 3**n, 3).astype(np.uint8)
     return DecodeReport(RgbImage(pixels), 0, tuple(missing), shots)
+
+
+def _clash(packed: np.ndarray, slot: np.ndarray, area: int) -> HistogramInconsistencyError:
+    """The error of the first hit, in index order, whose slot an earlier
+    hit holds with other digits."""
+    _, first = np.unique(slot, return_index=True)
+    seen = np.ones(len(slot), dtype=bool)
+    seen[first] = False
+    k = int(np.flatnonzero(seen)[0])
+    earlier = packed[first[np.searchsorted(slot[first], slot[k])]]
+    plane, pixel = divmod(int(slot[k]), area)
+    return HistogramInconsistencyError(
+        f"plane {plane}, pixel {pixel} observed with digits "
+        f"{tuple(_DIGITS[earlier].tolist())} and {tuple(_DIGITS[packed[k]].tolist())}"
+    )
 
 
 @dataclass(frozen=True)

@@ -137,9 +137,11 @@ def _read_samples(data: bytes, pos: int, count: int, binary: bool) -> np.ndarray
         raster = data[pos : pos + count]
         if len(raster) != count:
             raise ParseError(f"raster truncated: expected {count} bytes, got {len(raster)}")
+        _check_end(data[pos + count :], count)
         return np.frombuffer(raster, dtype=np.uint8).astype(np.int64)
     # A comment runs from `#` to the end of its line, also inside a token.
-    tokens = _COMMENT.sub(b" ", data[pos:]).split(None, count)[:count]
+    tokens = _COMMENT.sub(b" ", data[pos:]).split(None, count)
+    rest = tokens.pop() if len(tokens) > count else b""  # from the first token past the raster
     try:
         values = list(map(int, tokens))
     except ValueError:
@@ -150,13 +152,23 @@ def _read_samples(data: bytes, pos: int, count: int, binary: bool) -> np.ndarray
                 raise ParseError(f"bad sample {quoted(token)}") from exc
     if len(values) < count:
         raise ParseError(f"raster truncated: expected {count} samples, got {len(values)}")
+    _check_end(rest, count)
     # Range-checked as Python ints: a sample past int64 is out of range too.
     if values and (min(values) < 0 or max(values) > 255):
         raise ParseError("sample out of range [0, 255]")
     return np.array(values, dtype=np.int64)
 
 
+def _check_end(rest: bytes, count: int):
+    """Refuse anything but whitespace and comments after the `count` samples."""
+    token = _TOKEN.match(rest)[1]
+    if token:
+        raise ParseError(f"data past the raster of {count} samples: {quoted(token)}")
+
+
 def _write(img: _Image, kind: type[_Image], binary: bool) -> bytes:
+    if not isinstance(img, kind):
+        raise TypeError(f"a {kind._FORMAT} holds a {kind.__name__}, got {type(img).__name__}")
     header = f"{kind._MAGICS[bool(binary)].decode()}\n{img.side} {img.side}\n255\n"
     if binary:
         return header.encode() + img.pixels.tobytes()

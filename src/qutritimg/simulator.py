@@ -226,6 +226,12 @@ class Block:
         return tuple(bool(single[ids].all()) for _, _, ids in self.steps)
 
     @cached_property
+    def columns(self) -> np.ndarray:
+        """(3, len(gates) + 1): column 0 of each gate, then (1, 0, 0), which
+        leaves an entry as it is at a first touch that does not list it."""
+        return np.concatenate((self.matrices[:, :, 0], [[1, 0, 0]])).T.copy()
+
+    @cached_property
     def json_ops(self) -> str:
         """The block's ops as `circuit_to_json` writes them (`_ops_text`),
         kept once built, so a block shared by several circuits is rendered
@@ -457,16 +463,20 @@ class ShotHistogram:
         return {trits_from_index(i, q): c
                 for i, c in zip(self.indices.tolist(), self.tallies.tolist())}
 
-    def to_probabilities(self) -> np.ndarray:
-        """Empirical probability per basis index: count / shots, correctly
-        rounded.  Up to 2^53 shots both are exact in float64, whose division
-        is correctly rounded too; past it each count is divided as a Python
-        int, since a float64 division would round the total first."""
-        probs = np.zeros(3**self.num_qutrits)
+    def frequencies(self) -> np.ndarray:
+        """count / shots per listed index, correctly rounded.  Up to 2^53
+        shots both are exact in float64, whose division is correctly
+        rounded too; past it each count is divided as a Python int, since a
+        float64 division would round the total first."""
         if self.shots <= 2**53:
-            probs[self.indices] = self.tallies / self.shots
-        else:
-            probs[self.indices] = [c / self.shots for c in self.tallies.tolist()]
+            return self.tallies / self.shots
+        return np.array([c / self.shots for c in self.tallies.tolist()], dtype=np.float64)
+
+    def to_probabilities(self) -> np.ndarray:
+        """Empirical probability per basis index: `frequencies` at the
+        listed indices, 0 elsewhere."""
+        probs = np.zeros(3**self.num_qutrits)
+        probs[self.indices] = self.frequencies()
         return probs
 
     def __eq__(self, other):
@@ -490,61 +500,92 @@ def _scratch(num_qutrits: int) -> np.ndarray:
 def _apply_block(tensor: np.ndarray, blk: Block, scratch: np.ndarray, extents: list):
     """Apply every op of `blk` to a (3,)*q amplitude tensor, in place.
 
-    One gather of the selected rows, one pass per step, one scatter.
     `extents` holds per qutrit 1 while it is still |0> and 3 once a step
-    has targeted it, and is updated here.  A first touch, a step that
-    `blk.narrows` and whose target is still at 1, is an outer product on
-    the box of the first `extents[j]` values of every non-control axis j:
-    output i on the target is M[i, 0] times the target-0 amplitude, since
-    the state is zero outside the box and at target values 1 and 2.  Every
-    other step is one batched matmul on its full rows, whose 3x3 products
-    have the shape a single controlled op would give np.dot,
-    (3, 3) @ (3, 3^(q-c-1)), so BLAS rounds alike.  Either way a step
-    writes its product into `scratch`, and its gathered input when it
-    needs one, so it allocates no temporaries the size of its rows.
+    has targeted it, and is updated here.  An entry's rows lie at the flat
+    offset of its control row (its base-3 value in state order) plus the
+    offsets of the free, non-control, axes' values.  So a controlled block
+    reaches the box of any extents on the free axes for each of m entries
+    through one int64 index of that box's shape plus an entry axis, last;
+    an uncontrolled block's one entry is a view of the state.
+
+    The block's leading first touches, the steps that `blk.narrows` whose
+    targets are still at 1, fold into one chain of broadcast products on
+    the support box, the first `extents[j]` values of every free axis j:
+    the box they start from is gathered once, each multiplies it by its
+    gates' column 0, which widens its target's axis from 1 to 3, and the
+    last box is written back once.  An entry a step does not list takes
+    the column (1, 0, 0).  As the state is zero outside the box, each
+    amplitude is then the one rounded product per step, in step order,
+    that the per-step products give; the unlisted entries' zeros may
+    differ in sign, which `run` clears, and with finite params a zero's
+    sign never reaches a non-zero amplitude.  The entry axis is last, so
+    numpy's inner loops run over the entries, and the products are written
+    into `scratch`, alternating between its halves, the last into the upper.
+
+    Every later step, a first touch too, is one batched matmul on its full
+    rows, gathered from the state and written back, whose 3x3 products
+    have the shape a single controlled op gives np.dot,
+    (3, 3) @ (3, 3^(q-c-1)), so BLAS rounds alike; its input and product
+    go into the lower and upper halves of `scratch`.  When the folded box
+    already is the full rows and the step lists every entry, the step
+    takes it from `scratch` instead of the state.
     """
-    c = len(blk.controls)
-    view = np.moveaxis(tensor, blk.controls, range(c))
-    index = tuple(blk.values.T)
-    rows = view[index] if c else view[np.newaxis]
-    free = [j for j in range(tensor.ndim) if j not in blk.controls]
-    for i, (target, entries, gate_ids) in enumerate(blk.steps):
-        first = extents[target] == 1 and blk.narrows[i]
+    q, m = tensor.ndim, len(blk.values)
+    free = [j for j in range(q) if j not in blk.controls]
+    if blk.controls:
+        amps = tensor.reshape(-1)
+        offsets = blk.values @ np.array([3 ** (q - 1 - j) for j in blk.controls])
+        weights = [3 ** (q - 1 - j) for j in free]
+
+    def rows(shape, entries=slice(None)):
+        """(array, key): `array[key]` is the box of `shape` on the free axes
+        of each of `entries`, entry axis last, and `array[key] = ...` writes
+        it."""
+        if not blk.controls:
+            return tensor, (*map(slice, shape), np.newaxis)
+        index = offsets[entries]
+        for n, weight in zip(reversed(shape), reversed(weights)):
+            index = np.add.outer(np.arange(0, n * weight, weight), index)
+        return amps, index
+
+    start = [extents[j] for j in free]
+    fold = 0
+    for (target, _, _), narrows in zip(blk.steps, blk.narrows):
+        if extents[target] != 1 or not narrows:
+            break
         extents[target] = 3
-        # Axis 0 of `rows` is the entry; the target's axis shifts left by
-        # the number of controls that precede it.
-        axis = 1 + target - sum(q < target for q in blk.controls)
-        k = len(entries)
-        full = k == len(rows)
-        if first:
-            box = rows[(slice(None), *(slice(extents[j]) for j in free))]
-            x = box[(slice(None),) * axis + (slice(1),)]  # target at 0, kept as an axis
-            n = k * (x.size // len(x))
-            if not full:
-                x = np.take(x, entries, axis=0, mode="clip",
-                            out=scratch[:n].reshape((k,) + x.shape[1:]))
-            column = blk.matrices[gate_ids, :, 0].reshape(
-                (k,) + (1,) * (axis - 1) + (3,) + (1,) * (box.ndim - axis - 1))
-            out = scratch[n:4 * n].reshape((k,) + box.shape[1:])
-            box[... if full else entries] = np.multiply(column, x, out=out)
-            continue
-        size = k * (rows.size // len(rows))
-        src = scratch[:size].reshape(k, 3, -1)
-        out = scratch[size:2 * size].reshape(src.shape)
-        # A partial step gathers its rows into `out`, which the product
-        # overwrites once they are copied; mode="clip" (entries are in
-        # range) lets np.take write there unbuffered.
-        part = rows if full else np.take(rows, entries, axis=0, mode="clip",
-                                          out=out.reshape((k,) + rows.shape[1:]))
-        moved = np.moveaxis(part, axis, 1)
-        np.copyto(src.reshape(moved.shape), moved)
-        np.matmul(blk.matrices[gate_ids], src, out=out)
-        if full:
-            moved[...] = out.reshape(moved.shape)
-        else:
-            rows[entries] = np.moveaxis(out.reshape(moved.shape), 1, axis)
-    if c:
-        view[index] = rows
+        fold += 1
+    rest, half, box = blk.steps[fold:], len(scratch) // 2, None
+    if fold:
+        array, key = rows(start)
+        box = array[key]
+        for i, (target, entries, gate_ids) in enumerate(blk.steps[:fold]):
+            axis = free.index(target)
+            ids = gate_ids
+            if len(entries) < m:
+                ids = np.full(m, len(blk.gates))  # the (1, 0, 0) of `Block.columns`
+                ids[entries] = gate_ids
+            column = np.take(blk.columns, ids, axis=1)
+            shape = box.shape[:axis] + (3,) + box.shape[axis + 1:]
+            out = scratch[(fold - i) % 2 * half:][:math.prod(shape)].reshape(shape)
+            box = np.multiply(column.reshape(
+                (1,) * axis + (3,) + (1,) * (len(free) - axis - 1) + (m,)), box, out=out)
+        if not (rest and len(rest[0][1]) == m and all(extents[j] == 3 for j in free)):
+            array, key = rows([extents[j] for j in free])
+            array[key] = box
+            box = None
+    for target, entries, gate_ids in rest:
+        extents[target] = 3
+        axis = free.index(target)
+        array, key = rows([3] * len(free), entries)
+        # Per entry its rows, target axis first: the (3, 3^(q-c-1)) input of its product.
+        part = np.moveaxis(array[key] if box is None else box, (len(free), axis), (0, 1))
+        src = scratch[:part.size].reshape(part.shape)
+        out = scratch[half:half + part.size].reshape(len(entries), 3, -1)
+        np.copyto(src, part)
+        np.matmul(blk.matrices[gate_ids], src.reshape(out.shape), out=out)
+        array[key] = np.moveaxis(out.reshape(part.shape), (0, 1), (len(free), axis))
+        box = None
 
 
 def run(circuit: Circuit) -> Statevector:

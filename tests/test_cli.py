@@ -615,10 +615,13 @@ def test_roundtrip_diagnostics_adds_timings_and_sizes(tmp_path, gray_path, rgb_p
     plain, diagnosed = docs
     added = {key: diagnosed.pop(key) for key in list(diagnosed) if key not in plain}
     assert diagnosed == plain and list(diagnosed) == list(plain)
-    assert list(added) == ["timings_ms", "ops", "qutrits", "state_bytes"]
+    assert list(added) == ["timings_ms", "minor_faults", "ops", "qutrits", "state_bytes"]
     timings = added["timings_ms"]
     assert list(timings) == ["encode", "run", "sample", "decode"]
     assert all(type(ms) is float and ms >= 0 for ms in timings.values())
+    faults = added["minor_faults"]
+    assert list(faults) == list(timings)
+    assert all(type(count) is int and count >= 0 for count in faults.values())
     image = read_pgm(input_path.read_bytes()) if codec.gray else read_ppm(input_path.read_bytes())
     circuits = codec.measure(codec.encode(image))
     assert added["ops"] == sum(len(c.ops) for c in circuits)

@@ -499,6 +499,85 @@ def test_qrciq_matches_per_slot_reference(case):
     json.dumps(report.missing_states)  # plain ints, as the CLI report needs
 
 
+def _histogram_of_support(n, probs):
+    """A histogram of one count per index of the support of `probs`."""
+    support = np.flatnonzero(probs > 1e-15)
+    q = 2 * n + 5
+    return ShotHistogram(q, {trits_from_index(i, q): 1 for i in support.tolist()}, len(support))
+
+
+@settings(deadline=None)
+@given(qrciq_supports())
+def test_qrciq_histogram_matches_per_slot_reference(case):
+    """A `ShotHistogram` is decoded from its arrays, with the outcome, error
+    message included, of the per-slot reference on its dense vector."""
+    n, probs = case
+    hist = _histogram_of_support(n, probs)
+    try:
+        expected = _qrciq_reference(hist.to_probabilities(), n)
+    except HistogramInconsistencyError as exc:
+        with pytest.raises(HistogramInconsistencyError) as caught:
+            decode_qrciq(hist, n)
+        assert str(caught.value) == str(exc)
+        return
+    report = decode_qrciq(hist, n)
+    assert (report.image.pixels.tobytes(), report.missing_states) == expected
+    assert report.shots_used == hist.shots
+
+
+def test_qrciq_clash_message_names_the_first_clash_in_index_order():
+    """Three codes in slot (plane 2, pixel 5) and two in (plane 0, pixel 0):
+    the first clash in index order is the second hit of slot (2, 5), named
+    with the digits of that slot's first hit, from a histogram and from its
+    dense vector alike."""
+    slot = 2 * 9 + 5
+    counts = {trits_from_index(code * 81 + s, 7): 1
+              for code, s in ((4, slot), (26, 0), (11, slot), (19, slot), (25, 0))}
+    hist = ShotHistogram(7, counts, 5)
+    message = r"^plane 2, pixel 5 observed with digits \(0, 1, 1\) and \(1, 0, 2\)$"
+    for source in (hist, hist.to_probabilities()):
+        with pytest.raises(HistogramInconsistencyError, match=message):
+            decode_qrciq(source, 1)
+
+
+def test_qrciq_histogram_with_zero_counts_decodes_as_its_dense_vector(sample_rgb):
+    """A dict-built histogram lists its zero counts; they are not hits, even
+    where a hit would clash or fill a missing slot."""
+    probs = _probs(encode_qrciq(sample_rgb).circuit)
+    support = np.flatnonzero(probs > 1e-15)
+    dropped = int(support[0])
+    counts = {trits_from_index(i, 7): 3 for i in support[1:].tolist()}
+    counts[trits_from_index(dropped, 7)] = 0
+    clash = (dropped // 81 + 1) % 27 * 81 + dropped % 81
+    counts[trits_from_index(clash, 7)] = 0
+    hist = ShotHistogram(7, counts, 3 * (len(support) - 1))
+    assert hist.tallies.min() == 0
+    report = decode_qrciq(hist, 1)
+    dense = decode_qrciq(hist.to_probabilities(), 1)
+    assert report.image == dense.image and report.missing_states == dense.missing_states
+    assert divmod(dropped % 81, 9) + ("R",) in report.missing_states
+    assert report.shots_used == hist.shots
+
+
+def test_qrciq_past_2_53_shots_drops_counts_below_the_threshold(sample_rgb):
+    """Past 10^15 shots a count of 1 is below 1e-15: that state is no hit,
+    so it neither clashes nor fills its slot, as in the dense decode of
+    `to_probabilities`, whose division is the histogram's own."""
+    probs = _probs(encode_qrciq(sample_rgb).circuit)
+    support = np.flatnonzero(probs > 1e-15).tolist()
+    big = 2**53 // (len(support) - 1) + 12345
+    counts = {trits_from_index(i, 7): big for i in support[1:]}
+    counts[trits_from_index(support[0], 7)] = 1
+    counts[trits_from_index((support[1] // 81 + 1) % 27 * 81 + support[1] % 81, 7)] = 1
+    shots = big * (len(support) - 1) + 2
+    hist = ShotHistogram(7, counts, shots)
+    assert shots > 2**53 and 1 / shots < 1e-15 < big / shots
+    report = decode_qrciq(hist, 1)
+    dense = decode_qrciq(hist.to_probabilities(), 1)
+    assert report.image == dense.image and report.missing_states == dense.missing_states
+    assert len(report.missing_states) == 3 and report.shots_used == shots
+
+
 # --- exact round trips over random images ------------------------------------
 
 def test_random_exact_round_trips():

@@ -152,6 +152,34 @@ def test_wrong_kind_is_a_parse_error(sample_gray, sample_rgb):
         read_pgm(write_ppm(sample_rgb))
 
 
+@pytest.mark.parametrize("binary", [False, True])
+def test_writers_refuse_the_other_image_kind(sample_gray, sample_rgb, binary):
+    rgb = RgbImage(np.arange(27).reshape(3, 3, 3))
+    for write, image, message in ((write_pgm, rgb, "a PGM holds a GrayImage, got RgbImage"),
+                                  (write_pgm, sample_rgb, "a PGM holds a GrayImage, got RgbImage"),
+                                  (write_ppm, sample_gray, "a PPM holds a RgbImage, got GrayImage")):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            write(image, binary)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("kind", ["gray", "rgb"])
+def test_readers_refuse_data_past_the_raster(sample_gray, sample_rgb, kind, binary):
+    """Whitespace and comments may follow the raster; a sample or any other
+    byte may not, in plain and binary files of both kinds."""
+    image, write, read = ((sample_gray, write_pgm, read_pgm) if kind == "gray"
+                          else (sample_rgb, write_ppm, read_ppm))
+    data = write(image, binary)
+    count = image.pixels.size
+    for tail in (b"", b"\n", b" \t\r\n\v\f", b"# note\n", b"\n#7 7 7\n  #x"):
+        assert read(data + tail) == image
+    for tail, token in ((b"7 7 7 junk", b"7"), (b"\n# note\n0", b"0"), (b"x\n", b"x"),
+                        (b" \n 255#c", b"255")):
+        with pytest.raises(ParseError,
+                           match=f"^data past the raster of {count} samples: {token!r}$"):
+            read(data + tail)
+
+
 def test_sample_past_int64_is_out_of_range():
     with pytest.raises(ParseError, match=r"^sample out of range \[0, 255\]$"):
         read_pgm(b"P2\n3 3\n255\n1 2 3 4 5 6 7 8 99999999999999999999\n")
@@ -163,7 +191,8 @@ def _ascii_samples_reference(data, pos, count):
     """The plain branch of `_read_samples` before one tokenizing pass replaced
     it, one `_next_token` call per sample, kept as the reference.  It holds
     the samples as Python ints; it used to write them into an int64 array,
-    which raised OverflowError past 2^63 - 1."""
+    which raised OverflowError past 2^63 - 1.  A token past the raster is
+    refused, as the reader refuses it."""
     if count > len(data) - pos:
         raise ParseError(f"raster truncated: {count} samples in {len(data) - pos} bytes")
     values = []
@@ -177,6 +206,12 @@ def _ascii_samples_reference(data, pos, count):
             values.append(int(token))
         except ValueError as exc:
             raise ParseError(f"bad sample {token!r}") from exc
+    try:
+        token, _ = _next_token(data, pos)
+    except ParseError:  # nothing but whitespace and comments left
+        pass
+    else:
+        raise ParseError(f"data past the raster of {count} samples: {token!r}")
     if values and (min(values) < 0 or max(values) > 255):
         raise ParseError("sample out of range [0, 255]")
     return np.array(values, dtype=np.int64)
@@ -231,7 +266,7 @@ def test_short_plain_raster_names_the_sample_count():
 
 
 @pytest.mark.parametrize("raster, values", [
-    (b"\n1 2#c 3\n4\v5\f6 7\r8 9 10 11", [1, 2, 4, 5, 6, 7, 8, 9, 10]),  # 3 is a comment
+    (b"\n1 2#c 3\n4\v5\f6 7\r8 9 10", [1, 2, 4, 5, 6, 7, 8, 9, 10]),  # 3 is a comment
     (b" 1#\n2#x\r3 4 5 6 7 8 9# 10", [1, 2, 3, 4, 5, 6, 7, 8, 9]),
 ])
 def test_plain_raster_comments_and_separators(raster, values):

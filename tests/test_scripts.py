@@ -67,9 +67,10 @@ def test_layer_ab_times_a_tree_against_itself(capsys):
     result = json.loads(capsys.readouterr().out)
     labels = ["fqri-27", "fqrri-27", "fqrqci-27.m1", "fqrqci-27.m2", "fqrqci-27.m3",
               "fqrqci-27.all", "mcqri-27", "qrciq-9", "qrciq-27"]
-    assert list(result) == ["repeats", *labels, "images"]
+    assert list(result) == ["repeats", *labels, "images", "decode"]
     calls = {label: ["write", "read", "ops", "matrices", "run"] for label in labels}
     calls["images"] = ["write", "read", "construct"]
+    calls["decode"] = ["fqri-27", "fqrri-27", "fqrqci-27", "mcqri-27", "qrciq-9", "qrciq-27"]
     for label, names in calls.items():
         assert list(result[label]) == names
         for call in names:

@@ -1237,10 +1237,36 @@ BOX_CASES = {
     "controlled-first-touch-on-untouched-controls": Circuit(6, COMPLEX_PREP + [
         _ctl("RY", 2, (0, 0), (0, 1), (1.1,), (3, 4)), _ctl("H", 2, (0, 1), qutrits=(3, 4)),
         _ctl("P2", 5, (0, 0), qutrits=(3, 4))]),
+    # three folded steps on qutrits 2, 3 and 5; each of the four entries skips
+    # at least one of them, and entry (2, 2) is in the last one only
+    "controlled-entries-skip-first-touches": Circuit(6, COMPLEX_PREP + [
+        _ctl("RY", 2, (0, 0), (0, 1), (0.3,)), _ctl("P1", 3, (0, 0)),
+        _ctl("X", 2, (1, 1), (0, 2)), _ctl("H", 5, (1, 1)),
+        _ctl("RX", 3, (2, 0), (1, 2), (2.2,)), _ctl("P2", 5, (2, 0)),
+        _ctl("RY", 5, (2, 2), (0, 2), (-1.4,))]),
+    # a re-touch of qutrit 3, then first touches of qutrits 4 and 5, which
+    # follow it and so run as BLAS on full rows too
+    "controlled-first-touch-after-blas": Circuit(6, COMPLEX_PREP + [
+        _op("H", 3), _ctl("RY", 3, (0, 1), (0, 1), (0.8,)), _ctl("H", 4, (0, 1)),
+        _ctl("RY", 4, (2, 2), (0, 2), (1.9,)), _ctl("P1", 5, (2, 2))]),
+    # folded first touches that reach every free value, then a re-touch of
+    # every entry, which takes the folded rows: with and without controls
+    "uncontrolled-fold-into-blas": Circuit(3, [
+        _op("H", 0), _op("RY", 1, (0, 2), (0.7,)), _op("X", 2, (0, 1)),
+        _op("U", 1, (0, 2), (0.3, -1.2, 2.5)), _op("RZ", 2, (1, 2), (0.4,))]),
+    "controlled-fold-into-blas": Circuit(3, [_op("H", 0), _op("RZ", 0, (0, 1), (1.1,))] + [
+        _op(kind, target, pair, params, [ControlSpec(0, v)]) for v in range(3)
+        for kind, target, pair, params in (("RY", 1, (0, 1), (0.5 + v,)), ("H", 2, None, ()),
+                                           ("U", 1, (0, 2), (v, 1.9, -2.6)))]),
+    # a complex column 0 on qutrit 2, then a first touch of qutrit 4
+    "controlled-first-touch-after-complex": Circuit(6, COMPLEX_PREP + [
+        _ctl("U", 2, (1, 0), (0, 1), (0.6, 1.2, -0.4)), _ctl("RY", 4, (1, 0), (0, 1), (2.4,)),
+        _ctl("H", 4, (0, 2))]),
 }
 
-# Per block after COMPLEX_PREP, per step: whether it runs as an outer product
-# (`Block.narrows` and its target still |0>) rather than full-rows BLAS.
+# Per block after COMPLEX_PREP, per step: whether it is in the block's folded
+# prefix of first touches (`Block.narrows` and its target still |0>, as every
+# step before it) rather than full-rows BLAS.
 FIRST_TOUCHES = {
     "controlled-partial-first-touch": [(True, True)],
     "controlled-full-first-touch": [(True,)],
@@ -1248,28 +1274,40 @@ FIRST_TOUCHES = {
     "controlled-mixed-step": [(False,)],
     "controlled-re-touch": [(True, True, False)],
     "controlled-first-touch-on-untouched-controls": [(True, True)],
+    "controlled-entries-skip-first-touches": [(True, True, True)],
+    "controlled-first-touch-after-blas": [(False, False, False)],
+    "controlled-first-touch-after-complex": [(False, False)],
+}
+# The same for every block of a case without COMPLEX_PREP.
+ALL_FIRST_TOUCHES = {
+    "uncontrolled-fold-into-blas": [(True, True, True, False, False)],
+    "controlled-fold-into-blas": [(True, False), (True, True, False)],
 }
 
 
 @pytest.mark.parametrize("name", sorted(BOX_CASES))
 def test_support_box_is_bit_identical_to_per_op_kernel(name):
     """A re-touched target, a complex column 0 on complex amplitudes, a
-    target a controlled block has touched and controls on qutrits still at
-    |0> each run as full-rows BLAS, so BLAS rounds as in the per-op kernel;
-    a first touch by gates with a real or imaginary column 0 is an outer
-    product on the support box, in blocks with and without controls, and
-    rounds alike too."""
+    target a controlled block has touched, controls on qutrits still at
+    |0> and a first touch after any of these in its block each run as
+    full-rows BLAS, so BLAS rounds as in the per-op kernel; a block's
+    leading first touches by gates with a real or imaginary column 0 fold
+    into products on the support box, in blocks with and without controls,
+    with entries a step does not list, and round alike too."""
     circuit = BOX_CASES[name]
     assert run(circuit).amplitudes.tobytes() == _per_op_amplitudes(circuit).tobytes()
-    if name in FIRST_TOUCHES:
+    if name in FIRST_TOUCHES or name in ALL_FIRST_TOUCHES:
         extents, first = [1] * circuit.num_qutrits, []
         for blk in circuit.blocks:
             steps = []
             for (t, _, _), narrows in zip(blk.steps, blk.narrows):
-                steps.append(extents[t] == 1 and narrows)
+                steps.append(extents[t] == 1 and narrows and all(steps))
                 extents[t] = 3
             first.append(tuple(steps))
-        assert first[len(Circuit(6, COMPLEX_PREP).blocks):] == FIRST_TOUCHES[name]
+        if name in FIRST_TOUCHES:
+            assert first[len(Circuit(6, COMPLEX_PREP).blocks):] == FIRST_TOUCHES[name]
+        else:
+            assert first == ALL_FIRST_TOUCHES[name]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
