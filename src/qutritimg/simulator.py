@@ -5,41 +5,46 @@ A circuit is a sequence of blocks.  A block is a uniformly controlled gate
 distinct control values, and its ops as columns in emission order: per
 op, its entry (a row of the values), its target and its gate.  Ops on
 different control values act on disjoint slices of the state and
-commute, so `run` applies a whole block in one numpy pass: it moves the
-control axes to the front, gathers the m selected rows with one fancy
-index, applies each step of `Block.steps` as one outer product (a first
-touch, below) or one batched `mats @ rows`, and scatters the rows back.
-A step is one gate per listed entry on one target; an entry's ops share a
-level while their targets rise, and a step is one (level, target), so
-each entry keeps its own op order and the (3, 3) @ (3, 3^(q-c-1)) BLAS
-product of a single controlled op, and statevectors are bit-identical to
-applying the ops one at a time.  The full 3^q x 3^q operator is never
-built.  `run` allocates one scratch buffer of 2 x 3^q amplitudes per
-call; every step writes its product there, and its gathered input when
-it needs one, so no step allocates a state-sized array.  Every call then
-allocates the same arrays, whose pages the heap reuses in a process that
-runs many circuits: with per-step arrays, a 27x27 `qrciq` run in such a
-process took about 2,000 more page faults and twice the time.
+commute, so `run` applies a whole block in a few numpy passes: an entry's
+rows lie at the flat offset of its control row plus those of the free
+axes' values, so one int64 index per box reaches the rows of all m
+entries at once, entry axis last.  A step is one gate per listed entry
+on one target; an entry's ops share a level while their targets rise,
+and a step is one (level, target), so each entry keeps its own op order
+and statevectors are bit-identical to applying the ops one at a time.
+The full 3^q x 3^q operator is never built.
 
 `run` starts from |0...0> and keeps one extent per qutrit: 1 while no
 step has targeted it, 3 after.  The state is zero outside the support box
-of the first extent[j] values of every axis j.  A first touch, a step
-whose target is still at extent 1 and whose gates each have a column 0 of
-purely real or purely imaginary entries (I, H, P1, P2, X, RX, RY, and RZ
-or U on the pair (1, 2)), runs in every block as an elementwise outer
-product on that box: output i on the target is M[i, 0] times the
-target-0 amplitude.  That is exact: each output is one rounded product of
-a real or imaginary gate entry with an amplitude, plus exact zeros, and
-BLAS and numpy's complex multiply give the same bits for that, with or
-without FMA.  Every other step, a re-touch or a complex column 0, runs as
-one BLAS product on its full rows: BLAS rounds a (3, 3) @ (3, N) product
-differently depending on N.  The location Hadamards of every codec, the
-first step of its location-controlled block and all of the `qrciq`
-colour shifts are first touches.  `run` returns every zero amplitude as
-+0.0: OpenBLAS writes -0.0 into some columns of an all-zero input, and
-such zeros may lie outside the box.  The box needs finite gate params,
-as a NaN times the zeros outside it is NaN in the full product: that
-holds by construction, since `GateSpec` rejects a NaN or infinite param.
+of the first extent[j] values of every axis j.  A first touch is a step
+whose target is still at extent 1 and whose gates each have a column 0
+of purely real or purely imaginary entries (I, H, P1, P2, X, RX, RY, and
+RZ or U on the pair (1, 2)).  A block's leading first touches fold into
+one chain of broadcast products on the box: gathered once, multiplied
+by each step's column 0 in step order (output i on the target is M[i, 0]
+times the target-0 amplitude, and an entry the step does not list takes
+(1, 0, 0)), written back once.  That is exact: each output is one
+rounded product of a real or imaginary gate entry with an amplitude per
+step, plus exact zeros, and BLAS and numpy's complex multiply give the
+same bits for that, with or without FMA.  Every later step, a re-touch,
+a complex column 0 or a first touch after either, runs as one batched
+BLAS product on its full rows, of the (3, 3) @ (3, 3^(q-c-1)) shape of a
+single controlled op: BLAS rounds a (3, 3) @ (3, N) product differently
+depending on N.  The location Hadamards of every codec, the first step
+of its location-controlled block and all of the `qrciq` colour shifts
+are first touches.  `run` returns every zero amplitude as +0.0: OpenBLAS
+writes -0.0 into some columns of an all-zero input, such zeros may lie
+outside the box, and the (1, 0, 0) of an unlisted entry may sign a zero.
+The box needs finite gate params, as a NaN times the zeros outside it
+is NaN in the full product: that holds by construction, since `GateSpec`
+rejects a NaN or infinite param.
+
+`run` allocates one scratch buffer of 2 x 3^q amplitudes per call; the
+fold writes its products there, and a BLAS step its input and product,
+so no step allocates a state-sized array.  Every call then allocates the
+same arrays, whose pages the heap reuses in a process that runs many
+circuits: with per-step arrays, a 27x27 `qrciq` run in such a process
+took about 2,000 more page faults and twice the time.
 
 `Circuit(q, ops)` and `circuit_from_json` group a flat op list, given as
 columns, into blocks with numpy; the encoders build their columns with
@@ -215,7 +220,7 @@ class Block:
 
     @cached_property
     def narrows(self) -> tuple[bool, ...]:
-        """Per step of `steps`, whether it may run as an outer product on the
+        """Per step of `steps`, whether it may fold into the products on the
         support box when its target is still |0>: every entry of column 0
         of each of the step's gates is purely real or purely imaginary.
         Then each output is one rounded product of such an entry with an
@@ -501,34 +506,23 @@ def _apply_block(tensor: np.ndarray, blk: Block, scratch: np.ndarray, extents: l
     """Apply every op of `blk` to a (3,)*q amplitude tensor, in place.
 
     `extents` holds per qutrit 1 while it is still |0> and 3 once a step
-    has targeted it, and is updated here.  An entry's rows lie at the flat
-    offset of its control row (its base-3 value in state order) plus the
-    offsets of the free, non-control, axes' values.  So a controlled block
-    reaches the box of any extents on the free axes for each of m entries
-    through one int64 index of that box's shape plus an entry axis, last;
-    an uncontrolled block's one entry is a view of the state.
+    has targeted it, and is updated here.  A controlled block reaches any
+    box of its entries' rows on the free (non-control) axes through one
+    int64 index, entry axis last: an entry's flat offset, the base-3 value
+    of its control row, plus those of the box's values.  An uncontrolled
+    block's one entry is a view of the state.
 
-    The block's leading first touches, the steps that `blk.narrows` whose
-    targets are still at 1, fold into one chain of broadcast products on
-    the support box, the first `extents[j]` values of every free axis j:
-    the box they start from is gathered once, each multiplies it by its
-    gates' column 0, which widens its target's axis from 1 to 3, and the
-    last box is written back once.  An entry a step does not list takes
-    the column (1, 0, 0).  As the state is zero outside the box, each
-    amplitude is then the one rounded product per step, in step order,
-    that the per-step products give; the unlisted entries' zeros may
-    differ in sign, which `run` clears, and with finite params a zero's
-    sign never reaches a non-zero amplitude.  The entry axis is last, so
-    numpy's inner loops run over the entries, and the products are written
-    into `scratch`, alternating between its halves, the last into the upper.
-
-    Every later step, a first touch too, is one batched matmul on its full
-    rows, gathered from the state and written back, whose 3x3 products
-    have the shape a single controlled op gives np.dot,
-    (3, 3) @ (3, 3^(q-c-1)), so BLAS rounds alike; its input and product
-    go into the lower and upper halves of `scratch`.  When the folded box
-    already is the full rows and the step lists every entry, the step
-    takes it from `scratch` instead of the state.
+    The leading first touches (steps that `blk.narrows`, targets still at
+    1) fold into one chain of broadcast products on the support box, as
+    the module docstring says, gathered once and written back once; the
+    entry axis is last, so numpy's inner loops run over the entries.  An
+    unlisted entry's column (1, 0, 0) is exact for every non-zero
+    amplitude and may sign a zero, which `run` clears; with finite params
+    a zero's sign never reaches a non-zero amplitude.  The products
+    alternate between the halves of `scratch`, the last in the upper.
+    Every later step is one batched BLAS matmul on its full rows, input and
+    product in the lower and upper halves; the first takes the folded box
+    from `scratch` when it already is the full rows of every entry.
     """
     q, m = tensor.ndim, len(blk.values)
     free = [j for j in range(q) if j not in blk.controls]
@@ -591,16 +585,18 @@ def _apply_block(tensor: np.ndarray, blk: Block, scratch: np.ndarray, extents: l
 def run(circuit: Circuit) -> Statevector:
     """Execute all blocks on the all-|0> state, in place in one buffer.
 
-    Every step of every block works in one scratch buffer allocated here.
-    A first touch of a qutrit by gates whose column 0 entries are each
-    purely real or purely imaginary is an outer product on the support box
-    of the qutrits touched so far, in blocks with and without controls;
-    every other step is a BLAS product on its full rows.  The result is
-    bit-identical to applying the ops one at a time (see the module
-    docstring).  Every zero amplitude is returned as +0.0: BLAS writes
-    -0.0 into some columns of an all-zero input, depending on the
-    product's width.  Nothing is checked here: gate params are finite and
-    the register is within `MAX_QUTRITS` by construction.
+    Every step of every block works in one scratch buffer allocated here,
+    where the products of each block's folded first touches (gates whose
+    column 0 entries are each purely real or purely imaginary, on qutrits
+    no step has touched, before any other step of the block) go, on the
+    support box of the qutrits touched so far, in blocks with and without
+    controls; every later step is a BLAS product on its full rows.  The
+    result is bit-identical to applying the ops one at a time (see the
+    module docstring).  Every zero amplitude is returned as +0.0: BLAS
+    writes -0.0 into some columns of an all-zero input, depending on the
+    product's width, and the fold may sign a zero.  Nothing is checked
+    here: gate params are finite and the register is within `MAX_QUTRITS`
+    by construction.
     """
     q = circuit.num_qutrits
     state = statevector_zero(q)

@@ -526,14 +526,15 @@ def test_qrciq_histogram_matches_per_slot_reference(case):
 
 
 def test_qrciq_clash_message_names_the_first_clash_in_index_order():
-    """Three codes in slot (plane 2, pixel 5) and two in (plane 0, pixel 0):
-    the first clash in index order is the second hit of slot (2, 5), named
-    with the digits of that slot's first hit, from a histogram and from its
-    dense vector alike."""
+    """Three codes in slot (plane 2, pixel 5) and two in (plane 0, pixel 0),
+    with a hit of slot (0, 1) between the first two of (2, 5): the first
+    clash in index order is the second hit of slot (2, 5), named with the
+    digits of that slot's first hit, from a histogram and from its dense
+    vector alike."""
     slot = 2 * 9 + 5
     counts = {trits_from_index(code * 81 + s, 7): 1
-              for code, s in ((4, slot), (26, 0), (11, slot), (19, slot), (25, 0))}
-    hist = ShotHistogram(7, counts, 5)
+              for code, s in ((4, slot), (26, 0), (5, 1), (11, slot), (19, slot), (25, 0))}
+    hist = ShotHistogram(7, counts, 6)
     message = r"^plane 2, pixel 5 observed with digits \(0, 1, 1\) and \(1, 0, 2\)$"
     for source in (hist, hist.to_probabilities()):
         with pytest.raises(HistogramInconsistencyError, match=message):
