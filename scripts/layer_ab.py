@@ -8,12 +8,13 @@ one process: `parent`, `change`, and the parent tree once more as
 `parent_copy`, an A/A control whose spread from `parent` is the noise of
 the method.  A drift in the host's speed hits every side alike.
 
-The circuits are the staged ones of the `staged-cli-27` workload: `fqri`,
-`fqrri`, the three `fqrqci` circuits (`.m1` to `.m3`) and `mcqri` at
-27x27, and `qrciq` at 9x9; and `qrciq` at 27x27, the circuit of the
-`roundtrip-qrciq-27` workload.  Each is drawn from one uniform-noise
-image per codec with seed `SEED`.  `fqrqci-27.all` takes the three
-`fqrqci` circuits one after the other, as `encode` writes them.
+The circuits are those of every codec at 3x3, 9x9 and 27x27, labelled
+`fqri-3` to `qrciq-27`: among them the staged ones of the `staged-cli-27`
+workload (the four other codecs at 27x27 and `qrciq` at 9x9) and `qrciq`
+at 27x27, the circuit of the `roundtrip-qrciq-27` workload.  Each is drawn
+from one uniform-noise image per codec and size with seed `SEED`.  The
+three `fqrqci` circuits of a size are labelled `.m1` to `.m3`, and
+`.all` takes them one after the other, as `encode` writes them.
 Five calls are timed per circuit: `write`, `circuit_to_json`; `read`,
 `circuit_from_json` of the written text; `ops`, the flat op view
 `Circuit.ops`; `matrices`, `gate_matrices` of each block's gates; and
@@ -26,14 +27,19 @@ one 27x27 RGB image of seed `SEED` and its first channel as a gray image:
 of the written bytes; and `construct`, `RgbImage` and `GrayImage` of the
 uint8 pixels, as every decoder builds its image.  The label `decode` times
 one call per codec and size, named by its circuit label (`fqrqci-27` for
-the three `fqrqci` circuits): the codec's decode of histograms of
+the three `fqrqci` circuits at 27x27): the codec's decode of histograms of
 `SHOTS` shots of its circuits, seeds `SEED`, `SEED` + 1 and `SEED` + 2,
 drawn outside the timed call.
 Each iteration times each call once per side, process CPU time, in an
 order of sides that rotates by one per iteration, and counts the minor
 page faults of the process during the call (`ru_minflt` of
 `getrusage(RUSAGE_SELF)`); each side's calls start from a full
-collection, so no side pays for garbage that another left.  Every side
+collection, so no side pays for garbage that another left.  That cold
+call measures cache and heap state as much as code when it lasts a few
+microseconds, so after the side's cold calls each call is also timed
+warm, as a batch of k calls in a row, k the least count of the cold
+time that lasts `BATCH_NS` (1 ms); the copies that each write and `ops`
+call of the batch needs are made before its clock starts.  Every side
 must write the same text, which every side then reads, give the same op
 view, matrix bytes and amplitude bytes, write, read and build the same
 images and decode the same reports.  All sides share one heap, so a
@@ -41,11 +47,12 @@ change in what a call allocates, which alters the heap's history and so
 the page faults of later calls, shows only when each side runs in a
 process of its own.
 
-Prints one JSON object: per circuit and call, per side, the ms per call as
-{median, q1, q3} over the iterations, `ratio_to_parent` the median of the
-per-iteration ratio to the parent's time, `wins_vs_parent` the
-iterations in which that side was faster than the parent, and
-`minor_faults` the median minor page faults per call.
+Prints one JSON object: per circuit and call, per side, the cold ms per
+call as {median, q1, q3} over the iterations, `ratio_to_parent` the
+median of the per-iteration ratio to the parent's time, `wins_vs_parent`
+the iterations in which that side was faster than the parent, and
+`minor_faults` the median minor page faults per call; and under `warm`
+the same figures of the batch's ms per call, with `batch` the median k.
 """
 
 from __future__ import annotations
@@ -65,8 +72,9 @@ import numpy as np
 
 SEED = 17
 SHOTS = 200_000
-CIRCUITS = (("fqri", 27), ("fqrri", 27), ("fqrqci", 27), ("mcqri", 27), ("qrciq", 9),
-            ("qrciq", 27))
+CIRCUITS = tuple((name, side) for name in ("fqri", "fqrri", "fqrqci", "mcqri", "qrciq")
+                 for side in (3, 9, 27))
+BATCH_NS = 1_000_000
 
 
 def load(root: Path, name: str):
@@ -106,6 +114,24 @@ def unrendered(pkg, circuits) -> tuple:
     return tuple(pkg.Circuit.from_blocks(c.num_qutrits, [
         copies.setdefault(id(blk), dataclasses.replace(blk)) for blk in c.blocks])
         for c in circuits)
+
+
+def circuit_calls(pkg, circuits, texts) -> dict:
+    """Call -> (function, make) of one circuit label, of package `pkg`:
+    every `make()` of `write` gives copies none of whose blocks is
+    rendered, and of `ops` copies whose view is not built yet."""
+    return {"write": (pkg.circuit_to_json, lambda: unrendered(pkg, circuits)),
+            "read": (pkg.circuit_from_json, constantly(texts)),
+            "ops": (attrgetter("ops"), lambda: [pkg.Circuit.from_blocks(c.num_qutrits, c.blocks)
+                                                for c in circuits]),
+            "matrices": (pkg.gates.gate_matrices,
+                         constantly([blk.gates for c in circuits for blk in c.blocks])),
+            "run": (pkg.run, constantly(circuits))}
+
+
+def constantly(items):
+    """A `make` that gives `items` each time."""
+    return lambda: items
 
 
 def image_calls(pkg) -> dict:
@@ -172,18 +198,42 @@ def timed(call, items) -> tuple[int, int]:
     return ns, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
+def rounds(jobs: dict, repeats: int) -> dict:
+    """Per call, the `summary` of `repeats` iterations of side -> call ->
+    (function, make) jobs: `function` of each item of `make()`, whose
+    items the call's cold and warm times are taken over, as the module
+    docstring says."""
+    names = list(jobs)
+    times = {call: {side: [] for side in names} for call in jobs[names[0]]}
+    for i in range(repeats):
+        for side in names[i % len(names):] + names[:i % len(names)]:
+            gc.collect()
+            cold = [timed(function, make()) for function, make in jobs[side].values()]
+            for (call, (function, make)), (ns, faults) in zip(jobs[side].items(), cold):
+                k = -(-BATCH_NS // max(ns, 1))
+                batch = [item for _ in range(k) for item in make()]
+                warm, _ = timed(function, batch)
+                times[call][side].append((ns, faults, warm / k, k))
+    return {call: summary(ns) for call, ns in times.items()}
+
+
+def spread(ns: np.ndarray, base: np.ndarray) -> dict:
+    """ms per call as {median, q1, q3}, and the comparison with the parent's `base` ns."""
+    q1, median, q3 = np.percentile(ns / 1e6, [25, 50, 75])
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
+            "ratio_to_parent": round(float(np.median(ns / base)), 4),
+            "wins_vs_parent": int((ns < base).sum())}
+
+
 def summary(times: dict) -> dict:
-    """Per side, ms and faults per call and the per-iteration comparison
-    with the parent."""
-    base = np.array(times["parent"])[:, 0]
+    """Per side, the cold and warm ms per call, cold faults per call and
+    warm batch size, each compared with the parent."""
+    base = np.array(times["parent"], dtype=np.float64)
     out = {}
-    for side, pairs in times.items():
-        ns, faults = np.array(pairs).T
-        q1, median, q3 = np.percentile(ns / 1e6, [25, 50, 75])
-        out[side] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
-                     "ratio_to_parent": round(float(np.median(ns / base)), 4),
-                     "wins_vs_parent": int((ns < base).sum()),
-                     "minor_faults": float(np.median(faults))}
+    for side, rows in times.items():
+        ns, faults, warm, k = np.array(rows, dtype=np.float64).T
+        out[side] = {**spread(ns, base[:, 0]), "minor_faults": float(np.median(faults)),
+                     "warm": {**spread(warm, base[:, 2]), "batch": float(np.median(k))}}
     return out
 
 
@@ -217,44 +267,21 @@ def main(argv=None) -> int:
     for side in sides:
         if image_outputs(images[side]) != outputs:
             raise SystemExit(f"{side} writes, reads or builds other images")
-    names = list(sides)
     result = {"repeats": args.repeats}
     for label in circuits["parent"]:
-        times = {call: {side: [] for side in names}
-                 for call in ("write", "read", "ops", "matrices", "run")}
-        for i in range(args.repeats):
-            for side in names[i % len(names):] + names[:i % len(names)]:
-                gc.collect()
-                pkg = sides[side]
-                fresh = unrendered(pkg, circuits[side][label])
-                times["write"][side].append(timed(pkg.circuit_to_json, fresh))
-                times["read"][side].append(timed(pkg.circuit_from_json, texts[label]))
-                fresh = [pkg.Circuit.from_blocks(c.num_qutrits, c.blocks)
-                         for c in circuits[side][label]]
-                times["ops"][side].append(timed(attrgetter("ops"), fresh))
-                gate_lists = [blk.gates for c in circuits[side][label] for blk in c.blocks]
-                times["matrices"][side].append(timed(pkg.gates.gate_matrices, gate_lists))
-                times["run"][side].append(timed(pkg.run, circuits[side][label]))
-        result[label] = {call: summary(ns) for call, ns in times.items()}
-    times = {call: {side: [] for side in names} for call in outputs}
-    for i in range(args.repeats):
-        for side in names[i % len(names):] + names[:i % len(names)]:
-            gc.collect()
-            for call, jobs in images[side].items():
-                times[call][side].append(timed(apply, jobs))
-    result["images"] = {call: summary(ns) for call, ns in times.items()}
+        result[label] = rounds({side: circuit_calls(pkg, circuits[side][label], texts[label])
+                                for side, pkg in sides.items()}, args.repeats)
+    result["images"] = rounds({side: {call: (apply, constantly(jobs))
+                                      for call, jobs in images[side].items()}
+                               for side in sides}, args.repeats)
     jobs = {side: decode_jobs(pkg, circuits[side]) for side, pkg in sides.items()}
     reports = report_outputs(jobs["parent"])
     for side in sides:
         if report_outputs(jobs[side]) != reports:
             raise SystemExit(f"{side} decodes other reports")
-    times = {call: {side: [] for side in names} for call in reports}
-    for i in range(args.repeats):
-        for side in names[i % len(names):] + names[:i % len(names)]:
-            gc.collect()
-            for call, job in jobs[side].items():
-                times[call][side].append(timed(decode, (job,)))
-    result["decode"] = {call: summary(ns) for call, ns in times.items()}
+    result["decode"] = rounds({side: {call: (decode, constantly((job,)))
+                                      for call, job in jobs[side].items()}
+                               for side in sides}, args.repeats)
     print(json.dumps(result, indent=1))
     return 0
 

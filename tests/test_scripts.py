@@ -65,17 +65,26 @@ def test_layer_ab_times_a_tree_against_itself(capsys):
     root = str(SCRIPTS.parent)
     assert script.main([root, root, "--repeats", "2"]) == 0
     result = json.loads(capsys.readouterr().out)
-    labels = ["fqri-27", "fqrri-27", "fqrqci-27.m1", "fqrqci-27.m2", "fqrqci-27.m3",
-              "fqrqci-27.all", "mcqri-27", "qrciq-9", "qrciq-27"]
+    codecs = [f"{name}-{side}" for name in CODECS for side in (3, 9, 27)]
+    labels = [label for label in codecs for label in (
+        [f"{label}.m{k}" for k in (1, 2, 3)] + [f"{label}.all"] if "fqrqci" in label
+        else [label])]
     assert list(result) == ["repeats", *labels, "images", "decode"]
     calls = {label: ["write", "read", "ops", "matrices", "run"] for label in labels}
     calls["images"] = ["write", "read", "construct"]
-    calls["decode"] = ["fqri-27", "fqrri-27", "fqrqci-27", "mcqri-27", "qrciq-9", "qrciq-27"]
+    calls["decode"] = codecs
     for label, names in calls.items():
         assert list(result[label]) == names
         for call in names:
             sides = result[label][call]
             assert list(sides) == ["parent", "change", "parent_copy"]
-            assert all(side["median"] > 0 and 0 <= side["wins_vs_parent"] <= 2
-                       and side["minor_faults"] >= 0 for side in sides.values())
+            for side in sides.values():
+                warm = side["warm"]
+                assert side["median"] > 0 and 0 <= side["wins_vs_parent"] <= 2
+                assert side["minor_faults"] >= 0
+                assert warm["median"] > 0 and 0 <= warm["wins_vs_parent"] <= 2
+                # k calls at the cold time last at least 1 ms; over two
+                # iterations, median k times the cold q3 is at least half that
+                assert warm["batch"] >= 1 and warm["batch"] * side["q3"] >= 0.5
+            assert sides["parent"]["warm"]["ratio_to_parent"] == 1.0
             assert sides["parent"]["ratio_to_parent"] == 1.0

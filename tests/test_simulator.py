@@ -453,6 +453,9 @@ def _reference_from_json(text):
 
 
 SPECIAL_PARAMS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, math.pi)
+# Params whose repr is in exponent form, down to the least subnormal and up to
+# the largest float.
+EXPONENT_PARAMS = (5e-324, -1e-07, 1e+16, 1.7976931348623157e+308)
 
 
 @st.composite
@@ -497,6 +500,17 @@ def _read_by_scan(text):
 @example(Circuit(2, (CircuitOp(GateSpec("RZ", (0, 2), (0.0,)), 0),
                      CircuitOp(GateSpec("RZ", (0, 2), (-0.0,)), 0))))
 @example(Circuit(1, (CircuitOp(GateSpec("X", (0, 1)), 0), CircuitOp(GateSpec("X", (1, 2)), 0))))
+@example(Circuit(2, (CircuitOp(GateSpec("RX", (0, 1), (5e-324,)), 0),
+                     CircuitOp(GateSpec("RZ", (1, 2), (-1e-07,)), 1),
+                     CircuitOp(GateSpec("RZ", (0, 2), (1e+16,)), 0),
+                     CircuitOp(GateSpec("RX", (1, 2), (1.7976931348623157e+308,)), 1),
+                     CircuitOp(GateSpec("U", (0, 2), EXPONENT_PARAMS[:3]), 0),
+                     CircuitOp(GateSpec("U", (1, 2), EXPONENT_PARAMS[1:]), 1))))
+@example(Circuit(3, tuple(  # one block on control qutrit 1 holding every gate kind
+    CircuitOp(GateSpec(kind, PAIRS[k % 3] if kind in SUBSPACE_KINDS else None,
+                       EXPONENT_PARAMS[k % 2:][:PARAM_COUNTS[kind]]),
+              (0, 2)[k % 2], (ControlSpec(1, k % 3),))
+    for k, kind in enumerate(sorted(PARAM_COUNTS)))))
 def test_circuit_json_matches_reference(circuit):
     text = circuit_to_json(circuit)
     assert text == _reference_to_json(circuit)
