@@ -37,12 +37,13 @@ page faults of the process during the call (`ru_minflt` of
 collection, so no side pays for garbage that another left.  That cold
 call measures cache and heap state as much as code when it lasts a few
 microseconds, so after the side's cold calls each call is also timed
-warm, as a batch of k calls in a row, k the least count of the cold
-time that lasts `BATCH_NS` (1 ms); the copies that each write and `ops`
-call of the batch needs are made before its clock starts.  Every side
-must write the same text, which every side then reads, give the same op
-view, matrix bytes and amplitude bytes, write, read and build the same
-images and decode the same reports.  All sides share one heap, so a
+warm, as a batch of k calls in a row, k the least count whose k cold
+calls last `BATCH_NS` (1 ms); a call that runs faster warm, as one of a
+few microseconds does, makes a shorter batch.  The copies that each
+write and `ops` call of the batch needs are made before its clock
+starts.  Every side must write the same text, which every side then
+reads, give the same op view, matrix bytes and amplitude bytes, write,
+read and build the same images and decode the same reports.  All sides share one heap, so a
 change in what a call allocates, which alters the heap's history and so
 the page faults of later calls, shows only when each side runs in a
 process of its own.
@@ -51,8 +52,9 @@ Prints one JSON object: per circuit and call, per side, the cold ms per
 call as {median, q1, q3} over the iterations, `ratio_to_parent` the
 median of the per-iteration ratio to the parent's time, `wins_vs_parent`
 the iterations in which that side was faster than the parent, and
-`minor_faults` the median minor page faults per call; and under `warm`
-the same figures of the batch's ms per call, with `batch` the median k.
+`minor_faults` the median minor page faults of a cold call; and under
+`warm` the same figures of the batch's ms per call, with `batch` the
+median k.
 """
 
 from __future__ import annotations
@@ -199,10 +201,10 @@ def timed(call, items) -> tuple[int, int]:
 
 
 def rounds(jobs: dict, repeats: int) -> dict:
-    """Per call, the `summary` of `repeats` iterations of side -> call ->
-    (function, make) jobs: `function` of each item of `make()`, whose
-    items the call's cold and warm times are taken over, as the module
-    docstring says."""
+    """Per call, the `summary` of `repeats` iterations over `jobs`, side ->
+    call -> (function, make): `function` runs on each item of a fresh
+    `make()`, cold once, then warm as a batch, as the module docstring
+    says."""
     names = list(jobs)
     times = {call: {side: [] for side in names} for call in jobs[names[0]]}
     for i in range(repeats):
